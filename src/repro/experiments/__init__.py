@@ -31,7 +31,6 @@ __all__ = [
     "run_figure6",
     "run_figure7",
     "run_figure8",
-    "run_fleet",
     "run_keepalive",
     "run_ksm_contrast",
     "run_latency",
@@ -64,7 +63,6 @@ _LAZY = {
     "run_overload": "repro.experiments.overload",
     "run_scale": "repro.experiments.scale",
     "run_density": "repro.experiments.density",
-    "run_fleet": "repro.experiments.fleet",
     "run_keepalive": "repro.experiments.keepalive",
 }
 
@@ -86,7 +84,6 @@ EXPERIMENT_MODULES = (
     "repro.experiments.overload",
     "repro.experiments.scale",
     "repro.experiments.density",
-    "repro.experiments.fleet",
     "repro.experiments.keepalive",
 )
 

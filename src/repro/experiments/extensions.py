@@ -17,8 +17,9 @@ from repro.distributed.cluster import DistributedSeussCluster
 from repro.distributed.transfer import TransferStrategy
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
 from repro.linuxnode.instances import InstanceKind
-from repro.linuxnode.ksm import KsmDaemon
+from repro.linuxnode.ksm import DEFAULT_DUPLICATE_FRACTION
 from repro.linuxnode.node import LinuxNode
+from repro.mem.dedup import PageScanner
 from repro.seuss.config import SeussConfig
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
@@ -196,7 +197,12 @@ def run_ksm_contrast(containers: int = 200) -> ExperimentResult:
     node = LinuxNode(env)
     for _ in range(containers):
         env.run(until=env.process(node.deploy_instance(InstanceKind.CONTAINER)))
-    daemon = KsmDaemon(env, node.allocator)
+    daemon = PageScanner(
+        env,
+        node.allocator,
+        duplicate_fraction=DEFAULT_DUPLICATE_FRACTION,
+        category="container",
+    )
     deployed_at = env.now
     daemon.start()
     env.run(until=env.now + 120_000)  # 2 minutes of scanning

@@ -1,18 +1,21 @@
 """Cluster wiring: the four-machine OpenWhisk testbed in one object.
 
 :class:`FaasCluster` assembles the experiment topology of §7: a control
-plane (controller + bus + registry), one or more compute nodes (SEUSS
-OS or Linux), and the external HTTP server.  The two constructors
-mirror the paper's two deployments — ``with_seuss_node`` routes
-invocations through the shim process, ``with_linux_node`` talks to the
-invoker directly.
+plane (controllers + buses + registry), one or more compute nodes
+(SEUSS OS or Linux), and the external HTTP server.  The two
+constructors mirror the paper's two deployments — ``with_seuss_node``
+routes invocations through the shim process, ``with_linux_node`` talks
+to the invoker directly.
 
-Resilience is opt-in per cluster: passing a fault plan, a retry policy,
-or a breaker policy wires up the fault injector (shared by the bus and
-every node), per-node :class:`~repro.faas.health.NodeHealth` circuit
-breakers, and the routing controller retry loop.  A cluster built
-without any of them is bit-identical to the historical single-node
-wiring — no injector, no router, no extra events.
+Every cluster's control plane is a
+:class:`~repro.faas.sharding.ShardedControlPlane` — one shard unless
+``shards`` asks for more — so every request takes the same path: hash
+to a shard, route through that shard's
+:class:`~repro.faas.health.NodeRouter` (per-node circuit breakers),
+dispatch.  Shard 0 reuses the shim passed to the constructor.  Fault
+plans, retry and breaker policies and overload control are knobs on
+that one path; with healthy nodes the router and breakers are pure
+bookkeeping and schedule no events.
 """
 
 from __future__ import annotations
@@ -20,18 +23,13 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional, Union
 
 from repro.costs import CostBook, DEFAULT_COSTS
-from repro.faas.controller import Controller, RetryPolicy
-from repro.faas.health import (
-    BreakerPolicy,
-    CircuitBreaker,
-    NodeHealth,
-    NodeRouter,
-)
+from repro.faas.controller import RetryPolicy
+from repro.faas.health import BreakerPolicy
 from repro.faas.httpserver import ExternalHttpServer
-from repro.faas.messagebus import MessageBus
-from repro.faas.overload import OverloadConfig, OverloadControl
+from repro.faas.overload import OverloadConfig
 from repro.faas.records import FunctionSpec, InvocationResult
 from repro.faas.registry import FunctionRegistry
+from repro.faas.sharding import ShardedControlPlane
 from repro.faults import FaultInjector, FaultPlan
 from repro.seuss.config import SeussConfig
 from repro.seuss.node import SeussNode
@@ -63,118 +61,42 @@ class FaasCluster:
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults, env)
         self.fault_injector: Optional[FaultInjector] = faults
-        self.bus = MessageBus(env, injector=self.fault_injector)
         self.shim = shim
         self.external_server = ExternalHttpServer(env)
-        # The overload control plane is a resilience knob like the rest:
-        # a disabled (or omitted) config wires nothing.
-        if overload is not None and not overload.enabled:
-            overload = None
-        self.overload: Optional[OverloadControl] = None
-        self.health: List[NodeHealth] = []
-        self.router: Optional[NodeRouter] = None
-        self.breaker_policy = breaker or BreakerPolicy()
-        if shards > 1 or routing is not None:
-            # Sharded control plane: every shard owns its own bus, shim
-            # connection, breakers, admission queues and retry budget.
-            # Imported lazily — the default wiring must not pull the
-            # distributed package into its import graph.
-            from repro.faas.sharding import ShardedControlPlane
-
-            self.control_plane: Optional[ShardedControlPlane] = (
-                ShardedControlPlane(
-                    env,
-                    [node],
-                    costs=costs,
-                    shards=shards,
-                    routing=routing or "round_robin",
-                    shim_factory=(
-                        (lambda _sid: ShimProcess(env, costs.platform))
-                        if shim is not None
-                        else None
-                    ),
-                    retries=retries,
-                    breaker=breaker,
-                    overload=overload,
-                    injector=self.fault_injector,
-                )
-            )
-            if self.fault_injector is not None and hasattr(node, "fault_injector"):
-                node.fault_injector = self.fault_injector
-            #: Shard 0's controller, for single-controller call sites;
-            #: aggregate counters live on ``control_plane``.
-            self.controller = self.control_plane.shards[0].controller
-            return
-        self.control_plane = None
-        self.overload = (
-            OverloadControl(env, overload) if overload is not None else None
-        )
-        # Health tracking engages with any resilience knob; otherwise the
-        # controller keeps the historical direct-node fast path.
-        resilient = (
-            self.fault_injector is not None
-            or retries is not None
-            or breaker is not None
-            or self.overload is not None
-        )
-        self.router = NodeRouter() if resilient else None
-        if self.router is not None and self.overload is not None:
-            if self.overload.config.queue_depth is not None:
-                # Queue depth is the backpressure signal: bursts drain
-                # toward the least-congested node.
-                overload_control = self.overload
-                self.router.prefer_least_loaded(
-                    lambda health: overload_control.depth_of(health.node)
-                )
-        self._attach_node(node)
-        self.controller = Controller(
+        self._inject_faults(node)
+        self.control_plane = ShardedControlPlane(
             env,
-            node,
-            costs.platform,
-            shim=shim,
-            bus=self.bus,
+            [node],
+            costs=costs,
+            shards=shards,
+            routing=routing or "round_robin",
+            shim_factory=(
+                (lambda sid: shim if sid == 0 else ShimProcess(env, costs.platform))
+                if shim is not None
+                else None
+            ),
             retries=retries,
-            router=self.router,
-            overload=self.overload,
+            breaker=breaker,
+            overload=overload,
+            injector=self.fault_injector,
         )
+        #: Shard 0's controller, for single-controller call sites;
+        #: aggregate counters live on ``control_plane``.
+        self.controller = self.control_plane.shards[0].controller
 
     # -- node membership -------------------------------------------------
-    def _attach_node(self, node) -> None:
+    def _inject_faults(self, node) -> None:
         if self.fault_injector is not None and hasattr(node, "fault_injector"):
             node.fault_injector = self.fault_injector
-        if self.overload is not None:
-            self.overload.register_node(node)
-        if self.router is not None:
-            health = NodeHealth(
-                node, CircuitBreaker(self.env, self.breaker_policy)
-            )
-            self.health.append(health)
-            self.router.add(health)
 
     def add_node(self, node) -> None:
-        """Join an initialized compute node to the routable pool.
-
-        Only meaningful on sharded or resilient clusters (a router must
-        exist for requests to reach any node beyond the first).
-        """
-        if self.control_plane is not None:
-            if self.fault_injector is not None and hasattr(node, "fault_injector"):
-                node.fault_injector = self.fault_injector
-            self.control_plane.add_node(node)
-            return
-        if self.router is None:
-            raise ValueError(
-                "add_node requires a resilient cluster (faults/retries/breaker)"
-            )
-        self._attach_node(node)
+        """Join an initialized compute node to every shard's rotation."""
+        self._inject_faults(node)
+        self.control_plane.add_node(node)
 
     @property
     def nodes(self) -> list:
-        if self.control_plane is not None:
-            return list(self.control_plane.nodes)
-        if self.health:
-            return [health.node for health in self.health]
-        return [self.node]
+        return list(self.control_plane.nodes)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -252,22 +174,11 @@ class FaasCluster:
 
     def invoke(self, fn: FunctionSpec) -> Process:
         """Start a client invocation of ``fn`` directly."""
-        if self.control_plane is not None:
-            return self.control_plane.invoke(fn)
-        return self.env.process(self.controller.invoke(fn))
+        return self.control_plane.invoke(fn)
 
     def invoke_batch(self, fns: Iterable[FunctionSpec]) -> List[Process]:
-        """Start a same-tick volley of invocations.
-
-        On an unsharded cluster the volley shares one pre-node dispatch
-        tick (:meth:`Controller.invoke_batch`); on a sharded control
-        plane requests hash to different shards, so they dispatch
-        individually — same results either way.
-        """
-        fns = list(fns)
-        if self.control_plane is not None:
-            return [self.control_plane.invoke(fn) for fn in fns]
-        return self.controller.invoke_batch(fns)
+        """Start a same-tick volley sharing one dispatch tick per shard."""
+        return self.control_plane.invoke_batch(fns)
 
     def invoke_sync(self, fn: FunctionSpec) -> InvocationResult:
         """Invoke and drive the simulation until the result is ready."""

@@ -12,15 +12,15 @@ Client-side timeouts are enforced here: a request that exceeds
 behind the 'x' marks in Figures 6–8) while the node-side work is left
 to finish in the background, as on the real platform.
 
-Resilience is opt-in and costs nothing when idle.  A
-:class:`RetryPolicy` with ``max_attempts > 1`` re-dispatches failed
-node attempts with exponential backoff + seeded jitter (sim-clock
-based, so retry schedules replay deterministically), bounded by both an
-attempt count and a per-request backoff budget; a
-:class:`~repro.faas.health.NodeRouter` lets each attempt route around
-nodes whose circuit breakers are open.  With the default policy
-(single attempt, no router) the control flow is exactly the historical
-one — no extra events, no RNG draws, no added latency.
+Resilience costs nothing when idle.  Every attempt is routed by a
+:class:`~repro.faas.health.NodeRouter`, which skips nodes whose circuit
+breakers are open; a :class:`RetryPolicy` with ``max_attempts > 1``
+re-dispatches failed node attempts with exponential backoff + seeded
+jitter (sim-clock based, so retry schedules replay deterministically),
+bounded by both an attempt count and a per-request backoff budget.
+With the default policy (single attempt) and healthy nodes the control
+flow is exactly the historical one — no extra events, no RNG draws, no
+added latency.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.errors import (
     QueueFullError,
     RetryBudgetExhaustedError,
 )
-from repro.faas.health import NodeRouter
+from repro.faas.health import CircuitBreaker, NodeHealth, NodeRouter
 from repro.faas.messagebus import MessageBus
 from repro.faas.overload import OverloadControl
 from repro.faas.quotas import DISABLED, QuotaConfig, QuotaEnforcer
@@ -173,6 +173,9 @@ class Controller:
         #: Per-namespace throttling; the paper disables it (the default).
         self.quotas = QuotaEnforcer(quotas)
         self.retries = retries or NO_RETRIES
+        #: Node selection; a bare controller routes to ``node`` alone.
+        if router is None:
+            router = NodeRouter([NodeHealth(node, CircuitBreaker(env))])
         self.router = router
         #: The overload control plane (deadlines, admission queues,
         #: retry budget); ``None`` keeps the historical control flow.
@@ -183,8 +186,8 @@ class Controller:
         self.retry_events: List[RetryEvent] = []
         #: Set by :class:`~repro.faas.sharding.ShardedControlPlane` so
         #: request spans carry their shard for critical-path
-        #: attribution; ``None`` on unsharded controllers (no span
-        #: attribute, historical traces unchanged).
+        #: attribution; ``None`` on bare controllers (no span
+        #: attribute).
         self.shard_id: Optional[int] = None
 
     @property
@@ -235,23 +238,19 @@ class Controller:
                 tracer.counter("overload.deadline_rejected")
             return EXPIRED_BEFORE_DISPATCH
 
-        health = None
-        if self.router is not None:
-            try:
-                health = self.router.select(fn)
-                node = health.node
-            except CircuitOpenError as exc:
-                self.stats.circuit_rejected += 1
-                span.annotate(circuit_rejected=True, error=str(exc))
-                return NodeInvocation(
-                    path=InvocationPath.ERROR,
-                    success=False,
-                    latency_ms=0.0,
-                    error=str(exc),
-                    function_key=fn.key,
-                )
-        else:
-            node = self.node
+        try:
+            health = self.router.select(fn)
+        except CircuitOpenError as exc:
+            self.stats.circuit_rejected += 1
+            span.annotate(circuit_rejected=True, error=str(exc))
+            return NodeInvocation(
+                path=InvocationPath.ERROR,
+                success=False,
+                latency_ms=0.0,
+                error=str(exc),
+                function_key=fn.key,
+            )
+        node = health.node
 
         queue = None
         if self.overload is not None:
@@ -308,7 +307,7 @@ class Controller:
                     tracer.counter("overload.cancelled")
             return None
         node_result = node_process.value
-        if health is not None and not node_result.cancelled:
+        if not node_result.cancelled:
             # Cancelled/shed work says nothing about node health; only
             # real outcomes feed the breaker.
             if node_result.success:

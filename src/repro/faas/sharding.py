@@ -29,16 +29,17 @@ observation, as it is for independent controller replicas in a real
 deployment), while load signals read node-global state (core
 occupancy, admission-queue depth) so shards see each other's load.
 
-A one-shard plane with round-robin routing replays the exact event
-schedule of the historical unsharded wiring — locked down by
-``tests/test_sharding_zero_perturbation.py``.
+Every :class:`~repro.faas.cluster.FaasCluster` owns one of these; the
+default one-shard, round-robin plane replays the exact event schedule
+of the historical single-controller wiring — locked down by the
+quick-suite goldens and ``tests/test_sharding_zero_perturbation.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.costs import CostBook, DEFAULT_COSTS
 from repro.errors import ConfigError
@@ -53,6 +54,7 @@ from repro.faas.messagebus import MessageBus
 from repro.faas.overload import OverloadConfig, OverloadControl
 from repro.faas.records import FunctionSpec, InvocationResult
 from repro.faas.routing import (
+    LeastLoadedPolicy,
     RoutingPolicy,
     RoutingStats,
     make_policy,
@@ -251,11 +253,16 @@ class ShardedControlPlane:
         """Resolve the routing knob into one shard's policy instance.
 
         The load signal prefers the shard's admission-queue depth when
-        overload queues are configured (the PR 6 backpressure wiring),
-        falling back to node-global core occupancy.
+        overload queues are configured, falling back to node-global core
+        occupancy.  Bounded queues are backpressure: under the default
+        ``round_robin`` name they install least-loaded routing on queue
+        depth, so bursts drain toward the least-congested node instead
+        of rotating blindly.
         """
         if shard_overload is not None and shard_overload.config.queue_depth is not None:
             load_of = lambda health: shard_overload.depth_of(health.node)  # noqa: E731
+            if routing == "round_robin":
+                return LeastLoadedPolicy(load_of)
         else:
             load_of = lambda health: node_outstanding(health.node)  # noqa: E731
         if isinstance(routing, str):
@@ -285,8 +292,8 @@ class ShardedControlPlane:
     def shard_for(self, key: str) -> ControlPlaneShard:
         return self.shards[self.ring.shard_for(key)]
 
-    def invoke(self, fn: FunctionSpec) -> Process:
-        """Start one client invocation on the owning shard."""
+    def _dispatch(self, fn: FunctionSpec) -> ControlPlaneShard:
+        """Hash ``fn`` to its shard and count the dispatch."""
         shard = self.shard_for(fn.key)
         shard.dispatched += 1
         tracer = tracer_for(self.env)
@@ -295,7 +302,29 @@ class ShardedControlPlane:
             tracer.gauge(
                 f"shard.{shard.shard_id}.dispatched", shard.dispatched
             )
-        return self.env.process(shard.controller.invoke(fn))
+        return shard
+
+    def invoke(self, fn: FunctionSpec) -> Process:
+        """Start one client invocation on the owning shard."""
+        return self.env.process(self._dispatch(fn).controller.invoke(fn))
+
+    def invoke_batch(self, fns: Iterable[FunctionSpec]) -> List[Process]:
+        """Start a same-tick volley; returns processes in input order.
+
+        The volley is grouped by owning shard and each group goes
+        through :meth:`Controller.invoke_batch`, so every shard's share
+        rides one shared pre-node dispatch tick.
+        """
+        fns = list(fns)
+        groups: Dict[ControlPlaneShard, List[int]] = {}
+        for index, fn in enumerate(fns):
+            groups.setdefault(self._dispatch(fn), []).append(index)
+        processes: List[Optional[Process]] = [None] * len(fns)
+        for shard, indices in groups.items():
+            batch = shard.controller.invoke_batch([fns[i] for i in indices])
+            for index, process in zip(indices, batch):
+                processes[index] = process
+        return processes
 
     def invoke_sync(self, fn: FunctionSpec) -> InvocationResult:
         return self.env.run(until=self.invoke(fn))

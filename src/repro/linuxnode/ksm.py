@@ -8,49 +8,13 @@ merging across tenants is a known deduplication side channel, which
 SEUSS avoids because its sharing is established at snapshot time and
 confined to a function's own lineage (§5).
 
-:class:`KsmDaemon` is now a thin adapter over the shared retroactive
-scanner in :mod:`repro.mem.dedup` (:class:`~repro.mem.dedup.PageScanner`
-— the same machinery the snapshot-dedup domain uses), specialized with
-KSM's whole-container defaults: a 0.62 duplicate fraction (interpreter
-text, stdlib, base layers shared across instances of one image) and
-ksmd's conservative ~25k pages/s throttle, over the Linux node's
-``container`` memory category.
+KSM is modelled by the shared retroactive scanner,
+:class:`~repro.mem.dedup.PageScanner`, over the Linux node's
+``container`` memory category at ksmd's conservative default scan rate
+(:data:`~repro.mem.dedup.DEFAULT_SCAN_RATE_PAGES_PER_S`).  This module
+holds the KSM-specific default.
 """
-
-from __future__ import annotations
-
-from repro.mem.dedup import (  # noqa: F401  (re-exported compat surface)
-    DEFAULT_SCAN_RATE_PAGES_PER_S,
-    SCAN_INTERVAL_MS,
-    PageScanner,
-    ScanStats,
-)
-from repro.mem.frames import FrameAllocator
-from repro.sim import Environment
 
 #: Fraction of per-container memory that is byte-identical across
 #: instances of the same image (interpreter text, stdlib, base layers).
 DEFAULT_DUPLICATE_FRACTION = 0.62
-
-#: Backwards-compatible name for the scanner's stats record.
-KsmStats = ScanStats
-
-
-class KsmDaemon(PageScanner):
-    """Retroactive page dedup over the ``container`` memory category."""
-
-    def __init__(
-        self,
-        env: Environment,
-        allocator: FrameAllocator,
-        duplicate_fraction: float = DEFAULT_DUPLICATE_FRACTION,
-        scan_rate_pages_per_s: float = DEFAULT_SCAN_RATE_PAGES_PER_S,
-        category: str = "container",
-    ) -> None:
-        super().__init__(
-            env,
-            allocator,
-            duplicate_fraction=duplicate_fraction,
-            scan_rate_pages_per_s=scan_rate_pages_per_s,
-            category=category,
-        )

@@ -18,8 +18,8 @@ the missing middle of that design space to the memory substrate:
   and frames return to the pool only at refcount zero;
 * two merge modes: **capture-time** dedup (SEUSS-style — free,
   established the moment a snapshot is taken, scoped by the tenant
-  policy) and a **retroactive scanner** (:class:`PageScanner`, the
-  generalization of ``linuxnode.ksm.KsmDaemon``) that merges duplicates
+  policy) and a **retroactive scanner** (:class:`PageScanner`, also
+  the model of Linux KSM) that merges duplicates
   at a bounded scan rate with its cost charged on the sim clock and a
   CoW un-merge path for written pages.
 
@@ -280,7 +280,7 @@ class SharedFrameTable:
 
 @dataclass
 class ScanStats:
-    """Scanner accounting (superset of the old ``KsmStats``)."""
+    """Scanner accounting."""
 
     scans: int = 0
     merged_pages: int = 0
@@ -297,10 +297,11 @@ class ScanStats:
 class PageScanner:
     """Retroactive page dedup over one allocation category.
 
-    The generalization of ``linuxnode.ksm.KsmDaemon`` (which is now a
-    thin adapter over this class): a background daemon scans a memory
-    category at ``scan_rate_pages_per_s``, merging duplicate pages up to
-    the ``duplicate_fraction`` actually present.  Sharing arrives over
+    Also the model of Linux KSM (over the ``container`` category with
+    :data:`repro.linuxnode.ksm.DEFAULT_DUPLICATE_FRACTION`): a
+    background daemon scans a memory category at
+    ``scan_rate_pages_per_s``, merging duplicate pages up to the
+    ``duplicate_fraction`` actually present.  Sharing arrives over
     *time*, behind demand — the §5 contrast with capture-time dedup —
     and the scan itself costs CPU, accrued in ``stats.scan_ms``.
     """

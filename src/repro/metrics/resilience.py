@@ -65,8 +65,8 @@ class ResilienceReport:
     bus_delayed: int = 0
     # Injected faults by kind (empty when no injector is installed).
     faults_injected: Dict[str, int] = field(default_factory=dict)
-    # Sharded control plane / routing (defaults describe the unsharded,
-    # round-robin wiring so historical reports are unchanged).
+    # Sharded control plane / routing (defaults describe the one-shard,
+    # round-robin wiring).
     shards: int = 1
     routing_policy: str = "round_robin"
     route_decisions: int = 0
@@ -110,12 +110,8 @@ class ResilienceReport:
     @classmethod
     def from_cluster(cls, cluster) -> "ResilienceReport":
         """Collect from a :class:`~repro.faas.cluster.FaasCluster`."""
-        plane = getattr(cluster, "control_plane", None)
-        stats = (
-            plane.controller_stats()
-            if plane is not None
-            else cluster.controller.stats
-        )
+        plane = cluster.control_plane
+        stats = plane.controller_stats()
         report = cls(
             received=stats.received,
             succeeded=stats.succeeded,
@@ -131,37 +127,35 @@ class ResilienceReport:
         quota_stats = cluster.controller.quotas.stats
         report.quota_rate_rejections = quota_stats.rate_rejections
         report.quota_concurrency_rejections = quota_stats.concurrency_rejections
-        if plane is not None:
-            # Sharded wiring: overloads, buses and breakers are owned
-            # per shard; fold every shard's copy into the report.
-            for shard in plane.shards:
-                if shard.overload is not None:
-                    report.shed += shard.overload.stats.shed
-                    report.retry_budget_denied += (
-                        shard.overload.stats.retry_budget_denied
-                    )
-                for topic_stats in shard.controller.bus.stats.values():
-                    report.bus_dropped += topic_stats.dropped
-                    report.bus_delayed += topic_stats.delayed
-            routing = plane.routing_stats()
-            report.shards = plane.shard_count
-            report.routing_policy = plane.routing_policy_name
-            report.route_decisions = routing.decisions
-            report.locality_hits = routing.locality_hits
-            report.locality_misses = routing.locality_misses
-            report.spills = routing.spills
-            report.shard_dispatch = plane.dispatch_counts()
-            healths = plane.healths()
-        else:
-            overload = getattr(cluster, "overload", None)
-            if overload is not None:
-                report.shed = overload.stats.shed
-                report.retry_budget_denied = overload.stats.retry_budget_denied
-            for topic_stats in cluster.bus.stats.values():
+        # Overloads, buses and breakers are owned per shard; fold every
+        # shard's copy into the report.
+        for shard in plane.shards:
+            if shard.overload is not None:
+                report.shed += shard.overload.stats.shed
+                report.retry_budget_denied += (
+                    shard.overload.stats.retry_budget_denied
+                )
+            for topic_stats in shard.controller.bus.stats.values():
                 report.bus_dropped += topic_stats.dropped
                 report.bus_delayed += topic_stats.delayed
-            healths = getattr(cluster, "health", [])
-        for node in getattr(cluster, "nodes", []):
+        routing = plane.routing_stats()
+        report.shards = plane.shard_count
+        report.routing_policy = plane.routing_policy_name
+        report.route_decisions = routing.decisions
+        report.locality_hits = routing.locality_hits
+        report.locality_misses = routing.locality_misses
+        report.spills = routing.spills
+        report.shard_dispatch = plane.dispatch_counts()
+        for health in plane.healths():
+            # Each shard wraps every node in its own breaker.
+            report.breaker_opens += health.breaker.stats.opens
+            report.breaker_closes += health.breaker.stats.closes
+        for node in cluster.nodes:
+            report.node_crashes += getattr(node, "crash_count", 0)
+            report.node_restarts += getattr(node, "restart_count", 0)
+            cache = getattr(node, "snapshot_cache", None)
+            if cache is not None:
+                report.snapshots_quarantined += cache.stats.quarantined
             report.cancelled += getattr(node, "cancelled_count", 0)
             report.zombies += getattr(node, "zombie_count", 0)
             report.useful_ms += getattr(node, "useful_ms", 0.0)
@@ -177,40 +171,14 @@ class ResilienceReport:
                     report.policy_prewarm_wasted_ms += (
                         policy.stats.prewarm_wasted_ms
                     )
-        seen_nodes = set()
-        for health in healths:
-            node = health.node
-            report.breaker_opens += health.breaker.stats.opens
-            report.breaker_closes += health.breaker.stats.closes
-            if id(node) in seen_nodes:
-                # Sharded planes wrap each node once per shard; count
-                # node-side state (crashes, quarantines) once per node.
-                continue
-            seen_nodes.add(id(node))
-            report.node_crashes += getattr(node, "crash_count", 0)
-            report.node_restarts += getattr(node, "restart_count", 0)
-            cache = getattr(node, "snapshot_cache", None)
-            if cache is not None:
-                report.snapshots_quarantined += cache.stats.quarantined
-        # Dedup domains hang off nodes, which are reachable via
-        # ``cluster.nodes`` even when no health view is wired (the
-        # default cluster) and via healths when only those exist;
-        # count each node's domain once.
-        dedup_nodes = {}
-        for node in getattr(cluster, "nodes", []):
-            dedup_nodes[id(node)] = node
-        for health in healths:
-            dedup_nodes.setdefault(id(health.node), health.node)
-        for node in dedup_nodes.values():
             dedup = getattr(node, "dedup", None)
             if dedup is not None:
                 report.dedup_merged_pages += dedup.merged_pages
                 report.dedup_unmerged_pages += dedup.unmerged_pages
                 report.dedup_saved_pages += dedup.saved_pages
                 report.dedup_scan_ms += dedup.scan_ms
-        injector = getattr(cluster, "fault_injector", None)
-        if injector is not None:
-            report.faults_injected = injector.stats.as_dict()
+        if cluster.fault_injector is not None:
+            report.faults_injected = cluster.fault_injector.stats.as_dict()
         return report
 
     def lines(self) -> List[str]:
@@ -275,10 +243,10 @@ class ResilienceReport:
                 if count
             )
             out.append(f"faults injected: {fired or 'none'}")
-        # Sharding / affinity rows appear only when that plane is in
-        # play (same pattern as the quota row above): a default 1-shard
-        # round-robin cluster prints the historical block verbatim.
-        if self.shards > 1 or self.shard_dispatch:
+        # The sharding row appears only when the plane is split (same
+        # pattern as the quota row above): a one-shard cluster prints
+        # the historical block verbatim.
+        if self.shards > 1:
             spread = ", ".join(
                 f"s{shard_id}={count}"
                 for shard_id, count in sorted(self.shard_dispatch.items())

@@ -51,8 +51,8 @@ amortized by the doubling/halving thresholds.
 
 The structure is engine-agnostic and fully deterministic: no RNG, no
 wall clock, and a pop order bit-identical to ``heapq`` over the same
-entries (:class:`HeapQueue` below is the reference oracle the model
-tests compare against).
+entries (``tests/test_calendar_queue.py`` holds the heap reference
+oracle the model tests compare against).
 """
 
 from __future__ import annotations
@@ -470,46 +470,3 @@ class CalendarQueue:
             "near": len(self._near),
             "overflow": len(self._overflow),
         }
-
-
-class HeapQueue:
-    """The historical ``heapq`` event queue, kept as reference oracle.
-
-    Byte-for-byte the behaviour the engine shipped with through PR 8;
-    the calendar model tests and the zero-perturbation suite compare
-    against it, and ``Environment(queue="heap")`` still runs on it.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        width: float = 1.0,
-        nbuckets: int = MIN_BUCKETS,
-    ) -> None:
-        self._heap: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, entry: Entry, now: float) -> None:
-        heappush(self._heap, entry)
-
-    def push_sorted(self, entries: Iterable[Entry], now: float) -> None:
-        heap = self._heap
-        if heap:
-            heap.extend(entries)
-            heapify(heap)
-        else:
-            # Pre-sorted input is already a valid heap.
-            self._heap = list(entries)
-
-    def pop(self) -> Entry:
-        return heappop(self._heap)
-
-    def head(self) -> Optional[Entry]:
-        return self._heap[0] if self._heap else None

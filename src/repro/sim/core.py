@@ -12,10 +12,9 @@ that the component models in the rest of the package read naturally, but
 the implementation here is self-contained and dependency-free.
 
 Pending events live in a calendar/bucket queue (:mod:`repro.sim.calendar`)
-with O(1) amortized insert and pop at fleet scale; the historical
-``heapq`` backend remains selectable (``Environment(queue="heap")``) as
-the reference oracle — both pop in the exact same ``(time, priority,
-insertion id)`` order.  Bulk producers (trace replay, batched arrival
+with O(1) amortized insert and pop at fleet scale, popping in the exact
+``(time, priority, insertion id)`` order the historical ``heapq``
+engine used.  Bulk producers (trace replay, batched arrival
 injection) should prefer :meth:`Environment.schedule_batch` /
 :meth:`Environment.timeout_batch`, which insert N pre-sorted events in
 one queue pass.
@@ -34,7 +33,7 @@ from typing import (
     Tuple,
 )
 
-from repro.sim.calendar import CalendarQueue, HeapQueue
+from repro.sim.calendar import CalendarQueue
 
 #: Event priorities: interrupts must preempt normal callbacks scheduled
 #: for the same instant, so they are queued with ``URGENT`` priority.
@@ -356,31 +355,12 @@ class AnyOf(Condition):
         self.succeed(self._collect())
 
 
-#: Selectable event-queue backends.  ``calendar`` (the default) is the
-#: O(1)-amortized bucket queue from :mod:`repro.sim.calendar`; ``heap``
-#: is the historical ``heapq`` implementation, kept as the reference
-#: oracle for the model/zero-perturbation tests.  Both produce the exact
-#: same pop order — entries are ``(time, priority, eid, event)`` tuples
-#: either way — so the choice is invisible to every experiment table.
-QUEUE_BACKENDS = {
-    "calendar": CalendarQueue,
-    "heap": HeapQueue,
-}
-
-
 class Environment:
     """The simulation clock and event queue."""
 
-    def __init__(self, initial_time: float = 0.0, queue: str = "calendar") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        backend = QUEUE_BACKENDS.get(queue)
-        if backend is None:
-            raise ValueError(
-                f"unknown queue backend {queue!r}; "
-                f"expected one of {sorted(QUEUE_BACKENDS)}"
-            )
-        self._queue_backend = queue
-        self._pending = backend(start=self._now)
+        self._pending = CalendarQueue(start=self._now)
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._events_processed = 0
@@ -398,11 +378,6 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
-
-    @property
-    def queue_backend(self) -> str:
-        """Name of the event-queue backend (``calendar`` or ``heap``)."""
-        return self._queue_backend
 
     # -- factories ----------------------------------------------------
     def event(self) -> Event:

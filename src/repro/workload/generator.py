@@ -15,14 +15,13 @@ the burst experiments' background stream, capped at 72 rps).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.faas.cluster import FaasCluster
 from repro.faas.records import FunctionSpec, InvocationResult
 from repro.metrics.collector import LatencyRecorder, TrialMetrics
-from repro.sim import Environment
 
 
 @dataclass(frozen=True)
@@ -152,82 +151,3 @@ def run_trial(
     )
     return LoadGenerator(functions, config).run(cluster)
 
-
-def run_open_loop_trial(
-    cluster: FaasCluster,
-    functions: Sequence[FunctionSpec],
-    invocation_count: int,
-    rate_per_s: float,
-    seed: int = 0xBEEF,
-    epoch_size: int = 10_000,
-) -> TrialResult:
-    """Open-loop trial with batched arrival injection.
-
-    Arrivals are Poisson at ``rate_per_s`` and launch at their
-    timestamp regardless of completions (unbounded in-flight, the
-    external-client regime), with the send order pre-computed exactly
-    like :class:`LoadGenerator`.  Arrival vectors are pre-generated and
-    injected one epoch at a time through
-    :meth:`~repro.sim.Environment.timeout_batch` — one bulk queue
-    insert per ``epoch_size`` arrivals instead of one worker-generator
-    timeout per invocation — which is what keeps fleet-scale open-loop
-    runs affordable.  ``TrialResult.config.workers`` is reported as 1:
-    open loop has no worker pool.
-    """
-    if not functions:
-        raise ConfigError("at least one function required")
-    if rate_per_s <= 0:
-        raise ConfigError(f"rate_per_s must be positive, got {rate_per_s}")
-    if epoch_size < 1:
-        raise ConfigError(f"epoch_size must be >= 1, got {epoch_size}")
-    config = TrialConfig(
-        invocation_count=invocation_count,
-        workers=1,
-        seed=seed,
-        rate_limit_per_s=rate_per_s,
-    )
-    env = cluster.env
-    rng = random.Random(seed)
-    send_order = [
-        rng.randrange(len(functions)) for _ in range(invocation_count)
-    ]
-    mean_gap_ms = 1000.0 / rate_per_s
-    base = env.now
-    at = base
-    arrival_times: List[float] = []
-    for _ in range(invocation_count):
-        at += rng.expovariate(1.0 / mean_gap_ms)
-        arrival_times.append(at)
-
-    metrics = TrialMetrics()
-    recorder = metrics.recorder
-    done = env.event()
-
-    def collect(process) -> None:
-        recorder.add(process.value)
-        if len(recorder.results) == invocation_count:
-            done.succeed()
-
-    def launch(index: int) -> None:
-        cluster.invoke(functions[send_order[index]]).callbacks.append(collect)
-
-    def driver():
-        for start in range(0, invocation_count, epoch_size):
-            chunk = arrival_times[start : start + epoch_size]
-            now = env.now
-            timeouts = env.timeout_batch([t - now for t in chunk])
-            for offset, timeout in enumerate(timeouts):
-                timeout.callbacks.append(
-                    lambda event, index=start + offset: launch(index)
-                )
-            yield timeouts[-1]
-
-    metrics.started_ms = env.now
-    env.process(driver())
-    env.run(until=done)
-    metrics.finished_ms = env.now
-    return TrialResult(
-        config=config,
-        metrics=metrics,
-        function_set_size=len(functions),
-    )

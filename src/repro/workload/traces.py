@@ -245,12 +245,7 @@ def synthesize_trace(
     ]
 
 
-def replay_trace(
-    cluster,
-    trace: Sequence[TraceEntry],
-    batched: bool = False,
-    epoch_size: int = 10_000,
-):
+def replay_trace(cluster, trace: Sequence[TraceEntry], epoch_size: int = 10_000):
     """Replay a trace open-loop against a cluster; returns results.
 
     Unlike the closed-loop :class:`~repro.workload.generator.LoadGenerator`
@@ -258,35 +253,13 @@ def replay_trace(
     request at its timestamp regardless of completions — the open-loop
     behaviour of real external clients.
 
-    ``batched=False`` is the historical path: one waiter process and
-    one arrival timeout per entry (byte-identical schedules).  With
-    ``batched=True`` the arrival timeline is injected epoch-by-epoch
-    through :meth:`~repro.sim.Environment.timeout_batch` — one bulk
-    queue insert per ``epoch_size`` entries and no per-entry waiter
-    process — the path that makes million-invocation fleet replays
-    affordable.  Requires ``trace`` sorted by ``at_ms`` (as
-    :func:`synthesize_trace` produces).  Results arrive in completion
-    order either way.
+    The arrival timeline is injected epoch-by-epoch through
+    :meth:`~repro.sim.Environment.timeout_batch` — one bulk queue insert
+    per ``epoch_size`` entries and no per-entry waiter process — which
+    keeps million-invocation fleet replays affordable.  Requires
+    ``trace`` sorted by ``at_ms`` (as :func:`synthesize_trace`
+    produces).  Results arrive in completion order.
     """
-    if batched:
-        return _replay_trace_batched(cluster, trace, epoch_size)
-    env = cluster.env
-    results = []
-
-    def fire(entry: TraceEntry):
-        delay = max(0.0, entry.at_ms - env.now)
-        if delay:
-            yield env.timeout(delay)
-        outcome = yield cluster.invoke(entry.function)
-        results.append(outcome)
-
-    procs = [env.process(fire(entry)) for entry in trace]
-    env.run(until=env.all_of(procs))
-    return results
-
-
-def _replay_trace_batched(cluster, trace: Sequence[TraceEntry], epoch_size: int):
-    """Epoch-chunked arrival injection behind :func:`replay_trace`."""
     if epoch_size < 1:
         raise ConfigError(f"epoch_size must be >= 1, got {epoch_size}")
     env = cluster.env
@@ -298,13 +271,10 @@ def _replay_trace_batched(cluster, trace: Sequence[TraceEntry], epoch_size: int)
 
     def collect(process) -> None:
         if not process.ok:
-            # Legacy parity: in the serial path a failed invocation
-            # process fails the ``all_of`` barrier and the exception
-            # propagates out of ``run``.  Here the failure is left
-            # un-defused so the engine raises it the same way; it must
-            # never be appended as if it were a result (the historical
-            # code collected the exception object and, were it the last
-            # entry, declared the replay complete).
+            # A failed invocation process is left un-defused so the
+            # engine raises its exception out of ``run``; it must never
+            # be appended as if it were a result (were it the last
+            # entry, the replay would declare itself complete).
             return
         results.append(process.value)
         if len(results) == total:

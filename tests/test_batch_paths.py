@@ -1,8 +1,9 @@
 """Batched scheduling paths: replay, open-loop trials, volley dispatch.
 
-Each batched path is opt-in; these tests pin (a) that the batched and
-legacy forms produce identical client-visible outcomes, and (b) that
-batching actually removes engine events rather than adding them.
+Every bulk path is the only path; these tests pin (a) that it produces
+the client-visible outcomes of the per-request idiom it replaced —
+kept here as test oracles — and (b) that batching actually removes
+engine events rather than adding them.
 """
 
 import pytest
@@ -12,13 +13,13 @@ from repro.faas.cluster import FaasCluster
 from repro.sim import Environment, SimulationError, Store
 from repro.workload.burst import BurstConfig, BurstWorkload
 from repro.workload.functions import cpu_bound_function
-from repro.workload.generator import run_open_loop_trial
 from repro.workload.traces import (
     PoissonArrivals,
     ZipfPopularity,
     synthesize_trace,
     replay_trace,
 )
+from tests.test_calendar_queue import make_env
 
 
 def _cluster():
@@ -41,6 +42,21 @@ def _trace(fns, count=400):
     )
 
 
+def _serial_replay(cluster, trace):
+    """Oracle: one waiter process and one arrival timeout per entry."""
+    env = cluster.env
+    results = []
+
+    def fire(entry):
+        delay = max(0.0, entry.at_ms - env.now)
+        if delay:
+            yield env.timeout(delay)
+        results.append((yield cluster.invoke(entry.function)))
+
+    env.run(until=env.all_of([env.process(fire(entry)) for entry in trace]))
+    return results
+
+
 def _outcome_key(results):
     return sorted(
         (r.function_key, round(r.sent_at_ms, 9), round(r.finished_at_ms, 9), r.success)
@@ -51,12 +67,10 @@ def _outcome_key(results):
 class TestBatchedReplay:
     def test_outcomes_identical_to_legacy(self):
         legacy_cluster = _cluster()
-        results_legacy = replay_trace(
-            legacy_cluster, _trace(_functions())
-        )
+        results_legacy = _serial_replay(legacy_cluster, _trace(_functions()))
         batched_cluster = _cluster()
         results_batched = replay_trace(
-            batched_cluster, _trace(_functions()), batched=True, epoch_size=64
+            batched_cluster, _trace(_functions()), epoch_size=64
         )
         assert _outcome_key(results_legacy) == _outcome_key(results_batched)
         # The batched path must save events, not add them.
@@ -67,22 +81,19 @@ class TestBatchedReplay:
 
     def test_single_epoch_and_tiny_epochs_agree(self):
         whole = replay_trace(
-            _cluster(), _trace(_functions(), count=120),
-            batched=True, epoch_size=10_000,
+            _cluster(), _trace(_functions(), count=120), epoch_size=10_000
         )
         tiny = replay_trace(
-            _cluster(), _trace(_functions(), count=120),
-            batched=True, epoch_size=7,
+            _cluster(), _trace(_functions(), count=120), epoch_size=7
         )
         assert _outcome_key(whole) == _outcome_key(tiny)
 
     def test_empty_trace(self):
-        assert replay_trace(_cluster(), [], batched=True) == []
+        assert replay_trace(_cluster(), []) == []
 
     def test_bad_epoch_size(self):
         with pytest.raises(ConfigError, match="epoch_size"):
-            replay_trace(_cluster(), _trace(_functions(), 10),
-                         batched=True, epoch_size=0)
+            replay_trace(_cluster(), _trace(_functions(), 10), epoch_size=0)
 
 
 class _Boom(RuntimeError):
@@ -94,8 +105,8 @@ class _ExplodingCluster:
 
     Client-visible failures (``success=False`` results) never raise;
     this models the *engine-level* failure mode — an exception escaping
-    an invocation process — which the serial replay path propagates out
-    of ``env.run``.
+    an invocation process — which replay must propagate out of
+    ``env.run``.
     """
 
     def __init__(self):
@@ -112,8 +123,8 @@ class _ExplodingCluster:
 
 
 class TestBatchedReplayFailureParity:
-    """A failing invocation process must escape both replay paths
-    identically.  Regression: the batched collector once appended
+    """A failing invocation process must escape the replay exactly as
+    it escapes the serial oracle.  Regression: the batched collector once appended
     ``process.value`` unconditionally — for a failed process that is
     the *exception object*, and when the failure landed on the final
     entry the replay declared itself complete with the exception
@@ -140,11 +151,9 @@ class TestBatchedReplayFailureParity:
     def test_legacy_and_batched_raise_identically(self):
         trace = self._trace(boom_at=2)
         with pytest.raises(_Boom) as legacy:
-            replay_trace(_ExplodingCluster(), trace)
+            _serial_replay(_ExplodingCluster(), trace)
         with pytest.raises(_Boom) as batched:
-            replay_trace(
-                _ExplodingCluster(), trace, batched=True, epoch_size=2
-            )
+            replay_trace(_ExplodingCluster(), trace, epoch_size=2)
         assert str(batched.value) == str(legacy.value)
 
     def test_failure_on_final_entry_still_raises(self):
@@ -152,9 +161,7 @@ class TestBatchedReplayFailureParity:
         # counts it as the completing result, replay "succeeds".
         trace = self._trace(boom_at=4)
         with pytest.raises(_Boom):
-            replay_trace(
-                _ExplodingCluster(), trace, batched=True, epoch_size=64
-            )
+            replay_trace(_ExplodingCluster(), trace, epoch_size=64)
 
 
 class TestChaosReplayEquivalence:
@@ -171,58 +178,54 @@ class TestChaosReplayEquivalence:
             seed=0xC0A5,
         )
 
-        def run(batched):
-            cluster = FaasCluster.with_seuss_node(
+        def cluster():
+            return FaasCluster.with_seuss_node(
                 Environment(),
                 faults=plan,
                 retries=RetryPolicy(max_attempts=2),
             )
-            return replay_trace(
-                cluster,
-                _trace(_functions(), count=300),
-                batched=batched,
-                epoch_size=64,
-            )
 
-        legacy = run(False)
-        batched = run(True)
+        trace = _trace(_functions(), count=300)
+        legacy = _serial_replay(cluster(), trace)
+        batched = replay_trace(cluster(), trace, epoch_size=64)
         assert len(legacy) == len(batched) == 300
         assert _outcome_key(legacy) == _outcome_key(batched)
 
 
 class TestOpenLoopTrial:
+    """An open-loop trial is a replay of a Poisson arrival trace."""
+
     def test_completes_all_invocations(self):
-        cluster = _cluster()
-        trial = run_open_loop_trial(
-            cluster, _functions(), invocation_count=300,
-            rate_per_s=300.0, epoch_size=97,
+        results = replay_trace(
+            _cluster(),
+            synthesize_trace(
+                _functions(),
+                PoissonArrivals(300.0, seed=5),
+                ZipfPopularity(8, seed=5),
+                300,
+            ),
+            epoch_size=97,
         )
-        assert len(trial.results) == 300
-        assert trial.error_rate == 0.0
-        assert trial.function_set_size == 8
+        assert len(results) == 300
+        assert all(r.success for r in results)
         # Arrivals are open-loop: sends do not wait for completions, so
         # the send timeline is the Poisson one (~1 s for 300 @ 300/s).
-        sent = [r.sent_at_ms for r in trial.results]
+        sent = [r.sent_at_ms for r in results]
         assert max(sent) - min(sent) < 3_000.0
 
     def test_deterministic_across_epoch_sizes(self):
-        a = run_open_loop_trial(
-            _cluster(), _functions(), 150, rate_per_s=500.0, epoch_size=11
-        )
-        b = run_open_loop_trial(
-            _cluster(), _functions(), 150, rate_per_s=500.0, epoch_size=150
-        )
-        assert _outcome_key(a.results) == _outcome_key(b.results)
+        trace = _trace(_functions(), count=150)
+        a = replay_trace(_cluster(), trace, epoch_size=11)
+        b = replay_trace(_cluster(), trace, epoch_size=150)
+        assert _outcome_key(a) == _outcome_key(b)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            run_open_loop_trial(_cluster(), [], 10, rate_per_s=10.0)
+            _trace([], count=10)
         with pytest.raises(ConfigError):
-            run_open_loop_trial(_cluster(), _functions(), 10, rate_per_s=0.0)
+            PoissonArrivals(0.0)
         with pytest.raises(ConfigError):
-            run_open_loop_trial(
-                _cluster(), _functions(), 10, rate_per_s=10.0, epoch_size=0
-            )
+            replay_trace(_cluster(), _trace(_functions(), 10), epoch_size=0)
 
 
 class TestVolleyDispatch:
@@ -246,12 +249,41 @@ class TestVolleyDispatch:
             < plain_cluster.env.events_processed
         )
 
+    def test_sharded_invoke_batch_matches_individual_invokes(self):
+        """A sharded volley rides one dispatch tick per shard."""
+        fns = _functions(12)
+        batched_cluster = FaasCluster.with_seuss_node(Environment(), shards=3)
+        procs = batched_cluster.invoke_batch(fns)
+        batched_cluster.env.run(until=batched_cluster.env.all_of(procs))
+        plain_cluster = FaasCluster.with_seuss_node(Environment(), shards=3)
+        singles = [plain_cluster.invoke(fn) for fn in fns]
+        plain_cluster.env.run(until=plain_cluster.env.all_of(singles))
+        assert [
+            (p.value.function_key, p.value.sent_at_ms, p.value.finished_at_ms)
+            for p in procs
+        ] == [
+            (p.value.function_key, p.value.sent_at_ms, p.value.finished_at_ms)
+            for p in singles
+        ]
+        plane = batched_cluster.control_plane
+        assert plane.dispatch_counts() == (
+            plain_cluster.control_plane.dispatch_counts()
+        )
+        assert sum(1 for count in plane.dispatch_counts().values() if count) > 1
+        assert (
+            batched_cluster.env.events_processed
+            < plain_cluster.env.events_processed
+        )
+
     def test_invoke_batch_empty(self):
         assert _cluster().invoke_batch([]) == []
 
     def test_burst_workload_batched_dispatch_identical_results(self):
-        def run(batched):
+        def run(serial):
             cluster = _cluster()
+            if serial:
+                # Oracle: every volley request dispatched individually.
+                cluster.invoke_batch = lambda fns: [cluster.invoke(fn) for fn in fns]
             config = BurstConfig(
                 burst_interval_ms=2_000.0,
                 burst_count=2,
@@ -259,7 +291,6 @@ class TestVolleyDispatch:
                 background_workers=8,
                 background_functions=4,
                 warmup_ms=500.0,
-                batched_dispatch=batched,
             )
             result = BurstWorkload(config).run(cluster)
             return result, cluster.env.events_processed
@@ -267,8 +298,8 @@ class TestVolleyDispatch:
         # The volley shares one dispatch tick; every latency observable
         # in the figures must still be identical because the tick fires
         # at the same instant the per-request timeouts did.
-        legacy, legacy_events = run(False)
-        batched, batched_events = run(True)
+        legacy, legacy_events = run(serial=True)
+        batched, batched_events = run(serial=False)
         assert legacy.points() == batched.points()
         assert batched_events < legacy_events
 
@@ -280,37 +311,44 @@ class TestFleetDrivers:
         return generate(FleetConfig(arrivals=arrivals, epoch_size=1_000))
 
     def test_drivers_observe_identical_workload(self):
-        from repro.workload.fleet import run_batched, run_legacy
+        """The batched driver against the per-arrival-process oracle."""
+        from repro.workload.fleet import run_batched
 
         workload = self._workload()
-        legacy = run_legacy(workload)
+        env = Environment()
+        counts = [0] * workload.config.functions
+        completed = []
+
+        def fire(at, index, service):
+            yield env.timeout(at - env.now)
+            counts[index] += 1
+            yield env.timeout(service)
+            completed.append(index)
+
+        for at, index, service in zip(
+            workload.arrival_times_ms,
+            workload.function_indices,
+            workload.service_times_ms,
+        ):
+            env.process(fire(at, index, service))
+        env.run()
         batched = run_batched(workload)
-        assert legacy.function_counts == batched.function_counts
-        assert legacy.final_ms == batched.final_ms
-        assert legacy.completions == batched.completions == 3_000
+        assert batched.function_counts == counts
+        assert batched.final_ms == env.now
+        assert batched.completions == len(completed) == 3_000
         # Batching halves the engine events (2 vs 4 per arrival).
-        assert batched.engine_events < legacy.engine_events
+        assert batched.engine_events < env.events_processed
         assert batched.events_per_arrival < 2.5
 
     def test_batched_same_on_both_backends(self):
-        from repro.sim import Environment
         from repro.workload.fleet import run_batched
 
         workload = self._workload(1_500)
-        calendar = run_batched(workload, Environment(queue="calendar"))
-        heap = run_batched(workload, Environment(queue="heap"))
+        calendar = run_batched(workload, make_env("calendar"))
+        heap = run_batched(workload, make_env("heap"))
         assert calendar.function_counts == heap.function_counts
         assert calendar.final_ms == heap.final_ms
         assert calendar.engine_events == heap.engine_events
-
-    def test_fleet_experiment_registered_and_deterministic(self):
-        from repro.experiments import load_all
-
-        spec = load_all().get("fleet")
-        first = spec.run(profile="smoke").to_text()
-        second = spec.run(profile="smoke").to_text()
-        assert first == second
-        assert "batched" in first and "legacy" in first
 
 
 class TestTimeoutBatchCallback:

@@ -6,10 +6,15 @@ under adversarial schedules: same-tick bursts, URGENT/NORMAL mixes,
 exponential near-future traffic, far-future outliers that land in the
 overflow heap, and population swings that force resizes and rebases.
 Every test is seeded; failures reproduce deterministically.
+
+:class:`HeapQueue` — the engine's historical ``heapq`` event queue —
+lives here as the oracle; :func:`make_env` swaps it into an
+``Environment`` so whole-engine runs can be compared against it.
 """
 
 import heapq
 import random
+from typing import List
 
 import pytest
 
@@ -18,10 +23,40 @@ from repro.sim.calendar import (
     GROW_FACTOR,
     MIN_BUCKETS,
     CalendarQueue,
-    HeapQueue,
 )
 
 SEEDS = [1, 7, 42, 1337, 0xF1EE7]
+
+
+class HeapQueue:
+    """The historical ``heapq`` event queue: the reference oracle."""
+
+    def __init__(self) -> None:
+        self._heap: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, entry, now: float) -> None:
+        heapq.heappush(self._heap, entry)
+
+    def push_sorted(self, entries, now: float) -> None:
+        self._heap.extend(entries)
+        heapq.heapify(self._heap)
+
+    def pop(self):
+        return heapq.heappop(self._heap)
+
+    def head(self):
+        return self._heap[0] if self._heap else None
+
+
+def make_env(backend: str, initial_time: float = 0.0) -> Environment:
+    """An engine on the calendar queue or on the heap oracle."""
+    env = Environment(initial_time=initial_time)
+    if backend == "heap":
+        env._pending = HeapQueue()
+    return env
 
 
 def _push_random(rng, ref, q, now, eid):
@@ -169,7 +204,7 @@ class TestModelVsHeapOracle:
         assert q.head() == (1.0, 1, 1, None)
         assert [q.pop() for _ in range(3)] == sorted(entries)
         assert q.head() is None
-        assert not q
+        assert len(q) == 0
 
     def test_stats_snapshot_accounts_for_all_regions(self):
         q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
@@ -187,7 +222,7 @@ class TestModelVsHeapOracle:
 
 
 class TestEnvironmentBackendEquivalence:
-    """The same seeded workload on ``calendar`` and ``heap`` engines."""
+    """The same seeded workload on the calendar engine and the oracle."""
 
     @staticmethod
     def _workload(env, rng, log):
@@ -211,7 +246,7 @@ class TestEnvironmentBackendEquivalence:
         logs = {}
         envs = {}
         for backend in ("calendar", "heap"):
-            env = Environment(queue=backend)
+            env = make_env(backend)
             log = []
             self._workload(env, random.Random(seed), log)
             logs[backend] = log
@@ -223,19 +258,13 @@ class TestEnvironmentBackendEquivalence:
         )
         assert envs["calendar"].now == envs["heap"].now
 
-    def test_queue_backend_property_and_unknown_backend(self):
-        assert Environment().queue_backend == "calendar"
-        assert Environment(queue="heap").queue_backend == "heap"
-        with pytest.raises(ValueError, match="unknown queue backend"):
-            Environment(queue="skiplist")
-
 
 class TestBatchScheduling:
     @pytest.mark.parametrize("backend", ["calendar", "heap"])
     def test_timeout_batch_equals_sequential_timeouts(self, backend):
         delays = [0.0, 0.0, 0.5, 0.5, 1.25, 7.0, 7.0, 9_999.0]
-        batch_env = Environment(queue=backend)
-        seq_env = Environment(queue=backend)
+        batch_env = make_env(backend)
+        seq_env = make_env(backend)
         batch_log, seq_log = [], []
         timeouts = batch_env.timeout_batch(delays, value="v")
         for i, timeout in enumerate(timeouts):
@@ -265,7 +294,7 @@ class TestBatchScheduling:
         """Batch entries tie-break against singles exactly by creation order."""
         log = []
         for batched in (False, True):
-            env = Environment(queue="calendar" if batched else "heap")
+            env = make_env("calendar" if batched else "heap")
             order = []
             a = env.timeout(1.0, value="a")
             if batched:
@@ -281,7 +310,7 @@ class TestBatchScheduling:
 
     @pytest.mark.parametrize("backend", ["calendar", "heap"])
     def test_schedule_batch_fires_pretriggered_events(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
         events = []
         for value in ("x", "y", "z"):
             event = env.event()

@@ -1,26 +1,21 @@
 """Page dedup must not perturb the default path.
 
-Mirrors ``test_sharding_zero_perturbation.py``: a cluster built with
-the dedup knobs spelled out at their defaults (``page_dedup=False``,
-``dedup_scanner=False``, ...) must replay the exact event schedule of
-one built without mentioning dedup at all, on both node types.  The
-fingerprints compare complete per-request timing sequences, so a single
-reordered event or 1-ulp float drift fails the test.
+A cluster built with the dedup knobs spelled out at their defaults
+(``page_dedup=False``, ``dedup_scanner=False``, ...) must replay the
+exact event schedule of one built without mentioning dedup at all, on
+both node types (rows of the harness in
+``tests/test_zero_perturbation.py``).
 """
 
 from __future__ import annotations
 
 from repro.faas.cluster import FaasCluster
-from repro.linuxnode.ksm import KsmDaemon
+from repro.linuxnode.ksm import DEFAULT_DUPLICATE_FRACTION
+from repro.mem.dedup import PageScanner
 from repro.seuss.config import SeussConfig
 from repro.sim import Environment
 from repro.workload.functions import unique_nop_set
-from repro.workload.generator import run_trial
-
-INVOCATIONS = 200
-SET_SIZE = 16
-WORKERS = 8
-SEED = 0x0FF
+from tests.test_zero_perturbation import assert_replays_default
 
 EXPLICIT_DEFAULT_CONFIG = SeussConfig(
     page_dedup=False,
@@ -31,58 +26,22 @@ EXPLICIT_DEFAULT_CONFIG = SeussConfig(
 )
 
 
-def _fingerprint(trial):
-    """Everything a client can observe, in completion order.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so it differs between any two runs in one test process.
-    """
-    return [
-        (
-            r.sent_at_ms,
-            r.finished_at_ms,
-            r.path,
-            r.success,
-            r.attempts,
-        )
-        for r in trial.results
-    ]
-
-
-def _trial(constructor, node_kwargs, prepare=None):
-    env = Environment()
-    cluster = constructor(env, **node_kwargs)
-    if prepare is not None:
-        prepare(env, cluster)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
-
-
 class TestDedupOffIsInvisible:
     def test_seuss_cluster_schedule_is_byte_identical(self):
-        baseline = _trial(FaasCluster.with_seuss_node, {})
-        explicit = _trial(
-            FaasCluster.with_seuss_node,
-            dict(config=EXPLICIT_DEFAULT_CONFIG),
-        )
-        assert _fingerprint(explicit) == _fingerprint(baseline)
+        assert_replays_default("seuss", config=EXPLICIT_DEFAULT_CONFIG)
 
     def test_linux_cluster_schedule_is_byte_identical(self):
         def construct_but_never_start(env, cluster):
-            # The adapter may be built eagerly; only start() costs time.
+            # A KSM scanner may be built eagerly; only start() costs time.
             for node in cluster.nodes:
-                KsmDaemon(env, node.allocator)
+                PageScanner(
+                    env,
+                    node.allocator,
+                    duplicate_fraction=DEFAULT_DUPLICATE_FRACTION,
+                    category="container",
+                )
 
-        baseline = _trial(FaasCluster.with_linux_node, {})
-        with_daemon = _trial(
-            FaasCluster.with_linux_node, {}, prepare=construct_but_never_start
-        )
-        assert _fingerprint(with_daemon) == _fingerprint(baseline)
+        assert_replays_default("linux", prepare=construct_but_never_start)
 
     def test_default_config_wires_no_dedup_domain(self):
         env = Environment()
@@ -109,8 +68,8 @@ class TestDedupOffIsInvisible:
             assert node.dedup.scanner is None
 
     def test_resilience_report_sees_dedup_without_health_view(self):
-        # The default cluster wires no health list; the report must
-        # still find dedup domains via cluster.nodes.
+        # The report finds dedup domains via cluster.nodes, not via the
+        # breaker-wrapped health view.
         from repro.metrics.resilience import ResilienceReport
 
         env = Environment()

@@ -11,7 +11,8 @@ Two layers of evidence:
 * ``Environment`` edge-case semantics (``peek`` on an empty queue,
   ``run(until=...)`` with a past deadline, event limits, draining,
   mid-gap deadlines) must behave identically — same exceptions, same
-  messages — on both queue backends.
+  messages — on the calendar queue and on the heap oracle from
+  ``tests/test_calendar_queue.py``.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ import pathlib
 import pytest
 
 from repro.experiments import load_all, registry
-from repro.sim import Environment, SimulationError
+from repro.sim import SimulationError
+from tests.test_calendar_queue import make_env
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "quick_suite_tables.sha256.json"
@@ -58,28 +60,28 @@ def backend(request):
 
 class TestEdgeSemanticsAcrossBackends:
     def test_peek_empty_queue_is_inf(self, backend):
-        assert Environment(queue=backend).peek() == float("inf")
+        assert make_env(backend).peek() == float("inf")
 
     def test_step_empty_queue_raises(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
         with pytest.raises(SimulationError, match="event queue is empty"):
             env.step()
 
     def test_run_until_past_deadline_raises_value_error(self, backend):
-        env = Environment(initial_time=100.0, queue=backend)
+        env = make_env(backend, initial_time=100.0)
         with pytest.raises(ValueError) as excinfo:
             env.run(until=99.5)
         assert str(excinfo.value) == "until=99.5 is in the past (now=100.0)"
 
     def test_run_until_now_is_a_noop(self, backend):
-        env = Environment(initial_time=100.0, queue=backend)
+        env = make_env(backend, initial_time=100.0)
         env.timeout(5.0)
         env.run(until=100.0)
         assert env.now == 100.0
         assert env.events_processed == 0
 
     def test_event_limit_message_identical(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
 
         def ticker():
             while True:
@@ -91,7 +93,7 @@ class TestEdgeSemanticsAcrossBackends:
         assert str(excinfo.value) == "event limit of 10 reached at t=9.0"
 
     def test_run_until_event_with_empty_queue_raises(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
         target = env.event()
         with pytest.raises(
             SimulationError, match="event queue empty before target event"
@@ -99,7 +101,7 @@ class TestEdgeSemanticsAcrossBackends:
             env.run(until=target)
 
     def test_run_until_mid_gap_deadline_advances_clock(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
         fired = []
         t = env.timeout(10.0)
         t.callbacks.append(lambda ev: fired.append(env.now))
@@ -112,7 +114,7 @@ class TestEdgeSemanticsAcrossBackends:
 
     def test_peek_then_pop_order_preserved(self, backend):
         """peek() must not disturb pop order (calendar head() rotates)."""
-        env = Environment(queue=backend)
+        env = make_env(backend)
         fired = []
         for delay in (3.0, 1.0, 2.0, 1.0):
             t = env.timeout(delay, value=delay)
@@ -124,7 +126,7 @@ class TestEdgeSemanticsAcrossBackends:
         assert fired == [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
     def test_drain_run_returns_none_and_counts_events(self, backend):
-        env = Environment(queue=backend)
+        env = make_env(backend)
         for delay in (1.0, 2.0, 3.0):
             env.timeout(delay)
         assert env.run() is None

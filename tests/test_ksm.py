@@ -1,4 +1,8 @@
-"""KSM-daemon tests: retroactive dedup mechanics and the SEUSS contrast."""
+"""KSM tests: retroactive dedup mechanics and the SEUSS contrast.
+
+KSM is a :class:`~repro.mem.dedup.PageScanner` over the Linux node's
+``container`` category with KSM's duplicate fraction.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,19 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.linuxnode.instances import InstanceKind
-from repro.linuxnode.ksm import KsmDaemon
+from repro.linuxnode.ksm import DEFAULT_DUPLICATE_FRACTION
 from repro.linuxnode.node import LinuxNode
-from repro.sim import Environment
+from repro.mem.dedup import PageScanner
+
+
+def ksm(env, allocator, duplicate_fraction=DEFAULT_DUPLICATE_FRACTION, **kwargs):
+    return PageScanner(
+        env,
+        allocator,
+        duplicate_fraction=duplicate_fraction,
+        category="container",
+        **kwargs,
+    )
 
 
 @pytest.fixture
@@ -22,41 +36,41 @@ def loaded_node(env):
 
 class TestMergeArithmetic:
     def test_mergeable_bounded_by_duplicate_fraction(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator, duplicate_fraction=0.5)
+        daemon = ksm(env, loaded_node.allocator, duplicate_fraction=0.5)
         resident = loaded_node.allocator.category_pages("container")
         assert daemon.mergeable_pages() == resident // 2
 
     def test_merge_frees_frames(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator)
+        daemon = ksm(env, loaded_node.allocator)
         before = loaded_node.allocator.free_pages
         merged = daemon.merge(10_000)
         assert merged == 10_000
         assert loaded_node.allocator.free_pages == before + 10_000
 
     def test_merge_stops_at_duplicate_pool(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator, duplicate_fraction=0.1)
+        daemon = ksm(env, loaded_node.allocator, duplicate_fraction=0.1)
         pool = daemon.mergeable_pages()
         assert daemon.merge(10**9) == pool
         assert daemon.merge(10**9) == 0
 
     def test_density_gain(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator, duplicate_fraction=0.5)
+        daemon = ksm(env, loaded_node.allocator, duplicate_fraction=0.5)
         assert daemon.effective_density_gain() == pytest.approx(1.0)
         daemon.merge(10**9)
         assert daemon.effective_density_gain() == pytest.approx(2.0)
 
     def test_invalid_parameters(self, env, allocator):
         with pytest.raises(ConfigError):
-            KsmDaemon(env, allocator, duplicate_fraction=1.0)
+            ksm(env, allocator, duplicate_fraction=1.0)
         with pytest.raises(ConfigError):
-            KsmDaemon(env, allocator, scan_rate_pages_per_s=0)
+            ksm(env, allocator, scan_rate_pages_per_s=0)
 
 
 class TestDaemonDynamics:
     def test_sharing_is_established_retroactively(self, env, loaded_node):
         """The §5 contrast: KSM's gains arrive over *time*, not at
         deploy — SEUSS's snapshot sharing is immediate."""
-        daemon = KsmDaemon(
+        daemon = ksm(
             env, loaded_node.allocator, scan_rate_pages_per_s=25_000
         )
         daemon.start()
@@ -71,7 +85,7 @@ class TestDaemonDynamics:
         assert after_1s == pytest.approx(25_000, rel=0.15)
 
     def test_daemon_converges_and_idles(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator)
+        daemon = ksm(env, loaded_node.allocator)
         daemon.start()
         env.run(until=env.now + 60_000)
         daemon.stop()
@@ -83,7 +97,7 @@ class TestDaemonDynamics:
     def test_retroactive_flag_is_the_security_tradeoff(self, env, allocator):
         from repro.seuss.security import SEUSS_PROFILE
 
-        daemon = KsmDaemon(env, allocator)
+        daemon = ksm(env, allocator)
         assert daemon.retroactive_sharing
         assert not SEUSS_PROFILE.retroactive_dedup
 
@@ -98,7 +112,7 @@ class TestStopStartRegression:
     """
 
     def test_restart_does_not_double_scan_rate(self, env, loaded_node):
-        daemon = KsmDaemon(
+        daemon = ksm(
             env, loaded_node.allocator, scan_rate_pages_per_s=25_000
         )
         # Churn the daemon: several stop/start cycles, each leaving a
@@ -116,7 +130,7 @@ class TestStopStartRegression:
         assert merged == pytest.approx(25_000, rel=0.15)
 
     def test_start_is_idempotent_while_running(self, env, loaded_node):
-        daemon = KsmDaemon(
+        daemon = ksm(
             env, loaded_node.allocator, scan_rate_pages_per_s=25_000
         )
         daemon.start()
@@ -130,7 +144,7 @@ class TestStopStartRegression:
         assert not daemon.running
 
     def test_stopped_daemon_stays_stopped(self, env, loaded_node):
-        daemon = KsmDaemon(env, loaded_node.allocator)
+        daemon = ksm(env, loaded_node.allocator)
         daemon.start()
         env.run(until=env.now + 1_000)
         daemon.stop()

@@ -76,8 +76,7 @@ class TestOverloadConfig:
     def test_disabled_config_wires_nothing_into_cluster(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env, overload=OVERLOAD_DISABLED)
-        assert cluster.overload is None
-        assert cluster.router is None  # historical fast path kept
+        assert cluster.controller.overload is None
 
 
 # -- retry budget ---------------------------------------------------------
@@ -239,7 +238,7 @@ class TestDeadlineFailFast:
         assert cluster.node.stats.total == 0  # node untouched
         assert cluster.controller.stats.deadline_rejected == 1
         assert cluster.controller.stats.timed_out == 0
-        assert cluster.overload.stats.deadline_rejected == 1
+        assert cluster.controller.overload.stats.deadline_rejected == 1
 
     def test_report_surfaces_the_rejection(self):
         env = Environment()
@@ -269,7 +268,7 @@ class TestCancellation:
         assert node.zombie_count == 0
         # Waste is the partial execution, strictly less than a full body.
         assert 0.0 < node.wasted_ms < 200.0
-        assert cluster.overload.stats.cancelled == 1
+        assert cluster.controller.overload.stats.cancelled == 1
 
     def test_cancelled_core_is_reusable(self):
         env = Environment()

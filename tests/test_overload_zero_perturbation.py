@@ -1,11 +1,9 @@
 """The overload control plane must not perturb the default path.
 
-Mirrors ``test_trace_zero_perturbation.py``: every knob defaults off,
-and a cluster built with the disabled config (or with a deadline that
-never binds) must replay the exact event schedule of one built without
-the module at all.  These tests lock that down by comparing complete
-per-request timing sequences — a single reordered event or 1-ulp float
-drift shows up as a changed ``finished_at_ms``.
+Every knob defaults off, and a cluster built with the disabled config
+(or with a deadline that never binds) must replay the exact event
+schedule of one built without it (rows of the harness in
+``tests/test_zero_perturbation.py``).
 """
 
 from __future__ import annotations
@@ -18,73 +16,31 @@ from repro.faas.controller import RetryPolicy
 from repro.faas.health import BreakerPolicy
 from repro.faas.overload import OVERLOAD_DISABLED, OverloadConfig
 from repro.sim import Environment
-from repro.workload.functions import unique_nop_set
-from repro.workload.generator import run_trial
+from tests.test_zero_perturbation import (
+    assert_replays_default,
+    fingerprint,
+    run,
+)
 
-INVOCATIONS = 200
-SET_SIZE = 16
-WORKERS = 8
-SEED = 0x0FF
-
-
-def _fingerprint(trial):
-    """Everything a client can observe, in completion order.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so it differs between any two runs in one test process.
-    """
-    return [
-        (
-            r.sent_at_ms,
-            r.finished_at_ms,
-            r.path,
-            r.success,
-            r.attempts,
-        )
-        for r in trial.results
-    ]
-
-
-def _seuss_trial(node_kwargs):
-    env = Environment()
-    cluster = FaasCluster.with_seuss_node(env, **node_kwargs)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
-
-
-def _linux_trial(node_kwargs):
-    env = Environment()
-    cluster = FaasCluster.with_linux_node(env, **node_kwargs)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
+#: Ten times the platform request timeout: min(timeout, deadline)
+#: always resolves to the historical expression.
+NEVER_BINDING = OverloadConfig(
+    deadline_ms=10.0 * DEFAULT_COSTS.platform.request_timeout_ms
+)
 
 
 class TestDisabledConfigIsInvisible:
     def test_seuss_cluster_schedule_is_byte_identical(self):
-        baseline = _seuss_trial({})
-        disabled = _seuss_trial({"overload": OVERLOAD_DISABLED})
-        assert _fingerprint(disabled) == _fingerprint(baseline)
+        assert_replays_default("seuss", overload=OVERLOAD_DISABLED)
 
     def test_linux_cluster_schedule_is_byte_identical(self):
-        baseline = _linux_trial({})
-        disabled = _linux_trial({"overload": OVERLOAD_DISABLED})
-        assert _fingerprint(disabled) == _fingerprint(baseline)
+        assert_replays_default("linux", overload=OVERLOAD_DISABLED)
 
     def test_disabled_cluster_wires_no_control_plane(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env, overload=OVERLOAD_DISABLED)
-        assert cluster.overload is None
-        assert cluster.router is None
+        assert all(shard.overload is None for shard in cluster.control_plane.shards)
+        assert cluster.controller.overload is None
 
 
 class TestUnboundDeadlineIsInvisible:
@@ -100,31 +56,15 @@ class TestUnboundDeadlineIsInvisible:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return _seuss_trial(dict(self.RESILIENT))
+        return fingerprint(run("seuss", **self.RESILIENT)[0])
 
     def test_never_binding_deadline_matches_baseline(self, baseline):
-        # Ten times the platform request timeout: min(timeout, deadline)
-        # always resolves to the historical expression.
-        never = OverloadConfig(
-            deadline_ms=10.0 * DEFAULT_COSTS.platform.request_timeout_ms
-        )
-        deadlined = _seuss_trial(dict(self.RESILIENT, overload=never))
-        assert _fingerprint(deadlined) == _fingerprint(baseline)
+        deadlined, _ = run("seuss", overload=NEVER_BINDING, **self.RESILIENT)
+        assert fingerprint(deadlined) == baseline
 
     def test_no_overload_counters_fire(self, baseline):
-        never = OverloadConfig(
-            deadline_ms=10.0 * DEFAULT_COSTS.platform.request_timeout_ms
-        )
-        env = Environment()
-        cluster = FaasCluster.with_seuss_node(env, overload=never)
-        run_trial(
-            cluster,
-            unique_nop_set(SET_SIZE),
-            invocation_count=INVOCATIONS,
-            workers=WORKERS,
-            seed=SEED,
-        )
-        stats = cluster.overload.stats
+        _, cluster = run("seuss", overload=NEVER_BINDING)
+        stats = cluster.controller.overload.stats
         assert stats.shed == 0
         assert stats.cancelled == 0
         assert stats.deadline_rejected == 0

@@ -1,86 +1,29 @@
 """Pluggable cache policies must not perturb the default path.
 
-Mirrors ``test_overload_zero_perturbation.py``: ``cache_policy`` is
-opt-in (``None`` by default), and selecting the ``lru`` policy — which
-mirrors the seed eviction discipline exactly — or the ``lifo`` policy
-under no eviction pressure must replay the exact event schedule of a
-cluster built with no policy at all.  A single reordered event or 1-ulp
-float drift shows up as a changed ``finished_at_ms``.
+``cache_policy`` is opt-in (``None`` by default), and selecting the
+``lru`` policy — which mirrors the seed eviction discipline exactly —
+or the ``lifo`` policy under no eviction pressure must replay the exact
+event schedule of a cluster built with no policy at all (rows of the
+harness in ``tests/test_zero_perturbation.py``).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.faas.cluster import FaasCluster
 from repro.linuxnode.config import LinuxNodeConfig
 from repro.seuss.config import SeussConfig
 from repro.sim import Environment
-from repro.workload.functions import unique_nop_set
-from repro.workload.generator import run_trial
-
-INVOCATIONS = 200
-SET_SIZE = 16
-WORKERS = 8
-SEED = 0x0FF
-
-
-def _fingerprint(trial):
-    """Everything a client can observe, in completion order.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so it differs between any two runs in one test process.
-    """
-    return [
-        (
-            r.sent_at_ms,
-            r.finished_at_ms,
-            r.path,
-            r.success,
-            r.attempts,
-        )
-        for r in trial.results
-    ]
-
-
-def _seuss_trial(config):
-    env = Environment()
-    cluster = FaasCluster.with_seuss_node(env, config=config)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
-
-
-def _linux_trial(config):
-    env = Environment()
-    cluster = FaasCluster.with_linux_node(env, config=config)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
+from tests.test_zero_perturbation import assert_replays_default, run
 
 
 class TestSeussPolicyIsInvisible:
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return _fingerprint(_seuss_trial(None))
+    def test_lru_policy_schedule_is_byte_identical(self):
+        assert_replays_default("seuss", config=SeussConfig(cache_policy="lru"))
 
-    def test_lru_policy_schedule_is_byte_identical(self, baseline):
-        lru = _seuss_trial(SeussConfig(cache_policy="lru"))
-        assert _fingerprint(lru) == baseline
-
-    def test_lifo_policy_schedule_is_byte_identical(self, baseline):
+    def test_lifo_policy_schedule_is_byte_identical(self):
         # Policies only order evictions; with no eviction pressure in
         # this trial even the anti-LRU order changes nothing.
-        lifo = _seuss_trial(SeussConfig(cache_policy="lifo"))
-        assert _fingerprint(lifo) == baseline
+        assert_replays_default("seuss", config=SeussConfig(cache_policy="lifo"))
 
     def test_no_policy_builds_no_policy_objects(self):
         env = Environment()
@@ -91,17 +34,11 @@ class TestSeussPolicyIsInvisible:
 
 
 class TestLinuxPolicyIsInvisible:
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return _fingerprint(_linux_trial(None))
+    def test_lru_policy_schedule_is_byte_identical(self):
+        assert_replays_default("linux", config=LinuxNodeConfig(cache_policy="lru"))
 
-    def test_lru_policy_schedule_is_byte_identical(self, baseline):
-        lru = _linux_trial(LinuxNodeConfig(cache_policy="lru"))
-        assert _fingerprint(lru) == baseline
-
-    def test_lifo_policy_schedule_is_byte_identical(self, baseline):
-        lifo = _linux_trial(LinuxNodeConfig(cache_policy="lifo"))
-        assert _fingerprint(lifo) == baseline
+    def test_lifo_policy_schedule_is_byte_identical(self):
+        assert_replays_default("linux", config=LinuxNodeConfig(cache_policy="lifo"))
 
     def test_no_policy_builds_no_policy_object(self):
         env = Environment()
@@ -113,17 +50,7 @@ class TestPolicyStatsStayQuiet:
     def test_lru_policy_counts_without_perturbing(self):
         """The mirrored policy sees traffic (tracked/hits) even when it
         never has to decide anything."""
-        env = Environment()
-        cluster = FaasCluster.with_seuss_node(
-            env, config=SeussConfig(cache_policy="lru")
-        )
-        run_trial(
-            cluster,
-            unique_nop_set(SET_SIZE),
-            invocation_count=INVOCATIONS,
-            workers=WORKERS,
-            seed=SEED,
-        )
+        _, cluster = run("seuss", config=SeussConfig(cache_policy="lru"))
         node = cluster.nodes[0]
         assert node.cache_policy is not None
         assert node.cache_policy.stats.tracked > 0

@@ -224,10 +224,75 @@ class TestShardedControlPlane:
 
 
 class TestFaasClusterSharding:
-    def test_default_cluster_has_no_control_plane(self):
+    def test_default_cluster_has_one_shard_plane(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
-        assert cluster.control_plane is None
+        plane = cluster.control_plane
+        assert plane.shard_count == 1
+        assert plane.routing_policy_name == "round_robin"
+        # Shard 0 reuses the cluster's shim and is the cluster's controller.
+        assert plane.shards[0].controller is cluster.controller
+        assert cluster.controller.shim is cluster.shim
+        assert cluster.nodes == [cluster.node]
+
+    def test_add_node_on_default_cluster_joins_rotation(self):
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env)
+        extra = SeussNode(env)
+        extra.initialize_sync()
+        cluster.add_node(extra)
+        assert cluster.nodes == [cluster.node, extra]
+        for fn in unique_nop_set(4):
+            assert cluster.invoke_sync(fn).success
+        assert cluster.node.stats.total == extra.stats.total == 2
+
+    def test_default_cluster_breaker_opens_on_repeated_oom(self):
+        """Every cluster has breakers, so uninjected node failures (SEUSS
+        OOM returns) trip a default cluster's breaker too."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env)
+        allocator = cluster.node.allocator
+        ballast = allocator.free_pages
+        allocator.allocate(ballast, "ballast")
+        fns = unique_nop_set(5)
+        for fn in fns[:3]:
+            result = cluster.invoke_sync(fn)
+            assert not result.success
+            assert "out of memory" in result.error
+        health = cluster.control_plane.healths()[0]
+        assert health.breaker.stats.opens == 1
+        rejected = cluster.invoke_sync(fns[3])
+        assert not rejected.success
+        assert cluster.controller.stats.circuit_rejected == 1
+        assert cluster.node.stats.errors == 3
+        # Memory returns; after the cooldown a probe closes the breaker.
+        allocator.free(ballast, "ballast")
+        env.run(until=env.now + health.breaker.policy.cooldown_ms)
+        assert cluster.invoke_sync(fns[4]).success
+        assert health.breaker.stats.closes == 1
+
+    def test_queue_depth_backpressure_on_sharded_plane(self):
+        """Regression: bounded admission queues steer a sharded plane's
+        default routing to the node with the shorter queue (it used to
+        rotate blindly)."""
+        from repro.faas.records import InvocationRequest
+
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env, shards=2, overload=OverloadConfig(queue_depth=4)
+        )
+        extra = SeussNode(env)
+        extra.initialize_sync()
+        cluster.add_node(extra)
+        fn = nop_function()
+        shard = cluster.control_plane.shard_for(fn.key)
+        assert shard.router.policy.name == "least_loaded"
+        # One outstanding request queued on the first node in rotation.
+        queue = shard.overload.queue_for(cluster.node)
+        assert queue.try_admit(InvocationRequest(function=fn, sent_at_ms=0.0), env.now)
+        assert cluster.invoke_sync(fn).success
+        assert cluster.node.stats.total == 0
+        assert extra.stats.total == 1
 
     def test_sharded_cluster_routes_through_the_plane(self):
         env = Environment()

@@ -1,11 +1,9 @@
 """The sharded control plane must not perturb the default path.
 
-Mirrors ``test_overload_zero_perturbation.py``: a cluster built with
-``shards=1, routing="round_robin"`` — the explicit spelling of the
-defaults — must replay the exact event schedule of one built without
-the sharding module at all, on both node types.  The fingerprints
-compare complete per-request timing sequences, so a single reordered
-event or 1-ulp float drift fails the test.
+A cluster built with ``shards=1, routing="round_robin"`` — the explicit
+spelling of the defaults — must replay the exact event schedule of one
+built without either knob, on both node types (rows of the harness in
+``tests/test_zero_perturbation.py``).
 """
 
 from __future__ import annotations
@@ -13,68 +11,22 @@ from __future__ import annotations
 from repro.faas.cluster import FaasCluster
 from repro.sim import Environment
 from repro.workload.functions import unique_nop_set
-from repro.workload.generator import run_trial
-
-INVOCATIONS = 200
-SET_SIZE = 16
-WORKERS = 8
-SEED = 0x0FF
+from tests.test_zero_perturbation import assert_replays_default
 
 EXPLICIT_DEFAULTS = {"shards": 1, "routing": "round_robin"}
 
 
-def _fingerprint(trial):
-    """Everything a client can observe, in completion order.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so it differs between any two runs in one test process.
-    """
-    return [
-        (
-            r.sent_at_ms,
-            r.finished_at_ms,
-            r.path,
-            r.success,
-            r.attempts,
-        )
-        for r in trial.results
-    ]
-
-
-def _trial(constructor, node_kwargs):
-    env = Environment()
-    cluster = constructor(env, **node_kwargs)
-    return run_trial(
-        cluster,
-        unique_nop_set(SET_SIZE),
-        invocation_count=INVOCATIONS,
-        workers=WORKERS,
-        seed=SEED,
-    )
-
-
 class TestOneShardRoundRobinIsInvisible:
     def test_seuss_cluster_schedule_is_byte_identical(self):
-        baseline = _trial(FaasCluster.with_seuss_node, {})
-        sharded = _trial(FaasCluster.with_seuss_node, dict(EXPLICIT_DEFAULTS))
-        assert _fingerprint(sharded) == _fingerprint(baseline)
+        assert_replays_default("seuss", **EXPLICIT_DEFAULTS)
 
     def test_linux_cluster_schedule_is_byte_identical(self):
-        baseline = _trial(FaasCluster.with_linux_node, {})
-        sharded = _trial(FaasCluster.with_linux_node, dict(EXPLICIT_DEFAULTS))
-        assert _fingerprint(sharded) == _fingerprint(baseline)
-
-    def test_default_cluster_wires_no_plane(self):
-        env = Environment()
-        cluster = FaasCluster.with_seuss_node(env)
-        assert cluster.control_plane is None
-        assert cluster.router is None
+        assert_replays_default("linux", **EXPLICIT_DEFAULTS)
 
     def test_explicit_defaults_wire_a_plane_without_perturbation(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env, **EXPLICIT_DEFAULTS)
         plane = cluster.control_plane
-        assert plane is not None
         assert plane.shard_count == 1
         assert plane.routing_policy_name == "round_robin"
         # One shard, one router, zero affinity decisions: the routing

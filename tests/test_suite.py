@@ -126,7 +126,7 @@ class TestExperimentRegistry:
         first = load_all()
         again = load_all()
         assert first is again
-        assert len(first) == 22
+        assert len(first) == 21
         assert first.ids()[:3] == ["table1", "table2", "table3"]
         for spec in first.specs():
             assert "full" in spec.profile_names
