@@ -333,6 +333,48 @@ def bench_event_loop() -> Tuple[int, float]:
     return events, elapsed
 
 
+def bench_process_handoff() -> Tuple[int, float]:
+    """Process hand-off churn on the path a simulated invocation takes.
+
+    Producers hold a slot of a contended ``Resource`` for a timeout,
+    then hand an item through a ``Store`` (``put_nowait``, as the
+    message bus does); consumers race each ``get`` against a client
+    deadline with ``AnyOf``, leaving the losing deadline queued.  Driven
+    by ``run(until=event)``, like the end-to-end benchmark drives its
+    workloads.  Ops are engine events.
+    """
+    from repro.sim import Environment, Resource, Store
+
+    def producer(env, cores, store, items):
+        for item in range(items):
+            request = cores.request()
+            yield request
+            yield env.timeout(1.0)
+            cores.release(request)
+            store.put_nowait(item)
+
+    def consumer(env, store, items):
+        for _ in range(items):
+            yield env.any_of([store.get(), env.timeout(1e6)])
+
+    rounds = 3
+    pairs, items = 40, 150
+    started = time.perf_counter()
+    events = 0
+    for _ in range(rounds):
+        env = Environment()
+        cores = Resource(env, capacity=8)
+        consumers = []
+        for _pair in range(pairs):
+            store = Store(env)
+            env.process(producer(env, cores, store, items))
+            consumers.append(env.process(consumer(env, store, items)))
+        env.run(until=env.all_of(consumers))
+        events += env.events_processed
+    elapsed = time.perf_counter() - started
+    return events, elapsed
+
+
 #: Cached fleet workload: generation (seeded RNG vectors) is untimed
 #: setup and identical across repeats, so build it once per process.
 _FLEET_WORKLOAD = None
@@ -408,6 +450,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[int, float]], str]] = {
     "routing_decision": (bench_routing_decision, "decisions"),
     "page_dedup": (bench_page_dedup, "table ops"),
     "event_loop": (bench_event_loop, "events"),
+    "process_handoff": (bench_process_handoff, "events"),
     "million_event_fleet": (bench_million_event_fleet, "events"),
     "trace_synthesis": (bench_trace_synthesis, "arrivals"),
 }

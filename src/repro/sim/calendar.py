@@ -144,14 +144,14 @@ class CalendarQueue:
     def __len__(self) -> int:
         return self._size
 
-    def __bool__(self) -> bool:
-        return self._size > 0
-
     # -- insertion -----------------------------------------------------
     def push(self, entry: Entry, now: float) -> None:
-        """Insert one entry; O(1) amortized."""
+        """Insert one entry; O(1) amortized.
+
+        The entry is counted only once it is placed, so a time that
+        cannot be bucketed (NaN, inf) raises without corrupting ``len``.
+        """
         t = entry[0]
-        self._size += 1
         if t <= self._active_end:
             if t == now:
                 # Delay-0 fast paths: the engine's dominant traffic.
@@ -161,12 +161,14 @@ class CalendarQueue:
                     self._urgent.append(entry)
             else:
                 heappush(self._near, entry)
+            self._size += 1
             return
         idx = int((t - self._base) / self._width)
         if idx < self._nbuckets:
             self._buckets[idx].append(entry)
         else:
             heappush(self._overflow, entry)
+        self._size += 1
         if self._size > GROW_FACTOR * self._nbuckets and (
             self._nbuckets < MAX_BUCKETS
         ):

@@ -18,10 +18,18 @@ engine used.  Bulk producers (trace replay, batched arrival
 injection) should prefer :meth:`Environment.schedule_batch` /
 :meth:`Environment.timeout_batch`, which insert N pre-sorted events in
 one queue pass.
+
+``step()`` and every ``run()`` mode share one dispatch loop
+(:meth:`Environment._dispatch`), and the hot event constructors
+(``Timeout``, ``Initialize``, process completion, ``Request``,
+``Event.succeed``) build their queue entry inline: one ``push`` per
+scheduled event, and no call per processed event beyond ``pop`` and
+the event's callbacks.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import (
     Any,
     Callable,
@@ -39,6 +47,15 @@ from repro.sim.calendar import CalendarQueue
 #: for the same instant, so they are queued with ``URGENT`` priority.
 URGENT = 0
 NORMAL = 1
+
+INF = float("inf")
+
+
+def _bad_delay(delay: float) -> str:
+    """Why ``delay`` failed the ``0 <= delay < inf`` check."""
+    if delay < 0:
+        return f"negative delay {delay}"
+    return f"non-finite delay {delay}"
 
 
 class SimulationError(Exception):
@@ -115,11 +132,15 @@ class Event:
     # -- triggering ---------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._state != PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        self._state = TRIGGERED
+        env = self.env
+        now = env._now
+        eid = env._eid = env._eid + 1
+        env._pending.push((now, NORMAL, eid, self), now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -147,18 +168,20 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0 <= delay < INF:
+            raise ValueError(_bad_delay(delay))
         # Timeouts dominate the schedule; initialise flat (no super()
         # chain) and go straight onto the queue already triggered.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
-        self._state = PENDING
+        self._state = TRIGGERED
         self._defused = False
         self.delay = delay
-        env._schedule(self, delay=delay)
+        now = env._now
+        eid = env._eid = env._eid + 1
+        env._pending.push((now + delay, NORMAL, eid, self), now)
 
 
 class Initialize(Event):
@@ -167,10 +190,15 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = [process._resume]
+        self._value = None
         self._ok = True
-        self.callbacks.append(process._resume)
-        env._schedule(self, priority=URGENT)
+        self._state = TRIGGERED
+        self._defused = False
+        now = env._now
+        eid = env._eid = env._eid + 1
+        env._pending.push((now, URGENT, eid, self), now)
 
 
 class Process(Event):
@@ -182,14 +210,24 @@ class Process(Event):
     the generator's ``return`` statement becomes the process's value.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_resume")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
+        #: The callback every waited-on event gets, bound once (not per
+        #: ``yield``).  The bound method references the process, so it
+        #: is cleared when the generator exits: a finished process is
+        #: freed by reference counting, not left to the cyclic GC.
+        self._resume: Optional[Callable[[Event], None]] = self._wake
         Initialize(env, self)
 
     @property
@@ -222,7 +260,8 @@ class Process(Event):
         self.interrupt(cause)
         return True
 
-    def _resume(self, event: Event) -> None:
+    def _wake(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome (``_resume``)."""
         if self._state != PENDING:
             # A late interrupt raced with completion (two cancellers at
             # the same instant): the generator already returned, so
@@ -230,14 +269,16 @@ class Process(Event):
             return
         # If we were interrupted while waiting, detach from the old target
         # so its eventual trigger does not resume us twice.
-        if self._target is not None and self._target is not event:
+        target = self._target
+        if target is not None and target is not event:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         self._target = None
 
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -245,37 +286,39 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._state = TRIGGERED
             self._ok = True
-            self._value = getattr(stop, "value", None)
-            self.env._schedule(self)
-            return
+            self._value = stop.value
         except BaseException as exc:
-            self._state = TRIGGERED
             self._ok = False
             self._value = exc
-            self.env._schedule(self)
-            return
-        finally:
-            self.env._active_process = None
-
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process yielded non-event {next_event!r}; yield Event objects"
-            )
-        if next_event.processed:
-            # Already over: resume immediately (next loop iteration).
-            immediate = Event(self.env)
-            immediate._ok = next_event._ok
-            immediate._value = next_event._value
-            if not next_event._ok:
-                immediate._defused = True
-                next_event._defused = True
-            immediate.callbacks.append(self._resume)
-            self.env._schedule(immediate, priority=URGENT)
         else:
-            self._target = next_event
-            next_event.callbacks.append(self._resume)
+            env._active_process = None
+            if not isinstance(next_event, Event):
+                raise SimulationError(
+                    f"process yielded non-event {next_event!r}; "
+                    f"yield Event objects"
+                )
+            if next_event._state == PROCESSED:
+                # Already over: resume immediately (next loop iteration).
+                immediate = Event(env)
+                immediate._ok = next_event._ok
+                immediate._value = next_event._value
+                if not next_event._ok:
+                    immediate._defused = True
+                    next_event._defused = True
+                immediate.callbacks.append(self._resume)
+                env._schedule(immediate, priority=URGENT)
+            else:
+                self._target = next_event
+                next_event.callbacks.append(self._resume)
+            return
+        # The generator exited: trigger the process itself.
+        env._active_process = None
+        self._resume = None
+        self._state = TRIGGERED
+        now = env._now
+        eid = env._eid = env._eid + 1
+        env._pending.push((now, NORMAL, eid, self), now)
 
 
 class Condition(Event):
@@ -284,32 +327,37 @@ class Condition(Event):
     A component event counts once it is *processed* (its callbacks have
     run), not merely scheduled — a freshly created Timeout is scheduled
     immediately but must not satisfy a condition until it fires.
+
+    Every component reports to ``_check`` exactly once: a pending one
+    when it is processed, an already-processed one during construction.
     """
 
     __slots__ = ("_events", "_outstanding")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._outstanding = 0
-        for event in self._events:
+        self._events = events = list(events)
+        self._outstanding = len(events)
+        for event in events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
+        check = self._check
         already_done = []
-        for event in self._events:
-            if event.processed:
+        for event in events:
+            if event._state == PROCESSED:
                 already_done.append(event)
             else:
-                self._outstanding += 1
-                event.callbacks.append(self._check)
+                event.callbacks.append(check)
         for event in already_done:
-            self._check(event)
-        if not self._events and not self.triggered:
-            self.succeed(self._collect())
+            check(event)
+        if not events:
+            self.succeed({})
 
     def _collect(self) -> dict:
         return {
-            event: event._value for event in self._events if event.processed
+            event: event._value
+            for event in self._events
+            if event._state == PROCESSED
         }
 
     def _check(self, event: Event) -> None:
@@ -319,13 +367,15 @@ class Condition(Event):
 class AllOf(Condition):
     """Triggers once every component event has been processed OK.
 
-    Fails as soon as any component fails.
+    Fails as soon as any component fails.  ``_outstanding`` counts the
+    components that have not reported yet (after construction, exactly
+    the pending ones); the condition fires when it reaches zero.
     """
 
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != PENDING:
             if not event._ok:
                 event._defused = True
             return
@@ -334,7 +384,7 @@ class AllOf(Condition):
             self.fail(event._value)
             return
         self._outstanding -= 1
-        if self._outstanding <= 0 and all(e.processed for e in self._events):
+        if self._outstanding == 0:
             self.succeed(self._collect())
 
 
@@ -344,7 +394,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != PENDING:
             if not event._ok:
                 event._defused = True
             return
@@ -396,15 +446,14 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL
-    ) -> None:
+    def _schedule(self, event: Event, priority: int = NORMAL) -> None:
+        """Queue ``event`` at the current instant (the cold paths: fail,
+        interrupt, resuming on an already-processed event)."""
         if event._state == PENDING:
             event._state = TRIGGERED
-        self._eid += 1
-        self._pending.push(
-            (self._now + delay, priority, self._eid, event), self._now
-        )
+        now = self._now
+        eid = self._eid = self._eid + 1
+        self._pending.push((now, priority, eid, event), now)
 
     def schedule_batch(
         self, items: Iterable[Tuple[float, Event]], priority: int = NORMAL
@@ -412,11 +461,12 @@ class Environment:
         """Schedule pre-triggered events at ascending absolute times.
 
         ``items`` yields ``(when, event)`` pairs sorted by ``when``
-        ascending, with every ``when >= now``.  The batch is inserted in
-        one queue pass, assigning insertion ids in iteration order — so
-        the resulting schedule is exactly what N sequential
-        ``_schedule(event, delay=when - now)`` calls would have built,
-        at a fraction of the cost.
+        ascending, with every ``when`` finite and ``>= now``.  The batch
+        is inserted in one queue pass, assigning insertion ids in
+        iteration order — so the resulting schedule is exactly what N
+        sequential ``_schedule`` calls at each ``when`` would have
+        built, at a fraction of the cost.  A bad time raises
+        ``ValueError`` before any event or the queue is touched.
 
         The events must already carry their value/outcome (like a
         Timeout does); the engine will fire them as-is.
@@ -427,16 +477,20 @@ class Environment:
         append = entries.append
         last = now
         for when, event in items:
-            if when < last:
-                raise ValueError(
-                    f"schedule_batch times must be ascending and >= now "
-                    f"(got {when} after {last})"
-                )
+            if not last <= when < INF:
+                if when < last:
+                    raise ValueError(
+                        f"schedule_batch times must be ascending and >= now "
+                        f"(got {when} after {last})"
+                    )
+                raise ValueError(f"schedule_batch time {when} is not finite")
             last = when
-            if event._state == PENDING:
-                event._state = TRIGGERED
             eid += 1
             append((when, priority, eid, event))
+        for entry in entries:
+            event = entry[3]
+            if event._state == PENDING:
+                event._state = TRIGGERED
         self._eid = eid
         self._pending.push_sorted(entries, now)
 
@@ -452,7 +506,8 @@ class Environment:
         same objects, same firing order, same insertion ids — but the
         queue insert is a single bulk pass and the per-timeout
         constructor overhead is stripped.  ``delays`` must be sorted
-        ascending and non-negative.
+        ascending, non-negative and finite; a bad delay raises
+        ``ValueError`` before the queue is touched.
 
         ``callback``, when given, is pre-seeded as each timeout's first
         callback — the same effect as appending it to every returned
@@ -467,13 +522,13 @@ class Environment:
         t_new = Timeout.__new__
         prev = 0.0
         for delay in delays:
-            if delay < prev:
-                if delay < 0:
-                    raise ValueError(f"negative delay {delay}")
-                raise ValueError(
-                    f"timeout_batch delays must be ascending "
-                    f"(got {delay} after {prev})"
-                )
+            if not prev <= delay < INF:
+                if 0 <= delay < prev:
+                    raise ValueError(
+                        f"timeout_batch delays must be ascending "
+                        f"(got {delay} after {prev})"
+                    )
+                raise ValueError(_bad_delay(delay))
             prev = delay
             timeout = t_new(Timeout)
             timeout.env = self
@@ -493,22 +548,13 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         head = self._pending.head()
-        return head[0] if head is not None else float("inf")
+        return head[0] if head is not None else INF
 
+    # -- running ------------------------------------------------------
     def step(self) -> None:
         """Process the single next event."""
-        try:
-            when, _priority, _eid, event = self._pending.pop()
-        except IndexError:
-            raise SimulationError("event queue is empty") from None
-        self._now = when
-        self._events_processed += 1
-        callbacks, event.callbacks = event.callbacks, []
-        event._state = PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
+        if self._dispatch(None, INF, 1) is _EMPTY:
+            raise SimulationError("event queue is empty")
 
     def run(self, until: Any = None, limit: Optional[int] = None) -> Any:
         """Run until ``until`` (a time, an event, or queue exhaustion).
@@ -520,36 +566,26 @@ class Environment:
 
         ``limit`` bounds the number of events processed by this call —
         a guard against accidentally unbounded simulations (e.g. a
-        monitor process that never stops).
+        monitor process that never stops).  Reaching it raises
+        :class:`SimulationError` only while work for this call remains.
         """
-        # The budget check is inlined into each loop (no closure call on
-        # the per-event hot path).
-        budget = limit if limit is not None else -1
-        pending = self._pending
-        step = self.step
-
+        budget = _UNBOUNDED if limit is None else limit
         if until is None:
-            while pending:
-                if budget == 0:
-                    raise SimulationError(
-                        f"event limit of {limit} reached at t={self._now}"
-                    )
-                budget -= 1
-                step()
+            if self._dispatch(None, INF, budget) is _BUDGET and len(
+                self._pending
+            ):
+                raise self._limit_reached(limit)
             return None
 
         if isinstance(until, Event):
-            while not until.processed:
-                if not pending:
-                    raise SimulationError(
-                        "event queue empty before target event triggered"
-                    )
-                if budget == 0:
-                    raise SimulationError(
-                        f"event limit of {limit} reached at t={self._now}"
-                    )
-                budget -= 1
-                step()
+            if until._state != PROCESSED:
+                why = self._dispatch(until, INF, budget)
+                if until._state != PROCESSED:
+                    if why is _EMPTY or not len(self._pending):
+                        raise SimulationError(
+                            "event queue empty before target event triggered"
+                        )
+                    raise self._limit_reached(limit)
             if not until._ok:
                 until._defused = True
                 raise until._value
@@ -558,16 +594,70 @@ class Environment:
         deadline = float(until)
         if deadline < self._now:
             raise ValueError(f"until={deadline} is in the past (now={self._now})")
-        head = pending.head
-        while True:
-            entry = head()
-            if entry is None or entry[0] > deadline:
-                break
-            if budget == 0:
-                raise SimulationError(
-                    f"event limit of {limit} reached at t={self._now}"
-                )
-            budget -= 1
-            step()
+        if self._dispatch(None, deadline, budget) is _BUDGET and (
+            self.peek() <= deadline
+        ):
+            raise self._limit_reached(limit)
         self._now = deadline
         return None
+
+    def _limit_reached(self, limit: Optional[int]) -> SimulationError:
+        return SimulationError(f"event limit of {limit} reached at t={self._now}")
+
+    def _dispatch(
+        self, stop: Optional[Event], deadline: float, budget: int
+    ) -> str:
+        """The engine loop behind :meth:`step` and every :meth:`run` mode.
+
+        Pops and processes events in ``(time, priority, eid)`` order
+        until one of four things happens, and says which:
+
+        * ``_STOPPED``: ``stop`` was just processed;
+        * ``_EMPTY``: the queue ran dry (``pop`` raised ``IndexError``);
+        * ``_DEADLINE``: the next event lies after ``deadline``; it is
+          pushed back unchanged (same entry, same eid), so pop order is
+          untouched and the clock stays where it was;
+        * ``_BUDGET``: ``budget`` events were processed.
+
+        The processed count lives in a local and is added to
+        ``events_processed`` on the way out, also when a callback or an
+        unhandled failure raises.
+        """
+        queue = self._pending
+        pop = queue.pop
+        done = PROCESSED
+        processed = 0
+        try:
+            for processed in range(1, budget + 1):
+                try:
+                    when, priority, eid, event = pop()
+                except IndexError:
+                    processed -= 1
+                    return _EMPTY
+                if when > deadline:
+                    queue.push((when, priority, eid, event), self._now)
+                    processed -= 1
+                    return _DEADLINE
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = []
+                event._state = done
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                if event is stop:
+                    return _STOPPED
+            return _BUDGET
+        finally:
+            self._events_processed += processed
+
+
+#: Why :meth:`Environment._dispatch` returned.
+_STOPPED = "stopped"
+_EMPTY = "empty"
+_DEADLINE = "deadline"
+_BUDGET = "budget"
+
+#: The event budget of an unlimited run: more events than any run has.
+_UNBOUNDED = sys.maxsize - 1

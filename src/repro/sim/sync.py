@@ -11,13 +11,21 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Iterable, List
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import (
+    NORMAL,
+    PENDING,
+    TRIGGERED,
+    Environment,
+    Event,
+    SimulationError,
+)
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Triggers when the slot is granted.  Must be paired with
+    Constructing one makes the claim (:meth:`Resource.request`); it
+    triggers when the slot is granted.  Must be paired with
     :meth:`Resource.release`, or used via the ``with``-like pattern in
     process code::
 
@@ -32,8 +40,25 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Requests are made per invocation step; initialise flat and, if
+        # a slot is free, claim it and go straight onto the queue.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._defused = False
         self.resource = resource
+        users = resource.users
+        if len(users) < resource.capacity:
+            users.append(self)
+            self._state = TRIGGERED
+            now = env._now
+            eid = env._eid = env._eid + 1
+            env._pending.push((now, NORMAL, eid, self), now)
+        else:
+            self._state = PENDING
+            resource.queue.append(self)
 
 
 class Resource:
@@ -53,13 +78,8 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        request = Request(self)
-        if len(self.users) < self.capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self.queue.append(request)
-        return request
+        """Claim a slot: granted now if one is free, else queued FIFO."""
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return a held (or no-longer-wanted) slot."""
@@ -110,6 +130,23 @@ class Store:
         else:
             self._putters.append((event, item))
         return event
+
+    def put_nowait(self, item: Any) -> None:
+        """Insert ``item`` without an acceptance event.
+
+        The single-item form of :meth:`put_nowait_batch`: a waiting
+        getter is served first (its event triggers as usual), else the
+        item is appended — no event is scheduled for the put itself.
+        Only legal on an unbounded store, where ``put`` never blocks:
+        the acceptance event skipped here is one the caller would not
+        wait for.
+        """
+        if self.capacity != float("inf"):
+            raise SimulationError("put_nowait requires an unbounded store")
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def put_nowait_batch(self, items: Iterable[Any]) -> int:
         """Bulk insert without per-item acceptance events.

@@ -18,7 +18,7 @@ from typing import List
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
 from repro.sim.calendar import (
     GROW_FACTOR,
     MIN_BUCKETS,
@@ -184,6 +184,15 @@ class TestModelVsHeapOracle:
         assert len(q) == 0
         assert q.head() is None
 
+    def test_unplaceable_time_is_not_counted(self):
+        """A time that cannot be bucketed raises without touching ``len``."""
+        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises((ValueError, OverflowError)):
+                q.push((bad, 1, 1, None), 0.0)
+        assert len(q) == 0
+        assert q.head() is None
+
     def test_pop_empty_raises_index_error(self):
         q = CalendarQueue()
         with pytest.raises(IndexError):
@@ -221,42 +230,168 @@ class TestModelVsHeapOracle:
         assert stats["overflow"] == 1
 
 
-class TestEnvironmentBackendEquivalence:
-    """The same seeded workload on the calendar engine and the oracle."""
+def _mixed_workload(env, rng, log):
+    """A seeded engine workout; returns the event that fires last.
 
-    @staticmethod
-    def _workload(env, rng, log):
-        def worker(wid):
-            for i in range(rng.randint(3, 9)):
+    Workers contend for a ``Resource`` and hand items through a
+    ``Store`` (waited and unwaited puts) to a consumer; the root process
+    races ``AnyOf`` against a deadline, joins with ``AllOf``, interrupts
+    a sleeper and catches a failing process.  Nothing is left queued
+    once the root process (the returned event) is processed, so every
+    drive mode ends on the same event.
+    """
+    cores = Resource(env, capacity=3)
+    mailbox = Store(env)
+
+    def worker(wid):
+        for i in range(rng.randint(3, 9)):
+            request = cores.request()
+            yield request
+            try:
                 yield env.timeout(rng.expovariate(0.1))
-                log.append((env.now, wid, i))
-                if rng.random() < 0.3:
-                    yield env.timeout(0.0)
+            finally:
+                cores.release(request)
+            log.append((env.now, "work", wid, i))
+            roll = rng.random()
+            if roll < 0.2:
+                mailbox.put_nowait((wid, i))
+            elif roll < 0.4:
+                yield mailbox.put((wid, i))
+            elif roll < 0.6:
+                yield env.timeout(0.0)
+        return wid
 
-        def spawner():
-            for wid in range(200):
-                env.process(worker(wid))
-                yield env.timeout(rng.expovariate(1.0))
+    def consumer():
+        while True:
+            item = yield mailbox.get()
+            if item is None:
+                return
+            log.append((env.now, "got", item))
 
-        env.process(spawner())
-        env.run()
+    def sleeper():
+        try:
+            yield env.event()  # never triggered: only the interrupt wakes it
+        except Interrupt as interrupt:
+            log.append((env.now, "interrupted", interrupt.cause))
 
+    def failing():
+        yield env.timeout(rng.uniform(1.0, 30.0))
+        raise RuntimeError("worker crashed")
+
+    def root():
+        eater = env.process(consumer())
+        sleepy = env.process(sleeper())
+        workers = []
+        for wid in range(40):
+            workers.append(env.process(worker(wid)))
+            yield env.timeout(rng.expovariate(1.0))
+        deadline = env.timeout(rng.uniform(5.0, 60.0))
+        first = yield env.any_of([workers[0], deadline])
+        log.append((env.now, "any_of", sorted(map(str, first.values()))))
+        try:
+            yield env.process(failing())
+        except RuntimeError as exc:
+            log.append((env.now, "failed", str(exc)))
+        sleepy.interrupt("wake up")
+        joined = yield env.all_of(workers + [deadline])
+        log.append((env.now, "all_of", len(joined)))
+        mailbox.put_nowait(None)
+        yield eater
+        yield sleepy
+        return env.now
+
+    return env.process(root())
+
+
+def _drive_run(env, done, errors):
+    env.run()
+
+
+def _drive_until_event(env, done, errors):
+    env.run(until=done)
+
+
+def _drive_limit_slices(env, done, errors):
+    """The e2e benchmark's drive: ``run(until=done, limit=n)`` slices."""
+    n = 1
+    while not done.processed:
+        try:
+            env.run(until=done, limit=n)
+        except SimulationError as exc:
+            errors.append(str(exc))
+        n = n % 7 + 1
+
+
+def _drive_until_time_steps(env, done, errors):
+    """Clock steps that land both mid-gap and exactly on event times."""
+    while env.peek() != float("inf"):
+        env.run(until=min(env.now + 0.7, env.peek()))
+
+
+def _drive_step(env, done, errors):
+    while True:
+        try:
+            env.step()
+        except SimulationError as exc:
+            errors.append(str(exc))
+            return
+
+
+DRIVES = {
+    "run": _drive_run,
+    "run_until_event": _drive_until_event,
+    "limit_slices": _drive_limit_slices,
+    "until_time_steps": _drive_until_time_steps,
+    "step": _drive_step,
+}
+
+
+def _simulate(backend, seed, drive):
+    """One seeded run under ``drive``, with the engine's error paths probed."""
+    env = make_env(backend)
+    log, errors = [], []
+    done = _mixed_workload(env, random.Random(seed), log)
+    with pytest.raises(SimulationError) as spent:
+        env.run(until=done, limit=0)
+    errors.append(str(spent.value))
+    DRIVES[drive](env, done, errors)
+    assert done.processed and len(env._pending) == 0
+    for probe in (lambda: env.run(until=env.event()), env.step):
+        with pytest.raises(SimulationError) as empty:
+            probe()
+        errors.append(str(empty.value))
+    return {
+        "log": log,
+        "now": env.now,
+        "events": env.events_processed,
+        "value": done.value,
+        "errors": errors,
+    }
+
+
+class TestEnvironmentBackendEquivalence:
+    """The same seeded workload on the calendar engine and the oracle,
+    whatever drives it: every ``run`` mode, limit slices and ``step``."""
+
+    @pytest.mark.parametrize("drive", sorted(DRIVES))
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_events_processed_and_trace_identical(self, seed):
-        logs = {}
-        envs = {}
-        for backend in ("calendar", "heap"):
-            env = make_env(backend)
-            log = []
-            self._workload(env, random.Random(seed), log)
-            logs[backend] = log
-            envs[backend] = env
-        assert logs["calendar"] == logs["heap"]
-        assert (
-            envs["calendar"].events_processed
-            == envs["heap"].events_processed
-        )
-        assert envs["calendar"].now == envs["heap"].now
+    def test_events_processed_and_trace_identical(self, seed, drive):
+        reference = _simulate("calendar", seed, "run")
+        assert any(entry[1] == "got" for entry in reference["log"])
+        calendar = _simulate("calendar", seed, drive)
+        heap = _simulate("heap", seed, drive)
+        assert calendar == heap
+        for key in ("log", "now", "events", "value"):
+            assert calendar[key] == reference[key], key
+        errors = calendar["errors"]
+        assert errors[0] == "event limit of 0 reached at t=0.0"
+        assert errors[-2:] == [
+            "event queue empty before target event triggered",
+            "event queue is empty",
+        ]
+        if drive == "limit_slices":
+            assert len(errors) > 10
+            assert all(e.startswith("event limit of ") for e in errors[:-2])
 
 
 class TestBatchScheduling:
@@ -289,6 +424,11 @@ class TestBatchScheduling:
             env.timeout_batch([-1.0])
         with pytest.raises(ValueError, match="ascending"):
             env.timeout_batch([5.0, 1.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-finite delay"):
+                env.timeout_batch([1.0, bad])
+        assert len(env._pending) == 0
+        assert env.run() is None
 
     def test_timeout_batch_interleaves_with_singles_by_insertion_id(self):
         """Batch entries tie-break against singles exactly by creation order."""
@@ -335,6 +475,13 @@ class TestBatchScheduling:
             env.schedule_batch(
                 [(20.0, env.event()), (15.0, env.event())]
             )
+        for bad in (float("nan"), float("inf")):
+            first = env.event()
+            with pytest.raises(ValueError, match="not finite"):
+                env.schedule_batch([(20.0, first), (bad, env.event())])
+            assert not first.triggered
+        assert len(env._pending) == 0
+        assert env.run() is None
 
     def test_batch_growth_triggers_calendar_resize(self):
         """A single bulk insert past the occupancy bound resizes too."""

@@ -154,6 +154,20 @@ class TestControllerAndCluster:
         # control plane + shim + node-side cold.
         assert result.latency_ms == pytest.approx(204 + 8 + 7.5, abs=0.5)
 
+    def test_hot_invocation_event_budget(self):
+        """Engine events one hot ``invoke`` costs on a warmed default
+        cluster.  Pinned exactly: an event added to the hot path fails
+        here (the bus publish nothing waits on schedules none)."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env)
+        fn = nop_function()
+        cluster.invoke_sync(fn)
+        cluster.invoke_sync(fn)
+        before = env.events_processed
+        result = cluster.invoke_sync(fn)
+        assert result.path is InvocationPath.HOT
+        assert env.events_processed - before == 15
+
     def test_linux_cluster_end_to_end(self):
         env = Environment()
         cluster = FaasCluster.with_linux_node(env)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +12,7 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Timeout,
 )
@@ -65,6 +68,19 @@ class TestTimeout:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+    def test_non_finite_delay_rejected_before_queueing(self, env):
+        """A bad delay must fail before the queue counts it: a counted but
+        unplaced entry leaves ``len == 1`` over an empty queue, and
+        ``peek`` spins on it forever."""
+        with pytest.raises(ValueError, match="non-finite delay"):
+            env.timeout(float("nan"))
+        with pytest.raises(ValueError, match="non-finite delay"):
+            env.timeout(float("inf"))
+        assert len(env._pending) == 0
+        assert env.peek() == float("inf")
+        assert env.run() is None
+        assert env.events_processed == 0
 
     def test_zero_delay_allowed(self, env):
         done = []
@@ -231,6 +247,34 @@ class TestProcess:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
+    def test_finished_process_is_freed_by_reference_counting(self, env):
+        """A process holds its own resume callback while alive; the
+        cycle must be broken on exit so no collector pass is needed."""
+
+        def proc():
+            yield env.timeout(1)
+            return "done"
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            last = None
+            for _ in range(50):
+                last = env.process(proc())
+            env.run()
+            assert last.value == "done"
+            del last
+            leaked = [
+                obj
+                for obj in gc.get_objects(generation=0)
+                if isinstance(obj, Process)
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert leaked == []
+
     def test_is_alive_lifecycle(self, env):
         def proc():
             yield env.timeout(10)
@@ -372,6 +416,29 @@ class TestConditions:
 
         env.process(failer())
         assert env.run(until=env.process(proc())) == 1.0
+
+    def test_all_of_counts_only_pending_components(self, env):
+        """An already-processed component is not counted down again."""
+        done = env.timeout(1, value="done")
+        env.run(until=2)
+        first, second = env.timeout(3, value="a"), env.timeout(5, value="b")
+        condition = env.all_of([done, first, second])
+        assert condition._outstanding == 2
+        env.run(until=first)
+        assert condition._outstanding == 1
+        assert not condition.triggered
+        assert env.run(until=condition) == {
+            done: "done", first: "a", second: "b"
+        }
+        assert env.now == 7.0
+
+    def test_all_of_over_processed_components_fires_now(self, env):
+        events = [env.timeout(1, value=i) for i in range(3)]
+        env.run()
+        condition = env.all_of(events)
+        assert condition._outstanding == 0
+        assert env.run(until=condition) == {e: i for i, e in enumerate(events)}
+        assert env.now == 1.0
 
     def test_env_helpers(self, env):
         def proc():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 class TestResource:
@@ -171,3 +171,35 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
+
+
+class TestStorePutNowait:
+    def test_serves_waiting_getter_first(self, env):
+        store = Store(env)
+        first, second = store.get(), store.get()
+        store.put_nowait("a")
+        store.put_nowait("b")
+        store.put_nowait("c")
+        env.run()
+        assert (first.value, second.value) == ("a", "b")
+        assert list(store.items) == ["c"]
+
+    def test_schedules_no_event_of_its_own(self, env):
+        store = Store(env)
+        store.put_nowait("x")
+        assert len(env._pending) == 0
+        served = store.get()
+        waiting = store.get()
+        store.put_nowait("y")
+        # Only the two getters' triggers are queued, never an acceptance.
+        assert len(env._pending) == 2
+        env.run()
+        assert env.events_processed == 2
+        assert (served.value, waiting.value) == ("x", "y")
+        assert len(store) == 0
+
+    def test_refuses_bounded_store(self, env):
+        store = Store(env, capacity=4)
+        with pytest.raises(SimulationError, match="unbounded"):
+            store.put_nowait(1)
+        assert len(store) == 0
