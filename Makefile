@@ -9,7 +9,8 @@ test:
 	pytest tests/
 
 # Timing suite + BENCH_<date>.json perf-trajectory artifact (engine
-# microbenchmarks plus serial-vs-parallel suite wall-clock).
+# microbenchmarks, serial-vs-parallel suite wall-clock, perf-gate scores
+# and one untraced end-to-end benchmark run, which adds about 80 s).
 BENCH_ARTIFACT := BENCH_$(shell date +%Y-%m-%d).json
 
 bench:

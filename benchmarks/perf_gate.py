@@ -1,9 +1,9 @@
 """Hot-path microbenchmark suite and CI perf-regression gate.
 
 Measures the substrate loops SEUSS leans on — interval algebra,
-snapshot-stack lookups, COW fault storms, snapshot capture/deploy churn
-and raw event-loop throughput — and gates CI on a checked-in baseline
-(:data:`BASELINE_PATH`).
+snapshot-stack lookups, COW fault storms, snapshot capture/deploy churn,
+raw event-loop throughput and full-stack hot invocations — and gates
+CI on a checked-in baseline (:data:`BASELINE_PATH`).
 
 Wall-clock microbenchmarks are host-sensitive, so every run first times
 a fixed pure-Python calibration loop and reports each benchmark as a
@@ -339,9 +339,10 @@ def bench_process_handoff() -> Tuple[int, float]:
     Producers hold a slot of a contended ``Resource`` for a timeout,
     then hand an item through a ``Store`` (``put_nowait``, as the
     message bus does); consumers race each ``get`` against a client
-    deadline with ``AnyOf``, leaving the losing deadline queued.  Driven
-    by ``run(until=event)``, like the end-to-end benchmark drives its
-    workloads.  Ops are engine events.
+    deadline with ``AnyOf``, leaving the losing deadline queued.  The
+    queued deadline holds nothing: the fired ``AnyOf`` releases it.
+    Driven by ``run(until=event)``, like the end-to-end benchmark drives
+    its workloads.  Ops are engine events.
     """
     from repro.sim import Environment, Resource, Store
 
@@ -373,6 +374,47 @@ def bench_process_handoff() -> Tuple[int, float]:
         events += env.events_processed
     elapsed = time.perf_counter() - started
     return events, elapsed
+
+
+def bench_e2e_invocations() -> Tuple[int, float]:
+    """Full-stack hot invocations through a warmed SEUSS cluster.
+
+    A closed loop of 32 client processes over 64 NOP functions, all
+    warmed before timing (the end-to-end benchmark's ``hot_loop``
+    shape): every invocation crosses the controller, shim, bus, node and
+    invoker.  At the shim's ~128.6 req/s the 10,000 invocations span
+    ~78 s of simulated time, longer than the 60 s request watchdog each
+    one leaves queued, so whatever a finished invocation keeps alive
+    reaches steady state inside the timed region.  The collector stays
+    on (what it walks is part of the cost) and runs once before timing.
+    Ops are invocations.
+    """
+    import gc
+
+    from repro.faas import FaasCluster, InvocationPath
+    from repro.metrics.collector import TrialMetrics
+    from repro.sim import Environment
+    from repro.workload.functions import unique_nop_set
+    from repro.workload.generator import LoadGenerator, TrialConfig
+
+    invocations = 10_000
+    functions = unique_nop_set(64)
+    generator = LoadGenerator(
+        functions, TrialConfig(invocation_count=invocations, workers=32)
+    )
+    env = Environment()
+    cluster = FaasCluster.with_seuss_node(env)
+    for fn in functions:
+        env.run(until=cluster.invoke(fn))
+    metrics = TrialMetrics()
+    gc.collect()
+    started = time.perf_counter()
+    env.run(until=env.process(generator.run_process(cluster, metrics)))
+    elapsed = time.perf_counter() - started
+    results = metrics.recorder.results
+    assert len(results) == invocations
+    assert all(result.path is InvocationPath.HOT for result in results)
+    return invocations, elapsed
 
 
 #: Cached fleet workload: generation (seeded RNG vectors) is untimed
@@ -451,6 +493,9 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[int, float]], str]] = {
     "page_dedup": (bench_page_dedup, "table ops"),
     "event_loop": (bench_event_loop, "events"),
     "process_handoff": (bench_process_handoff, "events"),
+    # Before ``million_event_fleet``: its workload is cached at module
+    # level, and every later collection would walk it too.
+    "e2e_invocations": (bench_e2e_invocations, "invocations"),
     "million_event_fleet": (bench_million_event_fleet, "events"),
     "trace_synthesis": (bench_trace_synthesis, "arrivals"),
 }

@@ -10,7 +10,11 @@ artifact records, for trend tracking across PRs:
   (``--benchmark-json``) when available, so the simulator's hot-path
   numbers ride along in the same file;
 * tracing overhead — the same hot-invocation loop with the tracer off
-  and on, so the zero-perturbation layer's wall-clock cost is tracked.
+  and on, so the zero-perturbation layer's wall-clock cost is tracked;
+* end-to-end scores — one untraced run of the full-stack benchmark
+  (``benchmarks/e2e/run.py``, default seed and size, ~80 s): host
+  invocations per second, set-up time, peak RSS and collector cost per
+  workload, next to the perf-gate microbenchmark scores.
 
 Usage::
 
@@ -42,7 +46,19 @@ from repro.experiments.suite import run_suite
 #: and adds the denominator-free ``overhead_us_per_invocation``; a
 #: fleet-throughput section (see
 #: ``benchmarks/fleet_heap_baseline.json``) rides along.
-BENCH_SCHEMA_VERSION = 3
+#: v4: an ``e2e`` section records, per end-to-end workload, the host
+#: rate, set-up time, peak RSS, collector time per invocation, full
+#: collections and ``sim_digest`` of one untraced default-size run.
+BENCH_SCHEMA_VERSION = 4
+
+#: What the ``e2e`` section keeps of each workload's metrics.
+E2E_METRICS = (
+    "host_inv_per_s",
+    "setup_s",
+    "peak_rss_mb",
+    "gc.us_per_inv",
+    "gc.gen2_collections",
+)
 
 
 def measure_suite(profile: str, parallel: int) -> dict:
@@ -222,6 +238,46 @@ def measure_perf_gate() -> dict:
     }
 
 
+def measure_e2e() -> dict:
+    """Run the end-to-end benchmark once and keep its headline scores.
+
+    One untraced pass over every workload at the default seed and size,
+    in a subprocess (the benchmark runs each workload in its own
+    interpreter anyway).  Host-time scores are scaled to the
+    benchmark's reference calibration speed; ``sim_digest`` pins the
+    simulated results, so a change in it is a model change.
+    """
+    import subprocess
+    import tempfile
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "e2e.json")
+        proc = subprocess.run(
+            [sys.executable, os.path.join("benchmarks", "e2e", "run.py"),
+             "--out", out],
+            cwd=root,
+            stdout=subprocess.DEVNULL,
+        )
+        if not os.path.exists(out):
+            raise RuntimeError(
+                f"end-to-end benchmark exited {proc.returncode} with no result"
+            )
+        with open(out) as handle:
+            payload = json.load(handle)
+    return {
+        "args": payload["args"],
+        "workloads": {
+            result["workload"]: {
+                **{name: result["metrics"][name] for name in E2E_METRICS},
+                "sim_digest": result["sim_digest"],
+                "correct": result["correct"],
+            }
+            for result in payload["results"]
+        },
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Write the perf-trajectory BENCH artifact"
@@ -249,6 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     suite = measure_suite(args.profile, args.parallel)
     tracing = measure_tracing_overhead()
     perf_gate = None if args.skip_perf_gate else measure_perf_gate()
+    e2e = measure_e2e()
     payload = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "kind": "seuss-repro-bench",
@@ -262,6 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "tracing": tracing,
         "fleet": fleet_reference(),
         "perf_gate": perf_gate,
+        "e2e": e2e,
         "micro": ingest_micro(args.micro),
     }
     with open(args.out, "w") as handle:
@@ -278,6 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({speedup}, "
         f"identical={suite['tables_byte_identical']}), "
         f"tracing overhead {tracing['overhead_ratio']}x, "
+        f"{len(e2e['workloads'])} e2e workloads, "
         f"{len(payload['micro'])} microbenchmarks"
     )
     return 0

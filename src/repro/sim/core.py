@@ -330,6 +330,9 @@ class Condition(Event):
 
     Every component reports to ``_check`` exactly once: a pending one
     when it is processed, an already-processed one during construction.
+    Once the condition fires it releases the components still pending
+    (:meth:`_release`), so a component that outlives it — a client
+    deadline that lost the race — does not keep it alive.
     """
 
     __slots__ = ("_events", "_outstanding")
@@ -360,6 +363,24 @@ class Condition(Event):
             if event._state == PROCESSED
         }
 
+    def _release(self) -> None:
+        """Detach ``_check`` from every component not yet processed.
+
+        Called once, when the condition fires.  All a fired ``_check``
+        would still do is defuse a component that fails later, so the
+        component is defused now and the check dropped: the pending
+        component no longer references the condition, and through it
+        every other component.  A nested condition is released, not
+        emptied: another process may still be waiting on it.
+        """
+        check = self._check
+        for event in self._events:
+            if event._state != PROCESSED:
+                event._defused = True
+                callbacks = event.callbacks
+                while check in callbacks:
+                    callbacks.remove(check)
+
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
@@ -382,10 +403,12 @@ class AllOf(Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self._outstanding -= 1
-        if self._outstanding == 0:
+        else:
+            self._outstanding -= 1
+            if self._outstanding:
+                return
             self.succeed(self._collect())
+        self._release()
 
 
 class AnyOf(Condition):
@@ -401,8 +424,9 @@ class AnyOf(Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        self._release()
 
 
 class Environment:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -14,7 +16,7 @@ from repro.faas import (
     MessageBus,
 )
 from repro.seuss.config import SeussConfig
-from repro.sim import Environment
+from repro.sim import AnyOf, Environment
 from repro.workload.functions import io_bound_function, nop_function
 
 
@@ -167,6 +169,32 @@ class TestControllerAndCluster:
         result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.HOT
         assert env.events_processed - before == 15
+
+    def test_finished_invocations_are_freed_before_their_watchdogs(self):
+        """Each node attempt races a ``request_timeout_ms`` watchdog
+        with ``AnyOf``.  When the node wins, the watchdog stays queued
+        but holds nothing, so the finished invocation's ``AnyOf`` (and
+        the node process behind it) is freed at once.  The watchdogs
+        still fire on their old schedule."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env)
+        fn = nop_function()
+        for _ in range(52):  # two warm-ups, then 50 hot invocations
+            result = cluster.invoke_sync(fn)
+        assert result.path is InvocationPath.HOT
+        timeout_ms = cluster.costs.platform.request_timeout_ms
+        assert env.now < timeout_ms  # every watchdog is still queued
+        gc.collect()
+        live = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, AnyOf) and obj.env is env
+        ]
+        assert live == []
+        before = env.events_processed
+        env.run()
+        assert env.events_processed - before == 52
+        assert env.now == pytest.approx(result.sent_at_ms + timeout_ms)
 
     def test_linux_cluster_end_to_end(self):
         env = Environment()

@@ -448,6 +448,99 @@ class TestConditions:
 
         assert env.run(until=env.process(proc())) == 5.0
 
+    # -- what a fired condition keeps and what it drops ------------------
+    @staticmethod
+    def _checks(condition, event):
+        """The callbacks ``condition`` left on ``event``."""
+        return [
+            callback
+            for callback in event.callbacks
+            if getattr(callback, "__self__", None) is condition
+        ]
+
+    def test_fired_any_of_releases_the_loser(self, env):
+        winner, loser = env.timeout(1), env.timeout(10)
+        woken = []
+
+        def waiter():
+            yield loser
+            woken.append(env.now)
+
+        other = env.process(waiter())
+        env.step()  # the waiter now waits on ``loser``
+        condition = env.any_of([winner, loser])
+        assert self._checks(condition, loser)
+        env.run(until=condition)
+        assert self._checks(condition, loser) == []
+        assert loser.callbacks == [other._resume]
+        env.run()
+        assert woken == [10.0]
+
+    def test_loser_failing_later_is_still_defused(self, env):
+        winner, loser = env.timeout(1), env.event()
+
+        def failer():
+            yield env.timeout(5)
+            loser.fail(RuntimeError("late"))
+
+        condition = env.any_of([winner, loser])
+        env.process(failer())
+        assert env.run(until=condition) == {winner: None}
+        env.run()  # must not raise the late failure
+        assert loser.processed and not loser.ok
+
+    def test_failed_all_of_releases_every_pending_component(self, env):
+        bad = env.event()
+        first, second = env.timeout(10), env.timeout(20)
+        condition = env.all_of([bad, first, second])
+
+        def failer():
+            yield env.timeout(1)
+            bad.fail(RuntimeError("nope"))
+
+        env.process(failer())
+        with pytest.raises(RuntimeError):
+            env.run(until=condition)
+        assert self._checks(condition, first) == []
+        assert self._checks(condition, second) == []
+        env.run()
+        assert env.now == 20.0
+
+    def test_component_listed_twice_keeps_no_check(self, env):
+        winner, twice = env.timeout(1), env.timeout(10)
+        condition = env.any_of([winner, twice, twice])
+        assert len(self._checks(condition, twice)) == 2
+        env.run(until=condition)
+        assert self._checks(condition, twice) == []
+
+    def test_condition_fired_during_construction_releases(self, env):
+        done = env.timeout(1, value="done")
+        env.run()
+        pending = env.timeout(5)
+        condition = env.any_of([done, pending])
+        assert condition.triggered
+        assert self._checks(condition, pending) == []
+        assert env.run(until=condition) == {done: "done"}
+
+    def test_nested_condition_is_released_not_emptied(self, env):
+        """The outer condition drops its check from the inner one but
+        leaves the inner one's own checks: another process waits on it."""
+        first, second = env.timeout(5), env.timeout(8)
+        inner = env.all_of([first, second])
+        woken = []
+
+        def waiter():
+            yield inner
+            woken.append(env.now)
+
+        env.process(waiter())
+        outer = env.any_of([env.timeout(1), inner])
+        env.run(until=outer)
+        assert self._checks(outer, inner) == []
+        assert self._checks(inner, first) and self._checks(inner, second)
+        env.run()
+        assert inner.processed and woken == [8.0]
+
 
 class TestRunUntilEvent:
     def test_run_until_event_returns_value(self, env):
