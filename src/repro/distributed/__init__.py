@@ -7,16 +7,15 @@ cloned and deployed across machines with similar hardware profiles.  A
 distributed SEUSS would enable advanced sharing techniques to speed up
 remote deployments, such as VM state coloring or on-demand paging."
 
-This package implements that evolution on top of the single-node core:
-a global snapshot registry (:mod:`repro.distributed.registry`), a
+This package holds the cross-node half of that evolution: a
 cluster-interconnect transfer model with full-copy / on-demand /
-state-coloring strategies (:mod:`repro.distributed.transfer`), and a
-multi-node cluster whose scheduler adds a **remote-warm** deployment
-path between warm and cold (:mod:`repro.distributed.cluster`).
+state-coloring / recorded strategies (:mod:`repro.distributed.transfer`)
+and the replica fetcher behind ``FaasCluster(replication=...)``, which
+adds a **remote-warm** deployment path between warm and cold
+(:mod:`repro.distributed.replicas`).
 """
 
-from repro.distributed.cluster import DistributedSeussCluster, SchedulingPolicy
-from repro.distributed.registry import GlobalSnapshotRegistry
+from repro.distributed.replicas import ReplicaFetcher
 from repro.distributed.transfer import (
     ClusterInterconnect,
     TransferStrategy,
@@ -25,9 +24,7 @@ from repro.distributed.transfer import (
 
 __all__ = [
     "ClusterInterconnect",
-    "DistributedSeussCluster",
-    "GlobalSnapshotRegistry",
-    "SchedulingPolicy",
+    "ReplicaFetcher",
     "TransferStrategy",
     "transfer_plan",
 ]

@@ -131,6 +131,10 @@ class ClusterInterconnect:
         self._nics = [Resource(env, capacity=1) for _ in range(nodes)]
         self.stats = InterconnectStats()
 
+    def add_node(self) -> None:
+        """Cable one more node into the fabric (the next NIC index)."""
+        self._nics.append(Resource(self.env, capacity=1))
+
     def plan(
         self,
         size_mb: float,

@@ -13,9 +13,11 @@ out and the paper's future-work directions:
 
 from __future__ import annotations
 
-from repro.distributed.cluster import DistributedSeussCluster
+from typing import Optional
+
 from repro.distributed.transfer import TransferStrategy
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
+from repro.faas.cluster import FaasCluster
 from repro.linuxnode.instances import InstanceKind
 from repro.linuxnode.ksm import DEFAULT_DUPLICATE_FRACTION
 from repro.linuxnode.node import LinuxNode
@@ -30,6 +32,29 @@ def _fresh_node(**kwargs) -> SeussNode:
     node = SeussNode(Environment(), SeussConfig(**kwargs))
     node.initialize_sync()
     return node
+
+
+def replicated_cluster(
+    strategy: TransferStrategy,
+    nodes: int = 2,
+    config: Optional[SeussConfig] = None,
+    **options,
+) -> FaasCluster:
+    """A ``nodes``-node SEUSS cluster shipping replicas under ``strategy``.
+
+    ``options`` go to :meth:`FaasCluster.with_seuss_node`.  Under the
+    default round robin a function's second request lands on the node
+    after its home, so dropping the home node's idle UC in between
+    makes that request a remote-warm deploy.
+    """
+    cluster = FaasCluster.with_seuss_node(
+        Environment(), config=config, replication=strategy, **options
+    )
+    for _ in range(nodes - 1):
+        node = SeussNode(cluster.env, config=config, costs=cluster.costs)
+        node.initialize_sync()
+        cluster.add_node(node)
+    return cluster
 
 
 def run_ablations() -> ExperimentResult:
@@ -131,21 +156,18 @@ def run_distributed() -> ExperimentResult:
         TransferStrategy.COLORED,
     )
     for strategy in classic_strategies:
-        cluster = DistributedSeussCluster(
-            Environment(), node_count=2, strategy=strategy
-        )
+        cluster = replicated_cluster(strategy)
         fn = nop_function(owner=f"dist-{strategy.value}")
         cold = cluster.invoke_sync(fn)
-        cluster.nodes[cold.node_id].uc_cache.drop_function(fn.key)
-        cluster._in_flight[cold.node_id] = 8
+        cluster.nodes[0].uc_cache.drop_function(fn.key)
         remote = cluster.invoke_sync(fn)
-        plan = cluster.interconnect.plan(remote.transferred_mb, strategy)
+        assert remote.transferred_mb > 0, remote
         result.add_row(
             strategy.value,
-            cold.latency_ms,
-            remote.latency_ms,
-            plan.size_mb * strategy.upfront_fraction,
-            f"{cold.latency_ms - remote.latency_ms:.2f} ms",
+            cold.node_latency_ms,
+            remote.node_latency_ms,
+            remote.transferred_mb * strategy.upfront_fraction,
+            f"{cold.node_latency_ms - remote.node_latency_ms:.2f} ms",
         )
     result.add_note(
         "the 114.5 MB runtime image never crosses the wire; only the "

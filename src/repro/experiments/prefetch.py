@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.distributed.cluster import DistributedSeussCluster
-from repro.distributed.transfer import TransferStrategy, transfer_plan
+from repro.distributed.transfer import (
+    ClusterInterconnect,
+    TransferStrategy,
+    transfer_plan,
+)
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
+from repro.experiments.extensions import replicated_cluster
 from repro.faas.records import InvocationPath, NodeInvocation
 from repro.seuss.config import SeussConfig
 from repro.seuss.node import SeussNode
@@ -111,34 +115,29 @@ def measure_local_paths(functions: int) -> Dict[str, Dict[str, List[NodeInvocati
 
 def measure_remote_warm(strategy: TransferStrategy, prefetch: bool):
     """One remote-warm deployment under ``strategy``; returns
-    (ClusterInvocation, upfront_mb, manifest_or_None)."""
-    cluster = DistributedSeussCluster(
-        Environment(),
-        node_count=2,
-        strategy=strategy,
-        config=SeussConfig(prefetch_working_sets=prefetch),
+    (InvocationResult, upfront_mb, manifest_or_None)."""
+    cluster = replicated_cluster(
+        strategy, config=SeussConfig(prefetch_working_sets=prefetch)
     )
     fn = nop_function(owner=f"pf-remote-{strategy.value}-{int(prefetch)}")
-    cold = cluster.invoke_sync(fn)
-    home = cold.node_id
-    cluster.nodes[home].uc_cache.drop_function(fn.key)
+    cluster.invoke_sync(fn)  # cold on the home node
+    home = cluster.nodes[0]
+    home.uc_cache.drop_function(fn.key)
     if prefetch:
         # Record the function manifest at home before it is shipped.
-        warm = cluster.invoke_sync(fn)
-        assert warm.path == "warm", warm.path
-        cluster.nodes[home].uc_cache.drop_function(fn.key)
-    # Load the home node so the scheduler places the next invocation on
-    # the peer, forcing the remote-warm path.
-    cluster._in_flight[home] = 10
+        warm = home.invoke_sync(fn)
+        assert warm.path is InvocationPath.WARM, warm.path
+        home.uc_cache.drop_function(fn.key)
+    # Round robin places the next invocation on the peer, which holds
+    # nothing for the function: the remote-warm path.
     remote = cluster.invoke_sync(fn)
-    assert remote.path == "remote_warm", remote.path
-    manifest = cluster.nodes[home].working_sets.get(fn.key)
+    assert remote.path is InvocationPath.WARM, remote.path
+    assert remote.transferred_mb > 0
+    manifest = home.working_sets.get(fn.key)
     plan = transfer_plan(remote.transferred_mb, strategy, manifest=manifest)
-    upfront_mb = 0.0
-    if remote.transferred_mb:
-        upfront_mb = remote.transferred_mb * (
-            plan.upfront_ms - cluster.interconnect.latency_ms
-        ) / (remote.transferred_mb * cluster.interconnect.ms_per_mb)
+    upfront_mb = (
+        plan.upfront_ms - ClusterInterconnect.DEFAULT_LATENCY_MS
+    ) / ClusterInterconnect.DEFAULT_MS_PER_MB
     return remote, upfront_mb, manifest
 
 
@@ -190,10 +189,10 @@ def run_prefetch(functions: int = 12) -> ExperimentResult:
     for strategy in STRATEGY_ORDER:
         lazy_remote, lazy_upfront, _ = measure_remote_warm(strategy, False)
         pf_remote, pf_upfront, manifest = measure_remote_warm(strategy, True)
-        assert pf_remote.latency_ms < lazy_remote.latency_ms, (
+        assert pf_remote.node_latency_ms < lazy_remote.node_latency_ms, (
             strategy.value,
-            pf_remote.latency_ms,
-            lazy_remote.latency_ms,
+            pf_remote.node_latency_ms,
+            lazy_remote.node_latency_ms,
         )
         if strategy is TransferStrategy.RECORDED:
             # The acceptance property: upfront bytes are the measured
@@ -206,9 +205,9 @@ def run_prefetch(functions: int = 12) -> ExperimentResult:
             recorded_upfront_mb = pf_upfront
         result.add_row(
             f"remote:{strategy.value}",
-            round(lazy_remote.latency_ms, 4),
-            round(pf_remote.latency_ms, 4),
-            round(lazy_remote.latency_ms - pf_remote.latency_ms, 4),
+            round(lazy_remote.node_latency_ms, 4),
+            round(pf_remote.node_latency_ms, 4),
+            round(lazy_remote.node_latency_ms - pf_remote.node_latency_ms, 4),
             round(lazy_upfront, 3),
             round(pf_upfront, 3),
             "-",

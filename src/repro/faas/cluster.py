@@ -15,7 +15,11 @@ to a shard, route through that shard's
 dispatch.  Shard 0 reuses the shim passed to the constructor.  Fault
 plans, retry and breaker policies and overload control are knobs on
 that one path; with healthy nodes the router and breakers are pure
-bookkeeping and schedule no events.
+bookkeeping and schedule no events.  ``replication`` (a
+:class:`~repro.distributed.transfer.TransferStrategy`) adds the §9
+remote-warm path: a routed node without the function's snapshot first
+receives a peer's replica over the cluster interconnect.  Grow the
+cluster with :meth:`FaasCluster.add_node`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional, Union
 
 from repro.costs import CostBook, DEFAULT_COSTS
+from repro.distributed.transfer import TransferStrategy
 from repro.faas.controller import RetryPolicy
 from repro.faas.health import BreakerPolicy
 from repro.faas.httpserver import ExternalHttpServer
@@ -53,6 +58,7 @@ class FaasCluster:
         overload: Optional[OverloadConfig] = None,
         shards: int = 1,
         routing: Optional[str] = None,
+        replication: Optional[TransferStrategy] = None,
     ) -> None:
         self.env = env
         self.node = node
@@ -79,6 +85,7 @@ class FaasCluster:
             breaker=breaker,
             overload=overload,
             injector=self.fault_injector,
+            replication=replication,
         )
         #: Shard 0's controller, for single-controller call sites;
         #: aggregate counters live on ``control_plane``.
@@ -112,6 +119,7 @@ class FaasCluster:
         overload: Optional[OverloadConfig] = None,
         shards: int = 1,
         routing: Optional[str] = None,
+        replication: Optional[TransferStrategy] = None,
     ) -> "FaasCluster":
         """OpenWhisk with the SEUSS OS VM behind the shim process."""
         node = SeussNode(env, config=config, costs=costs)
@@ -129,6 +137,7 @@ class FaasCluster:
             overload=overload,
             shards=shards,
             routing=routing,
+            replication=replication,
         )
 
     @classmethod

@@ -65,7 +65,7 @@ class QuotaEnforcer:
     def __init__(self, config: QuotaConfig = DISABLED) -> None:
         self.config = config
         self._windows: Dict[str, Deque[float]] = {}
-        self._in_flight: Dict[str, int] = {}
+        self._running: Dict[str, int] = {}
         self.stats = QuotaStats()
 
     def try_admit(self, namespace: str, now_ms: float) -> Tuple[bool, str]:
@@ -74,7 +74,7 @@ class QuotaEnforcer:
             self.stats.admitted += 1
             return True, ""
         limit = self.config.concurrent_invocations
-        if limit is not None and self._in_flight.get(namespace, 0) >= limit:
+        if limit is not None and self._running.get(namespace, 0) >= limit:
             self.stats.concurrency_rejections += 1
             return False, (
                 f"namespace {namespace!r} exceeded {limit} concurrent "
@@ -92,7 +92,7 @@ class QuotaEnforcer:
                     "invocations per minute"
                 )
             window.append(now_ms)
-        self._in_flight[namespace] = self._in_flight.get(namespace, 0) + 1
+        self._running[namespace] = self._running.get(namespace, 0) + 1
         self.stats.admitted += 1
         return True, ""
 
@@ -100,10 +100,10 @@ class QuotaEnforcer:
         """Mark one admitted invocation as finished."""
         if not self.config.enabled:
             return
-        current = self._in_flight.get(namespace, 0)
+        current = self._running.get(namespace, 0)
         if current <= 0:
             raise ConfigError(f"release underflow for namespace {namespace!r}")
-        self._in_flight[namespace] = current - 1
+        self._running[namespace] = current - 1
 
     def in_flight(self, namespace: str) -> int:
-        return self._in_flight.get(namespace, 0)
+        return self._running.get(namespace, 0)

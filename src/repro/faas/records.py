@@ -128,6 +128,9 @@ class NodeInvocation:
     #: or the full service time of a zombie that completed past its
     #: deadline).  Always 0.0 with overload control off.
     wasted_ms: float = 0.0
+    #: Size of the snapshot replica shipped from a peer before this
+    #: deploy (a remote-warm deploy); 0.0 when none was.
+    transferred_mb: float = 0.0
 
     def stages_in_order(self) -> "list[InvocationStage]":
         return sorted(self.stage_times, key=self.stage_times.get)
@@ -173,7 +176,9 @@ class InvocationResult:
     finished_at_ms: float
     #: Latency measured at the compute node ("from the moment the
     #: invocation request is received by the node to the moment the
-    #: result is returned from the UC", §7).
+    #: result is returned from the UC", §7).  A remote-warm deploy
+    #: adds the replica transfer before it and the residual remote
+    #: page faults after it.
     node_latency_ms: float = 0.0
     #: Per-stage latency decomposition (node side).
     breakdown: Dict[str, float] = field(default_factory=dict)
@@ -181,6 +186,9 @@ class InvocationResult:
     pages_copied: int = 0
     #: Node dispatch attempts the controller made (1 = no retries).
     attempts: int = 1
+    #: Snapshot replica shipped from a peer before the final attempt's
+    #: deploy: > 0 marks a remote-warm deploy.
+    transferred_mb: float = 0.0
 
     @property
     def latency_ms(self) -> float:

@@ -1,27 +1,19 @@
 """The routing layer: one pluggable policy behind every selection site.
 
-Before this module existed the repo had two divergent copies of
-least-loaded node selection — ``NodeRouter.prefer_least_loaded`` in
-:mod:`repro.faas.health` and ``DistributedSeussCluster._least_loaded``
-in :mod:`repro.distributed.cluster` — and neither knew anything about
-*where snapshots live*, which is exactly the state the SEUSS caches and
-the working-set manifests (PR 5) pay to build.  This module extracts
-the selection logic into shared primitives plus a small policy
-hierarchy:
+Every control-plane shard's :class:`~repro.faas.health.NodeRouter`
+asks a :class:`RoutingPolicy` which node should serve a request, and
+only the policy knows anything about *where snapshots live* — the
+state the SEUSS caches and the working-set manifests pay to build:
 
-* :func:`rank_by_load` / :func:`pick_least_loaded` — the deduplicated
-  least-loaded core.  Both historical call sites route through these;
-  ``rank_by_load`` is a stable sort (ties keep candidate order, which
-  preserves the router's round-robin rotation) and
-  ``pick_least_loaded`` returns the *first* minimum (ties go to the
-  earliest candidate, which preserves the distributed scheduler's
-  lowest-node-id tie break when candidates are in id order).
+* :func:`rank_by_load` — the shared least-loaded core: a stable sort,
+  so ties keep candidate order, which preserves the router's
+  round-robin rotation.
 * :class:`RoutingPolicy` — orders routable candidates for one
-  dispatch.  :class:`RoundRobinPolicy` (the historical default),
-  :class:`LeastLoadedPolicy` (the historical backpressure mode) and
-  :class:`SnapshotAffinityPolicy` (new: prefer nodes already holding
-  the function's snapshot, live UC, or recorded working set; fall back
-  through the :mod:`repro.distributed.transfer` cost model otherwise).
+  dispatch.  :class:`RoundRobinPolicy` (the default),
+  :class:`LeastLoadedPolicy` (backpressure) and
+  :class:`SnapshotAffinityPolicy` (prefer nodes already holding the
+  function's snapshot, live UC, or recorded working set; spill past
+  the :mod:`repro.distributed.transfer` cost of shipping a replica).
 * :class:`RoutingStats` — decision / locality-hit counters surfaced by
   the resilience report and the ``scale`` experiment.
 
@@ -36,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from repro.distributed.transfer import TransferStrategy, transfer_plan
 from repro.errors import ConfigError
 from repro.trace import tracer_for
 
@@ -48,7 +41,7 @@ CandidateT = TypeVar("CandidateT")
 DEFAULT_QUEUE_COST_MS = 5.0
 
 
-# -- shared least-loaded core (deduplicated from health.py/cluster.py) -----
+# -- shared least-loaded core --------------------------------------------------
 def rank_by_load(
     candidates: Sequence[CandidateT],
     load_of: Callable[[CandidateT], object],
@@ -62,26 +55,12 @@ def rank_by_load(
     return sorted(candidates, key=load_of)
 
 
-def pick_least_loaded(
-    candidates: Sequence[CandidateT],
-    load_of: Callable[[CandidateT], object],
-) -> CandidateT:
-    """The first minimum-load candidate (ties go to the earliest).
-
-    With candidates in ascending node-id order this reproduces the
-    historical ``min(candidates, key=lambda nid: (load, nid))`` pick.
-    """
-    if not candidates:
-        raise ConfigError("pick_least_loaded: no candidates")
-    return min(candidates, key=load_of)
-
-
 # -- stats ------------------------------------------------------------------
 @dataclass
 class RoutingStats:
-    """Counters one router (or one cluster scheduler) accumulates."""
+    """Counters one router accumulates."""
 
-    #: Routing decisions made (every ``select``/``_pick_node`` call).
+    #: Routing decisions made (every ``select`` call).
     decisions: int = 0
     #: Affinity decisions that landed on a node already holding the
     #: function's snapshot / UC / working set.
@@ -215,8 +194,9 @@ class SnapshotAffinityPolicy(RoutingPolicy):
         if queue_cost_ms <= 0:
             raise ConfigError("queue_cost_ms must be positive")
         self.load_of = load_of
-        #: Transfer strategy assumed for the acquisition-cost estimate;
-        #: ``None`` resolves to RECORDED (manifest-sized, PR 5).
+        #: Transfer strategy assumed for the acquisition-cost estimate
+        #: (the cluster's ``replication`` strategy when it ships
+        #: replicas); ``None`` resolves to RECORDED (manifest-sized).
         self.transfer_strategy = transfer_strategy
         self.queue_cost_ms = queue_cost_ms
         #: Set by :meth:`rank` when the last decision demoted loaded
@@ -231,11 +211,6 @@ class SnapshotAffinityPolicy(RoutingPolicy):
         wire time for the strategy's working set (measured manifest
         when recorded) + the residual remote-fault penalty.
         """
-        # Deferred import: repro.distributed imports faas.records, so a
-        # module-level import here would be a cycle hazard; by the time
-        # a routing decision runs everything is imported anyway.
-        from repro.distributed.transfer import TransferStrategy, transfer_plan
-
         strategy = self.transfer_strategy or TransferStrategy.RECORDED
         for holder in holders:
             node = candidate_node(holder)

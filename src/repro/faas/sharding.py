@@ -42,6 +42,8 @@ from bisect import bisect_right, insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.costs import CostBook, DEFAULT_COSTS
+from repro.distributed.replicas import ReplicaFetcher
+from repro.distributed.transfer import TransferStrategy
 from repro.errors import ConfigError
 from repro.faas.controller import Controller, ControllerStats, RetryPolicy
 from repro.faas.health import (
@@ -192,7 +194,10 @@ class ShardedControlPlane:
     is stateful.  ``shim_factory`` (shard_id → shim) models one shim
     TCP connection per controller shard on SEUSS deployments — the
     per-shard serialization Table 3 measures stays, but shards no
-    longer share one connection.
+    longer share one connection.  ``replication`` (a transfer
+    strategy) gives every shard one shared
+    :class:`~repro.distributed.replicas.ReplicaFetcher` for remote-warm
+    deploys, and snapshot-affinity routing prices spills with it.
     """
 
     def __init__(
@@ -208,6 +213,7 @@ class ShardedControlPlane:
         overload: Optional[OverloadConfig] = None,
         injector=None,
         hash_replicas: int = DEFAULT_HASH_REPLICAS,
+        replication: Optional[TransferStrategy] = None,
     ) -> None:
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
@@ -220,6 +226,11 @@ class ShardedControlPlane:
         if overload is not None and not overload.enabled:
             overload = None
         self.overload_config = overload
+        self.replicas: Optional[ReplicaFetcher] = (
+            ReplicaFetcher(env, self.nodes, replication, node_outstanding)
+            if replication is not None
+            else None
+        )
         self.ring = ConsistentHashRing(range(shards), replicas=hash_replicas)
         self.shards: List[ControlPlaneShard] = []
         for shard_id in range(shards):
@@ -227,7 +238,7 @@ class ShardedControlPlane:
                 OverloadControl(env, overload) if overload is not None else None
             )
             router = NodeRouter(env=env)
-            policy = self._build_policy(routing, shard_overload)
+            policy = self._build_policy(routing, shard_overload, replication)
             if policy is not None:
                 router.policy = policy
             controller = Controller(
@@ -239,6 +250,7 @@ class ShardedControlPlane:
                 retries=retries,
                 router=router,
                 overload=shard_overload,
+                replicas=self.replicas,
             )
             controller.shard_id = shard_id
             shard = ControlPlaneShard(shard_id, controller, router, shard_overload)
@@ -248,7 +260,10 @@ class ShardedControlPlane:
 
     # -- wiring ------------------------------------------------------------
     def _build_policy(
-        self, routing, shard_overload: Optional[OverloadControl]
+        self,
+        routing,
+        shard_overload: Optional[OverloadControl],
+        replication: Optional[TransferStrategy],
     ) -> Optional[RoutingPolicy]:
         """Resolve the routing knob into one shard's policy instance.
 
@@ -257,7 +272,8 @@ class ShardedControlPlane:
         occupancy.  Bounded queues are backpressure: under the default
         ``round_robin`` name they install least-loaded routing on queue
         depth, so bursts drain toward the least-congested node instead
-        of rotating blindly.
+        of rotating blindly.  Snapshot affinity prices a spill with the
+        ``replication`` strategy the cluster actually ships.
         """
         if shard_overload is not None and shard_overload.config.queue_depth is not None:
             load_of = lambda health: shard_overload.depth_of(health.node)  # noqa: E731
@@ -268,7 +284,9 @@ class ShardedControlPlane:
         if isinstance(routing, str):
             if routing == "round_robin":
                 return None  # keep the router's fast-path default
-            return make_policy(routing, load_of=load_of)
+            return make_policy(
+                routing, load_of=load_of, transfer_strategy=replication
+            )
         return routing(load_of)
 
     def _attach(self, shard: ControlPlaneShard, node) -> None:
@@ -281,6 +299,8 @@ class ShardedControlPlane:
     def add_node(self, node) -> None:
         """Join an initialized compute node to every shard's rotation."""
         self.nodes.append(node)
+        if self.replicas is not None:
+            self.replicas.add_node(node)
         for shard in self.shards:
             self._attach(shard, node)
 

@@ -53,9 +53,6 @@ class SnapshotCache:
         #: how many were destroyed), releasing snapshot references so
         #: eviction can proceed.
         self._drop_idle = drop_idle or (lambda key: 0)
-        #: Optional callback invoked with the key of every evicted
-        #: entry (used by the distributed registry to drop replicas).
-        self.evict_listener: Optional[Callable[[str], None]] = None
         self.stats = SnapshotCacheStats()
 
     # -- introspection ---------------------------------------------------
@@ -165,8 +162,6 @@ class SnapshotCache:
         if tracer.enabled:
             tracer.event("snapshot_cache.evict", key=key, pages=footprint)
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
-        if self.evict_listener is not None:
-            self.evict_listener(key)
         return True
 
     def quarantine(self, key: str) -> bool:
@@ -198,8 +193,6 @@ class SnapshotCache:
         if not snapshot.deleted:
             # Live dependents remain: reap once the last one drops.
             snapshot.mark_orphan()
-        if self.evict_listener is not None:
-            self.evict_listener(key)
         return True
 
     def evict_key(self, key: str) -> bool:

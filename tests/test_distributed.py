@@ -1,11 +1,12 @@
-"""Distributed SEUSS tests: transfers, registry, remote-warm path."""
+"""Distributed SEUSS tests: transfers and the remote-warm path."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.distributed.cluster import DistributedSeussCluster, SchedulingPolicy
-from repro.distributed.registry import GlobalSnapshotRegistry
+from repro.costs import DEFAULT_COSTS
 from repro.distributed.transfer import (
     REMOTE_MISS_PENALTY_MS,
     ClusterInterconnect,
@@ -13,10 +14,20 @@ from repro.distributed.transfer import (
     transfer_plan,
 )
 from repro.errors import ConfigError
+from repro.experiments.extensions import replicated_cluster
+from repro.faas.controller import RESILIENT_RETRIES
+from repro.faas.records import InvocationPath
+from repro.faults import FaultPlan
 from repro.mem.intervals import IntervalSet
 from repro.mem.workingset import WorkingSetManifest
+from repro.seuss.audit import audit_node
+from repro.seuss.config import SeussConfig
 from repro.sim import Environment
-from repro.workload.functions import nop_function
+from repro.workload.functions import (
+    cpu_bound_function,
+    io_bound_function,
+    nop_function,
+)
 from repro.units import mb_to_pages
 
 
@@ -172,122 +183,214 @@ class TestInterconnect:
         assert fabric.stats.mb_moved == 2.0
 
 
-class TestRegistry:
-    def test_register_locate_drop(self):
-        registry = GlobalSnapshotRegistry()
-        registry.register("fn", 0, 2.0)
-        registry.register("fn", 2, 2.0)
-        assert registry.holders("fn") == [0, 2]
-        assert registry.replica_count("fn") == 2
-        registry.drop("fn", 0)
-        assert registry.holders("fn") == [2]
-        registry.drop("fn", 2)
-        assert "fn" not in registry
+def _holders(cluster, fn) -> int:
+    return sum(fn.key in node.snapshot_cache for node in cluster.nodes)
 
-    def test_locate_tracks_popularity(self):
-        registry = GlobalSnapshotRegistry()
-        registry.register("fn", 0, 2.0)
-        registry.locate("fn")
-        registry.locate("fn")
-        assert registry.popularity("fn") == 2
 
-    def test_drop_unknown_is_noop(self):
-        GlobalSnapshotRegistry().drop("ghost", 3)
+def _fabric(cluster) -> ClusterInterconnect:
+    return cluster.control_plane.replicas.interconnect
 
 
 class TestCluster:
     @pytest.fixture
     def cluster(self):
-        return DistributedSeussCluster(Environment(), node_count=3)
+        return replicated_cluster(TransferStrategy.COLORED, nodes=3)
 
     def test_cold_registers_replica(self, cluster):
         fn = nop_function(owner="d0")
         result = cluster.invoke_sync(fn)
-        assert result.path == "cold"
-        assert cluster.replica_count(fn.key) == 1
+        assert result.path is InvocationPath.COLD
+        assert result.transferred_mb == 0.0
+        assert _holders(cluster, fn) == 1
 
     def test_remote_warm_beats_cold(self, cluster):
         fn = nop_function(owner="d1")
         cold = cluster.invoke_sync(fn)
-        home = cold.node_id
-        # Make the home node unattractive and drop its idle UC so the
-        # scheduler places the next request elsewhere.
-        cluster.nodes[home].uc_cache.drop_function(fn.key)
-        cluster._in_flight[home] = 10
+        # Drop the home node's idle UC; round robin places the next
+        # request on a peer that holds nothing for the function.
+        cluster.nodes[0].uc_cache.drop_function(fn.key)
         remote = cluster.invoke_sync(fn)
-        assert remote.node_id != home
-        assert remote.path == "remote_warm"
+        assert remote.path is InvocationPath.WARM
         assert remote.transferred_mb > 0
-        assert remote.latency_ms < cold.latency_ms
-        assert cluster.replica_count(fn.key) == 2
+        assert fn.key in cluster.nodes[1].snapshot_cache
+        assert remote.node_latency_ms < cold.node_latency_ms
+        assert _holders(cluster, fn) == 2
 
     def test_affinity_policy_avoids_transfers(self):
-        cluster = DistributedSeussCluster(
-            Environment(), node_count=3, policy=SchedulingPolicy.SNAPSHOT_AFFINITY
+        cluster = replicated_cluster(
+            TransferStrategy.COLORED, nodes=3, routing="snapshot_affinity"
         )
         fn = nop_function(owner="d2")
-        cold = cluster.invoke_sync(fn)
-        cluster.nodes[cold.node_id].uc_cache.drop_function(fn.key)
-        # Even with the holder loaded, affinity sends the request home.
-        cluster._in_flight[cold.node_id] = 10
+        cluster.invoke_sync(fn)
+        for node in cluster.nodes:
+            node.uc_cache.drop_function(fn.key)
+        # The idle cluster sends the request to the snapshot's holder.
         again = cluster.invoke_sync(fn)
-        assert again.node_id == cold.node_id
-        assert again.path == "warm"
-        assert cluster.stats.transfers == 0
+        assert again.path is InvocationPath.WARM
+        assert again.transferred_mb == 0.0
+        assert _fabric(cluster).stats.transfers == 0
+        assert _holders(cluster, fn) == 1
 
     def test_round_robin_spreads_requests(self):
-        cluster = DistributedSeussCluster(
-            Environment(), node_count=3, policy=SchedulingPolicy.ROUND_ROBIN
-        )
+        cluster = replicated_cluster(TransferStrategy.COLORED, nodes=3)
         for index in range(6):
             cluster.invoke_sync(nop_function(owner=f"rr{index}"))
-        assert set(cluster.stats.per_node) == {0, 1, 2}
+        assert [node.stats.total for node in cluster.nodes] == [2, 2, 2]
 
     def test_eviction_drops_replica_from_registry(self):
-        from repro.seuss.config import SeussConfig
-
-        cluster = DistributedSeussCluster(
-            Environment(),
-            node_count=2,
+        cluster = replicated_cluster(
+            TransferStrategy.COLORED,
             config=SeussConfig(snapshot_cache_budget_mb=10.0),
-            policy=SchedulingPolicy.ROUND_ROBIN,
         )
         functions = [nop_function(owner=f"ev{i}") for i in range(10)]
         for fn in functions:
             cluster.invoke_sync(fn)
             cluster.nodes[0].uc_cache.clear()
             cluster.nodes[1].uc_cache.clear()
-        # Budget fits ~4 snapshots per node; early replicas must be gone
-        # from the registry, not just the node caches.
-        assert cluster.replica_count(functions[0].key) == 0
+        # Budget fits ~4 snapshots per node: the early snapshots are
+        # evicted everywhere, so nothing is left to ship and the next
+        # request rebuilds cold.
+        assert _holders(cluster, functions[0]) == 0
+        again = cluster.invoke_sync(functions[0])
+        assert again.path is InvocationPath.COLD
+        assert again.transferred_mb == 0.0
 
     def test_manifest_ships_with_replica(self):
-        from repro.seuss.config import SeussConfig
-
-        cluster = DistributedSeussCluster(
-            Environment(),
-            node_count=2,
-            strategy=TransferStrategy.RECORDED,
+        cluster = replicated_cluster(
+            TransferStrategy.RECORDED,
             config=SeussConfig(prefetch_working_sets=True),
         )
+        home, peer = cluster.nodes
         fn = nop_function(owner="ship")
-        cold = cluster.invoke_sync(fn)
-        home = cold.node_id
-        cluster.nodes[home].uc_cache.drop_function(fn.key)
-        warm = cluster.invoke_sync(fn)  # records the fn manifest at home
-        assert warm.path == "warm"
-        cluster.nodes[home].uc_cache.drop_function(fn.key)
-        cluster._in_flight[home] = 10
+        cluster.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        warm = home.invoke_sync(fn)  # records the fn manifest at home
+        assert warm.path is InvocationPath.WARM
+        home.uc_cache.drop_function(fn.key)
         remote = cluster.invoke_sync(fn)
-        assert remote.path == "remote_warm"
-        peer = cluster.nodes[remote.node_id]
+        assert remote.path is InvocationPath.WARM
+        assert remote.transferred_mb > 0
         # The replica's manifest arrived with it — shared, not copied —
         # and the peer's deploy prefetched from it.
-        assert peer.working_sets.get(fn.key) is (
-            cluster.nodes[home].working_sets.get(fn.key)
-        )
-        assert remote.node_result.pages_prefetched > 0
+        assert peer.working_sets.get(fn.key) is home.working_sets.get(fn.key)
+        assert peer.working_sets.stats.prefetches > 0
 
-    def test_invalid_node_count(self):
+
+    def test_transfer_spends_the_request_timeout(self):
+        # The node attempt starts 150.8 ms after the send (control
+        # plane share plus the shim hop), leaving 0.7 ms: less than the
+        # 1.8 ms a FULL_COPY replica takes to land.
+        costs = replace(
+            DEFAULT_COSTS,
+            platform=replace(DEFAULT_COSTS.platform, request_timeout_ms=151.5),
+        )
+        cluster = replicated_cluster(TransferStrategy.FULL_COPY, costs=costs)
+        home, peer = cluster.nodes
+        fn = nop_function(owner="late")
+        cluster.invoke_sync(fn)  # times out; the cold start finishes anyway
+        cluster.env.run(until=cluster.env.now + 50.0)
+        home.uc_cache.drop_function(fn.key)
+        result = cluster.invoke_sync(fn)
+        cluster.env.run(until=cluster.env.now + 50.0)
+        assert result.error == "request timed out"
+        assert fn.key in peer.snapshot_cache
+        assert peer.stats.total == 0  # no watchdog time left to invoke
+
+    def test_replica_without_room_is_not_installed(self):
+        cluster = replicated_cluster(TransferStrategy.FULL_COPY)
+        home, peer = cluster.nodes
+        fn = nop_function(owner="no-room")
+        cluster.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        peer.allocator.allocate(peer.allocator.free_pages, "pinned")
+        result = cluster.invoke_sync(fn)
+        assert not result.success  # no room to deploy anything either
+        assert result.transferred_mb == 0.0
+        assert fn.key not in peer.snapshot_cache
+        assert audit_node(peer) == []
+
+    def test_replication_needs_seuss_nodes(self):
+        from repro.faas.cluster import FaasCluster
+        from repro.linuxnode.node import LinuxNode
+
+        env = Environment()
+        node = LinuxNode(env)
+        node.start_stemcell_pool()
         with pytest.raises(ConfigError):
-            DistributedSeussCluster(Environment(), node_count=0)
+            FaasCluster(env, node, replication=TransferStrategy.COLORED)
+
+
+class TestCrashedNodes:
+    """No replica ever moves to or from a crashed node."""
+
+    def test_no_replica_ships_to_a_crashed_node(self):
+        cluster = replicated_cluster(TransferStrategy.FULL_COPY)
+        home, peer = cluster.nodes
+        fn = nop_function(owner="down-dst")
+        cluster.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        peer.crash()
+        result = cluster.invoke_sync(fn)
+        assert not result.success
+        assert result.error == "node crashed"
+        assert result.transferred_mb == 0.0
+        assert _fabric(cluster).stats.transfers == 0
+        # The down node's caches stay empty: they rebuild cold.
+        assert fn.key not in peer.snapshot_cache
+
+    def test_no_replica_ships_from_a_crashed_holder(self):
+        cluster = replicated_cluster(TransferStrategy.FULL_COPY)
+        env = cluster.env
+        home, peer = cluster.nodes
+        fn = io_bound_function("down-src")
+        cluster.invoke_sync(fn)
+        # An in-flight invocation pins the snapshot, so it survives the
+        # crash in the down node's cache.
+        home.invoke(fn)
+        env.run(until=env.now + 1.0)
+        home.crash()
+        assert fn.key in home.snapshot_cache
+        result = cluster.invoke_sync(fn)
+        assert result.success
+        assert result.path is InvocationPath.COLD
+        assert result.transferred_mb == 0.0
+        assert _fabric(cluster).stats.transfers == 0
+
+
+class TestConservation:
+    """Replication under sharding, affinity, node crashes and retries."""
+
+    def test_requests_nics_and_nodes_balance(self):
+        cluster = replicated_cluster(
+            TransferStrategy.RECORDED,
+            nodes=4,
+            shards=4,
+            routing="snapshot_affinity",
+            faults=FaultPlan(seed=7, node_crash_p=0.02, node_restart_ms=80.0),
+            retries=RESILIENT_RETRIES,
+        )
+        env = cluster.env
+        functions = [
+            cpu_bound_function(f"cons{index}", exec_ms=20.0)
+            for index in range(12)
+        ]
+
+        def client(offset):
+            for step in range(30):
+                fn = functions[(offset + step * 5) % len(functions)]
+                yield cluster.invoke(fn)
+
+        clients = [env.process(client(offset)) for offset in range(16)]
+        env.run(until=env.all_of(clients))
+        env.run()
+
+        stats = cluster.control_plane.controller_stats()
+        assert stats.received == 16 * 30
+        assert stats.received == stats.succeeded + stats.failed
+        fabric = _fabric(cluster)
+        assert fabric.stats.transfers > 0
+        assert sum(node.crash_count for node in cluster.nodes) > 0
+        for nic in fabric._nics:
+            assert not nic.users and not nic.queue
+        for node in cluster.nodes:
+            assert audit_node(node) == []

@@ -145,19 +145,19 @@ class TestBridgePastTheLimit:
 
 class TestDistributedDegradation:
     def test_cluster_survives_source_eviction_mid_lookup(self):
-        """A replica evicted between locate() and get() falls back to a
-        plain cold start rather than erroring."""
-        from repro.distributed.cluster import DistributedSeussCluster
+        """A replica source evicted before the lookup leaves nothing
+        stale behind: the request falls back to a plain cold start
+        rather than erroring."""
+        from repro.distributed.transfer import TransferStrategy
+        from repro.experiments.extensions import replicated_cluster
 
-        cluster = DistributedSeussCluster(Environment(), node_count=2)
+        cluster = replicated_cluster(TransferStrategy.COLORED)
+        home = cluster.nodes[0]
         fn = nop_function(owner="dd")
-        cold = cluster.invoke_sync(fn)
-        home = cold.node_id
-        # Evict the replica but leave the registry stale.
-        cluster.nodes[home].uc_cache.drop_function(fn.key)
-        cluster.nodes[home].snapshot_cache._evict(fn.key)
-        cluster.registry.register(fn.key, home, 2.0)  # stale entry
-        cluster._in_flight[home] = 10
-        result = cluster.invoke_sync(fn)
+        cluster.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        home.snapshot_cache.evict_key(fn.key)
+        result = cluster.invoke_sync(fn)  # round robin: the peer
         assert result.success
-        assert result.path == "cold"  # graceful fallback
+        assert result.path is InvocationPath.COLD  # graceful fallback
+        assert result.transferred_mb == 0.0

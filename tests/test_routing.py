@@ -1,17 +1,18 @@
 """The routing layer: shared helpers, policies, and dedup regression.
 
-The extraction in ``repro.faas.routing`` replaced two divergent copies
-of least-loaded selection (``NodeRouter.prefer_least_loaded`` and
-``DistributedSeussCluster._least_loaded``).  The regression classes
-here pin both historical call sites to the exact picks their inlined
-implementations made, so the dedup is provably behavior-preserving.
+The regression classes pin the router to the exact picks the inlined
+``NodeRouter.prefer_least_loaded`` made before ``repro.faas.routing``
+existed, and pin snapshot-affinity routing on clusters that ship
+snapshot replicas.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.distributed.transfer import TransferStrategy, transfer_plan
 from repro.errors import CircuitOpenError, ConfigError
+from repro.experiments.extensions import replicated_cluster
 from repro.faas.cluster import FaasCluster
 from repro.faas.health import (
     BreakerPolicy,
@@ -26,7 +27,6 @@ from repro.faas.routing import (
     SnapshotAffinityPolicy,
     make_policy,
     node_holds,
-    pick_least_loaded,
     rank_by_load,
 )
 from repro.seuss.node import SeussNode
@@ -59,15 +59,6 @@ class TestSharedHelpers:
         items = ["a", "b", "c", "d"]
         loads = {"a": 1, "b": 0, "c": 0, "d": 1}
         assert rank_by_load(items, loads.get) == ["b", "c", "a", "d"]
-
-    def test_pick_least_loaded_first_minimum(self):
-        items = ["a", "b", "c"]
-        loads = {"a": 2, "b": 1, "c": 1}
-        assert pick_least_loaded(items, loads.get) == "b"
-
-    def test_pick_least_loaded_empty_raises(self):
-        with pytest.raises(ConfigError):
-            pick_least_loaded([], lambda x: 0)
 
     def test_make_policy_names(self):
         assert make_policy("round_robin") is ROUND_ROBIN
@@ -154,44 +145,41 @@ class TestRouterDedupRegression:
             router.select()
 
 
-# -- dedup regression: distributed scheduler ---------------------------------
+# -- affinity on replicating clusters ---------------------------------------
 class TestDistributedDedupRegression:
-    def test_least_loaded_matches_historical_min(self):
-        from repro.distributed.cluster import DistributedSeussCluster
-
-        env = Environment()
-        cluster = DistributedSeussCluster(env, node_count=4)
-        patterns = [
-            {0: 0, 1: 0, 2: 0, 3: 0},
-            {0: 1, 1: 0, 2: 0, 3: 2},
-            {0: 3, 1: 3, 2: 3, 3: 3},
-            {0: 0, 1: 2, 2: 1, 3: 0},
-        ]
-        for pattern in patterns:
-            cluster._in_flight.update(pattern)
-            for candidates in ([0, 1, 2, 3], [3, 1], [2], [1, 3, 0]):
-                historical = min(
-                    candidates,
-                    key=lambda nid: (cluster._in_flight[nid], nid),
-                )
-                assert cluster._least_loaded(list(candidates)) == historical
-
     def test_affinity_pick_counts_locality(self):
-        from repro.distributed.cluster import (
-            DistributedSeussCluster,
-            SchedulingPolicy,
-        )
-
-        env = Environment()
-        cluster = DistributedSeussCluster(
-            env, node_count=2, policy=SchedulingPolicy.SNAPSHOT_AFFINITY
+        cluster = replicated_cluster(
+            TransferStrategy.COLORED, routing="snapshot_affinity"
         )
         fn = nop_function("affine")
         cluster.invoke_sync(fn)  # cold somewhere: a miss
         cluster.invoke_sync(fn)  # holder exists now: a hit
-        assert cluster.routing_stats.locality_misses == 1
-        assert cluster.routing_stats.locality_hits == 1
-        assert cluster.routing_stats.decisions == 2
+        stats = cluster.control_plane.routing_stats()
+        assert stats.locality_misses == 1
+        assert stats.locality_hits == 1
+        assert stats.decisions == 2
+        assert cluster.control_plane.replicas.interconnect.stats.transfers == 0
+
+    def test_affinity_prices_the_shipped_strategy(self):
+        cluster = replicated_cluster(
+            TransferStrategy.FULL_COPY, shards=2, routing="snapshot_affinity"
+        )
+        fn = nop_function("priced")
+        cluster.invoke_sync(fn)
+        holder = cluster.control_plane.shards[0].router.healths[0]
+        snapshot = holder.node.snapshot_cache.get(fn.key)
+        full_copy = transfer_plan(snapshot.size_mb, TransferStrategy.FULL_COPY)
+        for shard in cluster.control_plane.shards:
+            policy = shard.router.policy
+            assert policy.transfer_strategy is TransferStrategy.FULL_COPY
+            assert policy._acquisition_cost_ms([holder], fn.key) == (
+                full_copy.deploy_delay_ms
+            )
+        # Without replication the spill price stays RECORDED's.
+        plain = FaasCluster.with_seuss_node(
+            Environment(), routing="snapshot_affinity"
+        )
+        assert plain.control_plane.shards[0].router.policy.transfer_strategy is None
 
 
 # -- snapshot affinity policy ------------------------------------------------

@@ -146,8 +146,9 @@ class TestExtensionHarnesses:
         result = run_distributed()
         assert len(result.rows) == 3
         for row in result.rows:
-            cold_ms, remote_ms = row[1], row[2]
+            cold_ms, remote_ms, upfront_mb = row[1], row[2], row[3]
             assert remote_ms < cold_ms
+            assert upfront_mb > 0  # a replica crossed the wire
 
     def test_ksm_contrast_shape(self):
         result = run_ksm_contrast(containers=40)
