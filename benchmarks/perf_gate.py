@@ -423,15 +423,17 @@ _FLEET_WORKLOAD = None
 
 
 def bench_million_event_fleet() -> Tuple[int, float]:
-    """Fleet-scale engine churn: >1M events through the calendar queue.
+    """Fleet-scale engine churn: >1M events through ``timeout_batch``.
 
     A seeded Zipf-skewed arrival mix (10k functions, 400 arrivals/ms,
     exponential 250 ms service) driven through the batched injection
     path — ``timeout_batch`` arrival epochs with pre-scheduled
-    completions — over 520k arrivals = 1,040,002 engine events, with
-    ~100k events pending at steady state.  This is the regime the
-    calendar queue exists for; the committed heap-era reference for the
-    same workload lives in ``benchmarks/fleet_heap_baseline.json``.
+    completions — over 520k arrivals = 1,040,002 engine events.  Each
+    100k-entry batch holds one heap slot, so about five events are
+    pending at a time; one entry per timeout would keep a median of
+    164k pending.  The committed reference for the per-arrival-process
+    driver on the same workload lives in
+    ``benchmarks/fleet_heap_baseline.json``.
 
     GC is disabled inside the timed region (and restored after): at a
     million live tracked objects the collector's generational passes

@@ -200,10 +200,11 @@ def ingest_micro(path: Optional[str]) -> List[dict]:
 def fleet_reference() -> Optional[dict]:
     """Before/after fleet throughput from the committed heap baseline.
 
-    The heap-era "before" side cannot be re-measured once the calendar
-    queue lands, so the comparison rides along from
-    ``benchmarks/fleet_heap_baseline.json`` (methodology documented
-    there); the live "after" number is tracked by the
+    Both sides are frozen in ``benchmarks/fleet_heap_baseline.json``
+    (methodology documented there): the per-arrival-process driver on
+    a ``heapq`` queue before, the batched driver on the calendar queue
+    the engine then used after.  The ratio measures batching, not the
+    queue; the live number for today's engine is the
     ``million_event_fleet`` perf-gate benchmark in the same artifact.
     """
     path = os.path.join(

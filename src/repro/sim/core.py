@@ -11,25 +11,24 @@ The design mirrors simpy's public surface (``Environment.process``,
 that the component models in the rest of the package read naturally, but
 the implementation here is self-contained and dependency-free.
 
-Pending events live in a calendar/bucket queue (:mod:`repro.sim.calendar`)
-with O(1) amortized insert and pop at fleet scale, popping in the exact
-``(time, priority, insertion id)`` order the historical ``heapq``
-engine used.  Bulk producers (trace replay, batched arrival
-injection) should prefer :meth:`Environment.schedule_batch` /
-:meth:`Environment.timeout_batch`, which insert N pre-sorted events in
-one queue pass.
+Pending events live in one binary heap, a plain list driven by
+:mod:`heapq`, of ``(time, priority, insertion id, event)`` entries
+popped in that order.  Bulk producers (trace replay, batched arrival
+injection) use :meth:`Environment.timeout_batch`, whose sorted batch
+holds one heap slot at a time, not one per timeout.
 
 ``step()`` and every ``run()`` mode share one dispatch loop
 (:meth:`Environment._dispatch`), and the hot event constructors
 (``Timeout``, ``Initialize``, process completion, ``Request``,
-``Event.succeed``) build their queue entry inline: one ``push`` per
-scheduled event, and no call per processed event beyond ``pop`` and
+``Event.succeed``) build their queue entry inline: one ``heappush`` per
+scheduled event, and no call per processed event beyond ``heappop`` and
 the event's callbacks.
 """
 
 from __future__ import annotations
 
 import sys
+from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
@@ -40,8 +39,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-from repro.sim.calendar import CalendarQueue
 
 #: Event priorities: interrupts must preempt normal callbacks scheduled
 #: for the same instant, so they are queued with ``URGENT`` priority.
@@ -140,7 +137,7 @@ class Event:
         env = self.env
         now = env._now
         eid = env._eid = env._eid + 1
-        env._pending.push((now, NORMAL, eid, self), now)
+        heappush(env._pending, (now, NORMAL, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -181,7 +178,7 @@ class Timeout(Event):
         self.delay = delay
         now = env._now
         eid = env._eid = env._eid + 1
-        env._pending.push((now + delay, NORMAL, eid, self), now)
+        heappush(env._pending, (now + delay, NORMAL, eid, self))
 
 
 class Initialize(Event):
@@ -198,7 +195,7 @@ class Initialize(Event):
         self._defused = False
         now = env._now
         eid = env._eid = env._eid + 1
-        env._pending.push((now, URGENT, eid, self), now)
+        heappush(env._pending, (now, URGENT, eid, self))
 
 
 class Process(Event):
@@ -318,7 +315,7 @@ class Process(Event):
         self._state = TRIGGERED
         now = env._now
         eid = env._eid = env._eid + 1
-        env._pending.push((now, NORMAL, eid, self), now)
+        heappush(env._pending, (now, NORMAL, eid, self))
 
 
 class Condition(Event):
@@ -434,7 +431,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._pending = CalendarQueue(start=self._now)
+        self._pending: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._events_processed = 0
@@ -477,46 +474,7 @@ class Environment:
             event._state = TRIGGERED
         now = self._now
         eid = self._eid = self._eid + 1
-        self._pending.push((now, priority, eid, event), now)
-
-    def schedule_batch(
-        self, items: Iterable[Tuple[float, Event]], priority: int = NORMAL
-    ) -> None:
-        """Schedule pre-triggered events at ascending absolute times.
-
-        ``items`` yields ``(when, event)`` pairs sorted by ``when``
-        ascending, with every ``when`` finite and ``>= now``.  The batch
-        is inserted in one queue pass, assigning insertion ids in
-        iteration order — so the resulting schedule is exactly what N
-        sequential ``_schedule`` calls at each ``when`` would have
-        built, at a fraction of the cost.  A bad time raises
-        ``ValueError`` before any event or the queue is touched.
-
-        The events must already carry their value/outcome (like a
-        Timeout does); the engine will fire them as-is.
-        """
-        now = self._now
-        eid = self._eid
-        entries: List[Tuple[float, int, int, Event]] = []
-        append = entries.append
-        last = now
-        for when, event in items:
-            if not last <= when < INF:
-                if when < last:
-                    raise ValueError(
-                        f"schedule_batch times must be ascending and >= now "
-                        f"(got {when} after {last})"
-                    )
-                raise ValueError(f"schedule_batch time {when} is not finite")
-            last = when
-            eid += 1
-            append((when, priority, eid, event))
-        for entry in entries:
-            event = entry[3]
-            if event._state == PENDING:
-                event._state = TRIGGERED
-        self._eid = eid
-        self._pending.push_sorted(entries, now)
+        heappush(self._pending, (now, priority, eid, event))
 
     def timeout_batch(
         self,
@@ -524,23 +482,38 @@ class Environment:
         value: Any = None,
         callback: Optional[Callable[[Event], None]] = None,
     ) -> List[Timeout]:
-        """Create N timeouts from ascending delays in one queue pass.
+        """Create N timeouts from ascending delays.
 
         Equivalent to ``[self.timeout(d, value) for d in delays]`` —
-        same objects, same firing order, same insertion ids — but the
-        queue insert is a single bulk pass and the per-timeout
-        constructor overhead is stripped.  ``delays`` must be sorted
+        same objects, same firing order, same insertion ids — without
+        the per-timeout constructor overhead.  ``delays`` must be sorted
         ascending, non-negative and finite; a bad delay raises
-        ``ValueError`` before the queue is touched.
+        ``ValueError`` before anything is queued.
 
-        ``callback``, when given, is pre-seeded as each timeout's first
-        callback — the same effect as appending it to every returned
-        timeout, without a second million-element pass at fleet scale.
+        The batch holds one heap slot, not N: only its first timeout is
+        queued, and each timeout, when processed, first queues its
+        successor — a lazy k-way merge, as in :func:`heapq.merge`.  The
+        successor is never earlier than the timeout just popped and is
+        queued before the next pop, so the pop order is the one N
+        queued timeouts would give.
+
+        ``callback``, when given, is pre-seeded on each timeout: it runs
+        after that merge step and before any callback added later — the
+        same effect as appending it to every returned timeout, without
+        a second pass over a million-element batch.
         """
         now = self._now
         eid = self._eid
         timeouts: List[Timeout] = []
         entries: List[Tuple[float, int, int, Event]] = []
+        pending = self._pending
+        # Walks ``entries`` as the loop below fills it: the first call
+        # queues the batch's head, each merge step the next timeout.
+        queue_next = iter(entries).__next__
+
+        def merge(event: Event) -> None:
+            heappush(pending, queue_next())
+
         t_append = timeouts.append
         e_append = entries.append
         t_new = Timeout.__new__
@@ -556,7 +529,9 @@ class Environment:
             prev = delay
             timeout = t_new(Timeout)
             timeout.env = self
-            timeout.callbacks = [] if callback is None else [callback]
+            timeout.callbacks = (
+                [merge] if callback is None else [merge, callback]
+            )
             timeout._value = value
             timeout._ok = True
             timeout._state = TRIGGERED
@@ -565,14 +540,17 @@ class Environment:
             eid += 1
             e_append((now + delay, NORMAL, eid, timeout))
             t_append(timeout)
-        self._eid = eid
-        self._pending.push_sorted(entries, now)
+        if timeouts:
+            # The last timeout has no successor to queue.
+            del timeouts[-1].callbacks[0]
+            self._eid = eid
+            heappush(pending, queue_next())
         return timeouts
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        head = self._pending.head()
-        return head[0] if head is not None else INF
+        pending = self._pending
+        return pending[0][0] if pending else INF
 
     # -- running ------------------------------------------------------
     def step(self) -> None:
@@ -637,7 +615,7 @@ class Environment:
         until one of four things happens, and says which:
 
         * ``_STOPPED``: ``stop`` was just processed;
-        * ``_EMPTY``: the queue ran dry (``pop`` raised ``IndexError``);
+        * ``_EMPTY``: the queue ran dry (``heappop`` raised ``IndexError``);
         * ``_DEADLINE``: the next event lies after ``deadline``; it is
           pushed back unchanged (same entry, same eid), so pop order is
           untouched and the clock stays where it was;
@@ -648,18 +626,18 @@ class Environment:
         unhandled failure raises.
         """
         queue = self._pending
-        pop = queue.pop
+        pop = heappop
         done = PROCESSED
         processed = 0
         try:
             for processed in range(1, budget + 1):
                 try:
-                    when, priority, eid, event = pop()
+                    when, priority, eid, event = pop(queue)
                 except IndexError:
                     processed -= 1
                     return _EMPTY
                 if when > deadline:
-                    queue.push((when, priority, eid, event), self._now)
+                    heappush(queue, (when, priority, eid, event))
                     processed -= 1
                     return _DEADLINE
                 self._now = when

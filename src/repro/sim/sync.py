@@ -9,7 +9,8 @@ topics).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterable, List
+from heapq import heappush
+from typing import Any, Deque, List
 
 from repro.sim.core import (
     NORMAL,
@@ -55,7 +56,7 @@ class Request(Event):
             self._state = TRIGGERED
             now = env._now
             eid = env._eid = env._eid + 1
-            env._pending.push((now, NORMAL, eid, self), now)
+            heappush(env._pending, (now, NORMAL, eid, self))
         else:
             self._state = PENDING
             resource.queue.append(self)
@@ -134,12 +135,11 @@ class Store:
     def put_nowait(self, item: Any) -> None:
         """Insert ``item`` without an acceptance event.
 
-        The single-item form of :meth:`put_nowait_batch`: a waiting
-        getter is served first (its event triggers as usual), else the
-        item is appended — no event is scheduled for the put itself.
-        Only legal on an unbounded store, where ``put`` never blocks:
-        the acceptance event skipped here is one the caller would not
-        wait for.
+        A waiting getter is served first (its event triggers as usual),
+        else the item is appended — no event is scheduled for the put
+        itself.  Only legal on an unbounded store, where ``put`` never
+        blocks: the acceptance event skipped here is one the caller
+        would not wait for.
         """
         if self.capacity != float("inf"):
             raise SimulationError("put_nowait requires an unbounded store")
@@ -147,28 +147,6 @@ class Store:
             self._getters.popleft().succeed(item)
         else:
             self.items.append(item)
-
-    def put_nowait_batch(self, items: Iterable[Any]) -> int:
-        """Bulk insert without per-item acceptance events.
-
-        The batched-producer fast path: waiting getters are served
-        first (their events trigger as usual), the remainder lands in
-        ``items`` in one ``extend`` — zero events scheduled for it.
-        Only legal on an unbounded store, where ``put`` can never
-        block, so dropping the acceptance events loses nothing.
-        Returns the number of items inserted.
-        """
-        if self.capacity != float("inf"):
-            raise SimulationError(
-                "put_nowait_batch requires an unbounded store"
-            )
-        pending = deque(items)
-        count = len(pending)
-        while self._getters and pending:
-            self._getters.popleft().succeed(pending.popleft())
-        if pending:
-            self.items.extend(pending)
-        return count
 
     def get(self) -> Event:
         event = Event(self.env)

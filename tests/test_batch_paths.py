@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faas.cluster import FaasCluster
-from repro.sim import Environment, SimulationError, Store
+from repro.sim import Environment
 from repro.workload.burst import BurstConfig, BurstWorkload
 from repro.workload.functions import cpu_bound_function
 from repro.workload.traces import (
@@ -19,7 +19,6 @@ from repro.workload.traces import (
     synthesize_trace,
     replay_trace,
 )
-from tests.test_calendar_queue import make_env
 
 
 def _cluster():
@@ -340,16 +339,6 @@ class TestFleetDrivers:
         assert batched.engine_events < env.events_processed
         assert batched.events_per_arrival < 2.5
 
-    def test_batched_same_on_both_backends(self):
-        from repro.workload.fleet import run_batched
-
-        workload = self._workload(1_500)
-        calendar = run_batched(workload, make_env("calendar"))
-        heap = run_batched(workload, make_env("heap"))
-        assert calendar.function_counts == heap.function_counts
-        assert calendar.final_ms == heap.final_ms
-        assert calendar.engine_events == heap.engine_events
-
 
 class TestTimeoutBatchCallback:
     def test_callback_preseeded_equals_appended(self):
@@ -367,31 +356,3 @@ class TestTimeoutBatchCallback:
         env_b.run()
         assert fired_a == fired_b == [1.0, 2.0, 5.0]
         assert env_a.events_processed == env_b.events_processed
-
-
-class TestStoreBatchPut:
-    def test_serves_getters_then_extends(self):
-        env = Environment()
-        store = Store(env)
-        first = store.get()
-        second = store.get()
-        inserted = store.put_nowait_batch(["a", "b", "c", "d"])
-        env.run()
-        assert inserted == 4
-        assert first.value == "a"
-        assert second.value == "b"
-        assert list(store.items) == ["c", "d"]
-
-    def test_no_events_when_no_getters(self):
-        env = Environment()
-        store = Store(env)
-        store.put_nowait_batch(range(1_000))
-        assert len(store) == 1_000
-        assert env.events_processed == 0
-        assert env.peek() == float("inf")
-
-    def test_rejects_bounded_store(self):
-        env = Environment()
-        store = Store(env, capacity=10)
-        with pytest.raises(SimulationError, match="unbounded"):
-            store.put_nowait_batch([1, 2])

@@ -1,247 +1,71 @@
-"""Randomized model tests: calendar queue vs the ``heapq`` oracle.
+"""Engine order tests: the one ``heapq`` queue and ``timeout_batch``.
 
-The calendar queue must reproduce the heap's pop order *exactly* —
-same ``(time, priority, eid)`` total order, same object identity —
-under adversarial schedules: same-tick bursts, URGENT/NORMAL mixes,
-exponential near-future traffic, far-future outliers that land in the
-overflow heap, and population swings that force resizes and rebases.
-Every test is seeded; failures reproduce deterministically.
-
-:class:`HeapQueue` — the engine's historical ``heapq`` event queue —
-lives here as the oracle; :func:`make_env` swaps it into an
-``Environment`` so whole-engine runs can be compared against it.
+The engine pops ``(time, priority, insertion id)`` entries from one
+binary heap.  ``timeout_batch`` queues a sorted batch lazily — one heap
+slot per batch, each processed timeout queuing its successor — and
+must fire exactly as the same delays passed one by one to
+``timeout()`` would: same objects, same order, same event count.  A
+seeded workload exercises every drive mode (``run`` to exhaustion, to
+an event, to a time, limit slices, ``step``) across batches that tie
+with single timeouts and overlap each other.  Every test is seeded;
+failures reproduce deterministically.
 """
 
-import heapq
 import random
-from typing import List
 
 import pytest
 
 from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
-from repro.sim.calendar import (
-    GROW_FACTOR,
-    MIN_BUCKETS,
-    CalendarQueue,
-)
 
 SEEDS = [1, 7, 42, 1337, 0xF1EE7]
 
 
-class HeapQueue:
-    """The historical ``heapq`` event queue: the reference oracle."""
-
-    def __init__(self) -> None:
-        self._heap: List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry, now: float) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def push_sorted(self, entries, now: float) -> None:
-        self._heap.extend(entries)
-        heapq.heapify(self._heap)
-
-    def pop(self):
-        return heapq.heappop(self._heap)
-
-    def head(self):
-        return self._heap[0] if self._heap else None
-
-
-def make_env(backend: str, initial_time: float = 0.0) -> Environment:
-    """An engine on the calendar queue or on the heap oracle."""
-    env = Environment(initial_time=initial_time)
-    if backend == "heap":
-        env._pending = HeapQueue()
-    return env
-
-
-def _push_random(rng, ref, q, now, eid):
-    """Push one entry drawn from the adversarial time mix into both."""
-    roll = rng.random()
-    if roll < 0.25:
-        # Delay-0 burst, URGENT/NORMAL mixed — the engine only ever
-        # schedules URGENT at the current instant, so the model does too.
-        t, p = now, (0 if rng.random() < 0.5 else 1)
-    elif roll < 0.55:
-        t, p = now, 1
-    elif roll < 0.90:
-        t, p = now + rng.expovariate(1.0), 1
-    else:
-        # Far-future outlier: lands in the overflow heap.
-        t, p = now + rng.uniform(50.0, 50_000.0), 1
-    entry = (t, p, eid, None)
-    heapq.heappush(ref, entry)
-    q.push(entry, now)
-    return entry
-
-
-class TestModelVsHeapOracle:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_mixed_ops_pop_identical_order(self, seed):
-        rng = random.Random(seed)
-        ref = []
-        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        now = 0.0
-        eid = 0
-        pops = 0
-        for _ in range(30_000):
-            roll = rng.random()
-            if roll < 0.52 or not ref:
-                eid += 1
-                _push_random(rng, ref, q, now, eid)
-            elif roll < 0.60:
-                assert q.head() is ref[0]
-                assert len(q) == len(ref)
-            else:
-                a = heapq.heappop(ref)
-                b = q.pop()
-                assert a is b
-                now = a[0]
-                pops += 1
-        while ref:
-            assert heapq.heappop(ref) is q.pop()
-        assert len(q) == 0
-        assert q.head() is None
-        assert pops > 1_000  # the mix actually exercised pops
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_population_swings_force_resize(self, seed):
-        """Grow to tens of thousands live, drain to near-zero, regrow.
-
-        Crossing ``GROW_FACTOR * nbuckets`` pending entries triggers the
-        occupancy resize; draining across calendar years exercises
-        rebase and the overflow deal-in.  Order must never deviate.
-        """
-        rng = random.Random(seed)
-        ref = []
-        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        now = 0.0
-        eid = 0
-        grew = False
-        for phase, (n_push, n_pop) in enumerate(
-            [(20_000, 19_900), (40_000, 39_990), (5_000, 5_110)]
-        ):
-            for _ in range(n_push):
-                eid += 1
-                _push_random(rng, ref, q, now, eid)
-            if q.stats["nbuckets"] > MIN_BUCKETS:
-                grew = True
-            for _ in range(n_pop):
-                if not ref:
-                    break
-                a = heapq.heappop(ref)
-                assert a is q.pop()
-                now = a[0]
-        while ref:
-            assert heapq.heappop(ref) is q.pop()
-        assert grew, "test never crossed the resize threshold"
-
-    def test_far_future_gap_jumps_idle_years(self):
-        """A lone outlier far past the horizon pops without spinning.
-
-        With width 0.5 and 256 buckets, t=1e9 is ~7.8M calendar years
-        ahead; the rebase must jump straight to it rather than rotate
-        through empty spans.
-        """
-        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        near = (1.0, 1, 1, "near")
-        far = (1e9, 1, 2, "far")
-        q.push(near, 0.0)
-        q.push(far, 0.0)
-        assert q.pop() is near
-        assert q.pop() is far
-        assert len(q) == 0
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_push_sorted_matches_sequential_push(self, seed):
-        rng = random.Random(seed)
-        now = 13.25
-        times = sorted(
-            now + (0.0 if rng.random() < 0.2 else rng.expovariate(0.01))
-            for _ in range(5_000)
-        )
-        entries = [(t, 1, eid, None) for eid, t in enumerate(times)]
-        bulk = CalendarQueue(start=now, width=0.5, nbuckets=MIN_BUCKETS)
-        seq = CalendarQueue(start=now, width=0.5, nbuckets=MIN_BUCKETS)
-        oracle = list(entries)
-        heapq.heapify(oracle)
-        bulk.push_sorted(entries, now)
-        for entry in entries:
-            seq.push(entry, now)
-        assert len(bulk) == len(seq) == len(entries)
-        while oracle:
-            want = heapq.heappop(oracle)
-            assert bulk.pop() is want
-            assert seq.pop() is want
-
-    def test_push_sorted_rejects_nothing_but_preserves_empty(self):
-        q = CalendarQueue()
-        q.push_sorted([], 0.0)
-        assert len(q) == 0
-        assert q.head() is None
-
-    def test_unplaceable_time_is_not_counted(self):
-        """A time that cannot be bucketed raises without touching ``len``."""
-        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises((ValueError, OverflowError)):
-                q.push((bad, 1, 1, None), 0.0)
-        assert len(q) == 0
-        assert q.head() is None
-
-    def test_pop_empty_raises_index_error(self):
-        q = CalendarQueue()
-        with pytest.raises(IndexError):
-            q.pop()
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(width=0.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(nbuckets=0)
-
-    def test_heap_backend_is_a_faithful_oracle(self):
-        """HeapQueue is the committed reference: plain heapq semantics."""
-        q = HeapQueue()
-        entries = [(3.0, 1, 2, None), (1.0, 1, 1, None), (2.0, 0, 3, None)]
-        for entry in entries:
-            q.push(entry, 0.0)
-        assert q.head() == (1.0, 1, 1, None)
-        assert [q.pop() for _ in range(3)] == sorted(entries)
-        assert q.head() is None
-        assert len(q) == 0
-
-    def test_stats_snapshot_accounts_for_all_regions(self):
-        q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        q.push((0.0, 0, 1, None), 0.0)   # urgent
-        q.push((0.0, 1, 2, None), 0.0)   # immediate
-        q.push((0.25, 1, 3, None), 0.0)  # near (inside active bucket)
-        q.push((10.0, 1, 4, None), 0.0)  # calendar bucket
-        q.push((1e9, 1, 5, None), 0.0)   # overflow
-        stats = q.stats
-        assert stats["size"] == len(q) == 5
-        assert stats["urgent"] == 1
-        assert stats["immediate"] == 1
-        assert stats["near"] == 1
-        assert stats["overflow"] == 1
-
-
-def _mixed_workload(env, rng, log):
+def _mixed_workload(env, rng, log, batched=True):
     """A seeded engine workout; returns the event that fires last.
 
     Workers contend for a ``Resource`` and hand items through a
     ``Store`` (waited and unwaited puts) to a consumer; the root process
     races ``AnyOf`` against a deadline, joins with ``AllOf``, interrupts
-    a sleeper and catches a failing process.  Nothing is left queued
-    once the root process (the returned event) is processed, so every
-    drive mode ends on the same event.
+    a sleeper and catches a failing process.  Meanwhile an epoch process
+    queues two overlapping timeout batches whose delays tie with each
+    other and with single timeouts made just before and after them —
+    through ``timeout_batch`` when ``batched``, else through one
+    ``timeout()`` call per delay.  Nothing is left queued once the root
+    process (the returned event) is processed, so every drive mode ends
+    on the same event.
     """
     cores = Resource(env, capacity=3)
     mailbox = Store(env)
+
+    def batch(delays, value, callback):
+        if batched:
+            return env.timeout_batch(delays, value, callback)
+        timeouts = [env.timeout(delay, value) for delay in delays]
+        for timeout in timeouts:
+            timeout.callbacks.append(callback)
+        return timeouts
+
+    def tick(event):
+        log.append((env.now, "tick", event.value))
+
+    def epoch():
+        yield env.timeout(rng.uniform(0.0, 5.0))
+        # Half-millisecond grid: ties within a batch, across the two
+        # batches and against the singles.
+        first = sorted(rng.randrange(0, 60) * 0.5 for _ in range(30))
+        second = sorted(rng.randrange(10, 90) * 0.5 for _ in range(30))
+        before = env.timeout(first[4], value="before")
+        ones = batch(first, "first", tick)
+        after = env.timeout(first[4], value="after")
+        twos = batch([0.0] + second, "second", tick)
+        for index, timeout in enumerate(ones):
+            timeout.callbacks.append(
+                lambda event, index=index: log.append((env.now, index))
+            )
+        before.callbacks.append(tick)
+        after.callbacks.append(tick)
+        yield env.all_of([ones[-1], twos[-1], before, after])
+        log.append((env.now, "epoch"))
 
     def worker(wid):
         for i in range(rng.randint(3, 9)):
@@ -281,6 +105,7 @@ def _mixed_workload(env, rng, log):
     def root():
         eater = env.process(consumer())
         sleepy = env.process(sleeper())
+        ticks = env.process(epoch())
         workers = []
         for wid in range(40):
             workers.append(env.process(worker(wid)))
@@ -298,6 +123,7 @@ def _mixed_workload(env, rng, log):
         mailbox.put_nowait(None)
         yield eater
         yield sleepy
+        yield ticks
         return env.now
 
     return env.process(root())
@@ -318,6 +144,8 @@ def _drive_limit_slices(env, done, errors):
         try:
             env.run(until=done, limit=n)
         except SimulationError as exc:
+            if env.peek() == float("inf"):
+                raise
             errors.append(str(exc))
         n = n % 7 + 1
 
@@ -346,11 +174,11 @@ DRIVES = {
 }
 
 
-def _simulate(backend, seed, drive):
+def _simulate(seed, drive, batched=True):
     """One seeded run under ``drive``, with the engine's error paths probed."""
-    env = make_env(backend)
+    env = Environment()
     log, errors = [], []
-    done = _mixed_workload(env, random.Random(seed), log)
+    done = _mixed_workload(env, random.Random(seed), log, batched)
     with pytest.raises(SimulationError) as spent:
         env.run(until=done, limit=0)
     errors.append(str(spent.value))
@@ -370,20 +198,21 @@ def _simulate(backend, seed, drive):
 
 
 class TestEnvironmentBackendEquivalence:
-    """The same seeded workload on the calendar engine and the oracle,
-    whatever drives it: every ``run`` mode, limit slices and ``step``."""
+    """The same seeded workload with its batches queued by
+    ``timeout_batch`` and by sequential ``timeout()`` calls, whatever
+    drives it: every ``run`` mode, limit slices and ``step``."""
 
     @pytest.mark.parametrize("drive", sorted(DRIVES))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_events_processed_and_trace_identical(self, seed, drive):
-        reference = _simulate("calendar", seed, "run")
+        reference = _simulate(seed, "run", batched=False)
         assert any(entry[1] == "got" for entry in reference["log"])
-        calendar = _simulate("calendar", seed, drive)
-        heap = _simulate("heap", seed, drive)
-        assert calendar == heap
+        batched = _simulate(seed, drive)
+        sequential = _simulate(seed, drive, batched=False)
+        assert batched == sequential
         for key in ("log", "now", "events", "value"):
-            assert calendar[key] == reference[key], key
-        errors = calendar["errors"]
+            assert batched[key] == reference[key], key
+        errors = batched["errors"]
         assert errors[0] == "event limit of 0 reached at t=0.0"
         assert errors[-2:] == [
             "event queue empty before target event triggered",
@@ -392,14 +221,17 @@ class TestEnvironmentBackendEquivalence:
         if drive == "limit_slices":
             assert len(errors) > 10
             assert all(e.startswith("event limit of ") for e in errors[:-2])
+            # Some slice stops between two entries of one batch.
+            ticks = [e[0] for e in batched["log"] if e[1:2] == ("tick",)]
+            stops = [float(e.rsplit("t=", 1)[1]) for e in errors[1:-2]]
+            assert any(ticks[0] < stop < ticks[-1] for stop in stops)
 
 
 class TestBatchScheduling:
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_timeout_batch_equals_sequential_timeouts(self, backend):
+    def test_timeout_batch_equals_sequential_timeouts(self):
         delays = [0.0, 0.0, 0.5, 0.5, 1.25, 7.0, 7.0, 9_999.0]
-        batch_env = make_env(backend)
-        seq_env = make_env(backend)
+        batch_env = Environment()
+        seq_env = Environment()
         batch_log, seq_log = [], []
         timeouts = batch_env.timeout_batch(delays, value="v")
         for i, timeout in enumerate(timeouts):
@@ -420,21 +252,43 @@ class TestBatchScheduling:
 
     def test_timeout_batch_validation(self):
         env = Environment()
+        env.timeout(3.0)
+        eid = env._eid
+        assert env.timeout_batch([]) == []
         with pytest.raises(ValueError, match="negative delay"):
             env.timeout_batch([-1.0])
         with pytest.raises(ValueError, match="ascending"):
-            env.timeout_batch([5.0, 1.0])
+            env.timeout_batch([1.0, 2.0, 5.0, 1.0, 6.0])
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="non-finite delay"):
-                env.timeout_batch([1.0, bad])
-        assert len(env._pending) == 0
+                env.timeout_batch([1.0, 2.0, bad, 3.0])
+        assert len(env._pending) == 1
+        assert env._eid == eid
         assert env.run() is None
+        assert env.events_processed == 1
+
+    def test_timeout_batch_holds_one_heap_slot(self):
+        """A batch is queued one timeout at a time, each successor
+        before the pre-seeded callback runs, and fires in order."""
+        env = Environment()
+        fired = []
+        timeouts = env.timeout_batch(
+            range(100_000),
+            callback=lambda event: fired.append((env.now, env.peek())),
+        )
+        assert len(env._pending) == 1
+        env.run()
+        assert fired == [
+            (float(delay), float(delay + 1)) for delay in range(99_999)
+        ] + [(99_999.0, float("inf"))]
+        assert env.events_processed == 100_000
+        assert all(timeout.processed for timeout in timeouts)
 
     def test_timeout_batch_interleaves_with_singles_by_insertion_id(self):
         """Batch entries tie-break against singles exactly by creation order."""
         log = []
         for batched in (False, True):
-            env = make_env("calendar" if batched else "heap")
+            env = Environment()
             order = []
             a = env.timeout(1.0, value="a")
             if batched:
@@ -447,49 +301,3 @@ class TestBatchScheduling:
             env.run()
             log.append(order)
         assert log[0] == log[1] == ["a", "b", "c", "d"]
-
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_schedule_batch_fires_pretriggered_events(self, backend):
-        env = make_env(backend)
-        events = []
-        for value in ("x", "y", "z"):
-            event = env.event()
-            event._ok = True
-            event._value = value
-            events.append(event)
-        fired = []
-        for event in events:
-            event.callbacks.append(
-                lambda ev: fired.append((env.now, ev.value))
-            )
-        env.schedule_batch(zip([2.0, 2.0, 5.0], events))
-        env.run()
-        assert fired == [(2.0, "x"), (2.0, "y"), (5.0, "z")]
-        assert all(e.processed for e in events)
-
-    def test_schedule_batch_validation(self):
-        env = Environment(initial_time=10.0)
-        with pytest.raises(ValueError, match="ascending"):
-            env.schedule_batch([(5.0, env.event())])  # in the past
-        with pytest.raises(ValueError, match="ascending"):
-            env.schedule_batch(
-                [(20.0, env.event()), (15.0, env.event())]
-            )
-        for bad in (float("nan"), float("inf")):
-            first = env.event()
-            with pytest.raises(ValueError, match="not finite"):
-                env.schedule_batch([(20.0, first), (bad, env.event())])
-            assert not first.triggered
-        assert len(env._pending) == 0
-        assert env.run() is None
-
-    def test_batch_growth_triggers_calendar_resize(self):
-        """A single bulk insert past the occupancy bound resizes too."""
-        env = Environment()
-        n = GROW_FACTOR * MIN_BUCKETS * 4
-        delays = [float(i) for i in range(n)]
-        env.timeout_batch(delays)
-        assert env._pending.stats["nbuckets"] > MIN_BUCKETS
-        env.run()
-        assert env.now == float(n - 1)
-        assert env.events_processed == n

@@ -1,4 +1,4 @@
-"""Zero-perturbation pin: the calendar engine changes nothing observable.
+"""Zero-perturbation pin: the event engine changes nothing observable.
 
 Two layers of evidence:
 
@@ -10,9 +10,7 @@ Two layers of evidence:
   same way so later policy work cannot silently shift its curves.)
 * ``Environment`` edge-case semantics (``peek`` on an empty queue,
   ``run(until=...)`` with a past deadline, event limits, draining,
-  mid-gap deadlines) must behave identically — same exceptions, same
-  messages — on the calendar queue and on the heap oracle from
-  ``tests/test_calendar_queue.py``.
+  mid-gap deadlines) keep their exceptions and messages.
 """
 
 import hashlib
@@ -22,8 +20,7 @@ import pathlib
 import pytest
 
 from repro.experiments import load_all, registry
-from repro.sim import SimulationError
-from tests.test_calendar_queue import make_env
+from repro.sim import Environment, SimulationError
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "quick_suite_tables.sha256.json"
@@ -53,35 +50,30 @@ def test_goldens_cover_all_preexisting_experiments():
     assert not missing, f"golden experiments no longer registered: {missing}"
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def backend(request):
-    return request.param
-
-
 class TestEdgeSemanticsAcrossBackends:
-    def test_peek_empty_queue_is_inf(self, backend):
-        assert make_env(backend).peek() == float("inf")
+    def test_peek_empty_queue_is_inf(self):
+        assert Environment().peek() == float("inf")
 
-    def test_step_empty_queue_raises(self, backend):
-        env = make_env(backend)
+    def test_step_empty_queue_raises(self):
+        env = Environment()
         with pytest.raises(SimulationError, match="event queue is empty"):
             env.step()
 
-    def test_run_until_past_deadline_raises_value_error(self, backend):
-        env = make_env(backend, initial_time=100.0)
+    def test_run_until_past_deadline_raises_value_error(self):
+        env = Environment(initial_time=100.0)
         with pytest.raises(ValueError) as excinfo:
             env.run(until=99.5)
         assert str(excinfo.value) == "until=99.5 is in the past (now=100.0)"
 
-    def test_run_until_now_is_a_noop(self, backend):
-        env = make_env(backend, initial_time=100.0)
+    def test_run_until_now_is_a_noop(self):
+        env = Environment(initial_time=100.0)
         env.timeout(5.0)
         env.run(until=100.0)
         assert env.now == 100.0
         assert env.events_processed == 0
 
-    def test_event_limit_message_identical(self, backend):
-        env = make_env(backend)
+    def test_event_limit_message_identical(self):
+        env = Environment()
 
         def ticker():
             while True:
@@ -92,16 +84,16 @@ class TestEdgeSemanticsAcrossBackends:
             env.run(limit=10)
         assert str(excinfo.value) == "event limit of 10 reached at t=9.0"
 
-    def test_run_until_event_with_empty_queue_raises(self, backend):
-        env = make_env(backend)
+    def test_run_until_event_with_empty_queue_raises(self):
+        env = Environment()
         target = env.event()
         with pytest.raises(
             SimulationError, match="event queue empty before target event"
         ):
             env.run(until=target)
 
-    def test_run_until_mid_gap_deadline_advances_clock(self, backend):
-        env = make_env(backend)
+    def test_run_until_mid_gap_deadline_advances_clock(self):
+        env = Environment()
         fired = []
         t = env.timeout(10.0)
         t.callbacks.append(lambda ev: fired.append(env.now))
@@ -112,9 +104,9 @@ class TestEdgeSemanticsAcrossBackends:
         assert fired == [10.0]
         assert env.now == 20.0
 
-    def test_peek_then_pop_order_preserved(self, backend):
-        """peek() must not disturb pop order (calendar head() rotates)."""
-        env = make_env(backend)
+    def test_peek_then_pop_order_preserved(self):
+        """peek() must not disturb pop order."""
+        env = Environment()
         fired = []
         for delay in (3.0, 1.0, 2.0, 1.0):
             t = env.timeout(delay, value=delay)
@@ -125,8 +117,8 @@ class TestEdgeSemanticsAcrossBackends:
         env.run()
         assert fired == [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
-    def test_drain_run_returns_none_and_counts_events(self, backend):
-        env = make_env(backend)
+    def test_drain_run_returns_none_and_counts_events(self):
+        env = Environment()
         for delay in (1.0, 2.0, 3.0):
             env.timeout(delay)
         assert env.run() is None
