@@ -2,7 +2,8 @@
 
 Measures the substrate loops SEUSS leans on — interval algebra,
 snapshot-stack lookups, COW fault storms, snapshot capture/deploy churn,
-raw event-loop throughput and full-stack hot invocations — and gates
+cache eviction churn, raw event-loop throughput and full-stack hot
+invocations — and gates
 CI on a checked-in baseline (:data:`BASELINE_PATH`).
 
 Wall-clock microbenchmarks are host-sensitive, so every run first times
@@ -270,6 +271,79 @@ def bench_routing_decision() -> Tuple[int, float]:
     return rounds * len(probes), elapsed
 
 
+def bench_cache_churn() -> Tuple[int, float]:
+    """Snapshot- and idle-UC-cache churn: every eviction goes through
+    the caches' default (LRU) policy.
+
+    A snapshot cache whose budget holds eight stub snapshots serves a
+    get-or-put tape over 32 functions.  One stub stays retained, like a
+    snapshot a live invocation still maps, so evicting it is refused and
+    requeued.  An idle-UC cache takes puts, hot pops and OOM reclaims
+    over stub UCs of 64 functions.  Ops are cache operations.
+    """
+    from repro.seuss.snapshots import SnapshotCache
+    from repro.seuss.uc_cache import IdleUCCache
+    from repro.unikernel.context import UCState
+    from repro.units import pages_to_mb
+
+    class StubSnapshot:
+        """A stand-in snapshot exposing only what the cache calls."""
+
+        charged_pages = 256
+
+        def __init__(self):
+            self.refcount = 0
+
+        def retain(self):
+            self.refcount += 1
+
+        def release(self):
+            self.refcount -= 1
+
+        def delete(self):
+            return self.charged_pages
+
+    class StubUC:
+        """A stand-in idle UC exposing only what the cache calls."""
+
+        state = UCState.IDLE
+
+        def destroy(self):
+            return 64
+
+    rng = random.Random(14)
+    snapshot_tape = [f"fn-{int(rng.paretovariate(0.8)) % 32}" for _ in range(3000)]
+    uc_tape = [(rng.random(), f"fn-{rng.randrange(64)}") for _ in range(3000)]
+    rounds = 20
+    ops = 0
+    refused = 0
+    started = time.perf_counter()
+    for _ in range(rounds):
+        snapshots = SnapshotCache(pages_to_mb(8 * StubSnapshot.charged_pages))
+        pinned = StubSnapshot()
+        pinned.retain()
+        snapshots.put("fn-0", pinned)  # a rarely used function
+        ops += 1
+        for key in snapshot_tape:
+            ops += 1
+            if snapshots.get(key) is None:
+                snapshots.put(key, StubSnapshot())
+                ops += 1
+        refused += snapshots.stats.eviction_failures
+        ucs = IdleUCCache(per_function_limit=4)
+        for roll, key in uc_tape:
+            if roll < 0.5:
+                ucs.put(key, StubUC())
+            elif roll < 0.95:
+                ucs.pop(key)
+            else:
+                ucs.reclaim_pages(8 * 64)
+        ops += len(uc_tape)
+    elapsed = time.perf_counter() - started
+    assert refused > 0
+    return ops, elapsed
+
+
 def bench_page_dedup() -> Tuple[int, float]:
     """Refcount churn on the shared-frame table: the per-chunk cost of
     capture-time dedup (retain on snapshot, release on evict) plus the
@@ -492,6 +566,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[int, float]], str]] = {
     "batched_fault_resolve": (bench_batched_fault_resolve, "pages"),
     "snapshot_churn": (bench_snapshot_churn, "cycles"),
     "routing_decision": (bench_routing_decision, "decisions"),
+    "cache_churn": (bench_cache_churn, "cache ops"),
     "page_dedup": (bench_page_dedup, "table ops"),
     "event_loop": (bench_event_loop, "events"),
     "process_handoff": (bench_process_handoff, "events"),

@@ -13,7 +13,7 @@ explanation for the Linux collapse in Figures 4–8.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Deque, Dict, Generator, List, Optional
 
 from repro.costs import CostBook, DEFAULT_COSTS
@@ -30,6 +30,7 @@ from repro.linuxnode.config import LinuxNodeConfig
 from repro.linuxnode.instances import Instance, InstanceKind, InstanceState
 from repro.linuxnode.stemcell import StemcellPool
 from repro.mem.frames import FrameAllocator, node_allocator
+from repro.seuss.policy import make_policy
 from repro.sim import Environment, Event, Interrupted, Process, Resource
 
 #: Broadcast packets (ARP/DHCP) sent while plumbing a container's veth.
@@ -62,18 +63,13 @@ class LinuxNode:
         )
         self.cores = Resource(env, self.config.cores)
         self.bridge = VirtualBridge(costs.linux, self.rng)
-        #: Pluggable idle-container eviction policy over function keys
-        #: (``seuss/policy.py``); ``None`` unless the config opts in,
-        #: keeping the historical LRU eviction path untouched.
-        self.cache_policy = None
-        if self.config.cache_policy is not None:
-            from repro.seuss.policy import make_policy
-
-            self.cache_policy = make_policy(
-                self.config.cache_policy, clock=lambda: self.env.now
-            )
-        # Idle containers per function, LRU-ordered across functions.
-        self._idle: "OrderedDict[str, Deque[Instance]]" = OrderedDict()
+        #: Eviction order of the idle containers over function keys;
+        #: tracks exactly the keys of ``_idle``.
+        self.cache_policy = make_policy(
+            self.config.cache_policy, clock=lambda: self.env.now
+        )
+        # Idle containers per function, FIFO within a function.
+        self._idle: Dict[str, Deque[Instance]] = {}
         self._idle_count = 0
         self._busy_count = 0
         self._creating_count = 0
@@ -148,13 +144,10 @@ class LinuxNode:
         instance = bucket.popleft()
         if not bucket:
             del self._idle[fn_key]
-            if self.cache_policy is not None:
-                # Left the cache by being used, not evicted.
-                self.cache_policy.on_remove(fn_key, evicted=False)
+            # Left the cache by being used, not evicted.
+            self.cache_policy.on_remove(fn_key, evicted=False)
         else:
-            self._idle.move_to_end(fn_key)
-            if self.cache_policy is not None:
-                self.cache_policy.on_hit(fn_key)
+            self.cache_policy.on_hit(fn_key)
         self._idle_count -= 1
         self._busy_count += 1
         instance.state = InstanceState.BUSY
@@ -167,9 +160,7 @@ class LinuxNode:
             bucket = deque()
             self._idle[instance.fn_key] = bucket
         bucket.append(instance)
-        self._idle.move_to_end(instance.fn_key)
-        if self.cache_policy is not None:
-            self.cache_policy.on_insert(instance.fn_key)
+        self.cache_policy.on_insert(instance.fn_key)
         self._busy_count -= 1
         self._idle_count += 1
         self._notify_capacity()
@@ -184,22 +175,16 @@ class LinuxNode:
 
     # -- eviction -------------------------------------------------------------
     def _evict_one_idle(self) -> Optional[Instance]:
-        """Remove the LRU idle container (function caches, then
-        stemcells); returns it, or None if everything is busy."""
+        """Remove the policy's victim idle container (function caches,
+        then stemcells); returns it, or None if everything is busy."""
         victim: Optional[Instance] = None
         if self._idle:
-            if self.cache_policy is not None:
-                key = self.cache_policy.victim()
-                if key is None or key not in self._idle:
-                    key = next(iter(self._idle))
-            else:
-                key = next(iter(self._idle))
+            key = self.cache_policy.victim()
             bucket = self._idle[key]
             victim = bucket.popleft()
             if not bucket:
                 del self._idle[key]
-                if self.cache_policy is not None:
-                    self.cache_policy.on_remove(key)
+                self.cache_policy.on_remove(key)
             self._idle_count -= 1
         else:
             victim = self.stemcells.evict_one()

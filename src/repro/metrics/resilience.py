@@ -80,11 +80,10 @@ class ResilienceReport:
     dedup_unmerged_pages: int = 0
     dedup_saved_pages: int = 0
     dedup_scan_ms: float = 0.0
-    # Pluggable cache policy (empty/zero with no policy — the default).
-    cache_policy: str = ""
+    # Node cache policy (``lru`` unless the configs choose another).
+    cache_policy: str = "lru"
     policy_evictions: int = 0
     policy_keepalive_hits: int = 0
-    policy_prewarm_wasted_ms: float = 0.0
 
     @property
     def success_rate(self) -> float:
@@ -168,9 +167,6 @@ class ResilienceReport:
                     report.cache_policy = policy.name
                     report.policy_evictions += policy.stats.evictions
                     report.policy_keepalive_hits += policy.stats.keepalive_hits
-                    report.policy_prewarm_wasted_ms += (
-                        policy.stats.prewarm_wasted_ms
-                    )
             dedup = getattr(node, "dedup", None)
             if dedup is not None:
                 report.dedup_merged_pages += dedup.merged_pages
@@ -226,15 +222,13 @@ class ResilienceReport:
                 f"{self.wasted_ms:.0f} ms wasted "
                 f"({self.wasted_work_fraction:.1%} wasted)"
             )
-        # Policy row appears only when a pluggable cache policy is
-        # configured (default clusters print the historical block
-        # verbatim).
-        if self.cache_policy:
+        # The policy row appears only for a non-default cache policy
+        # (default clusters print the historical block verbatim).
+        if self.cache_policy != "lru":
             out.append(
                 f"cache policy: {self.cache_policy} "
                 f"({self.policy_evictions} policy evictions, "
-                f"{self.policy_keepalive_hits} keep-alive hits, "
-                f"{self.policy_prewarm_wasted_ms:.0f} ms pre-warm wasted)"
+                f"{self.policy_keepalive_hits} keep-alive hits)"
             )
         if self.faults_injected:
             fired = ", ".join(

@@ -9,6 +9,7 @@ findings.  Auditable invariants:
   entries' footprints, every entry is alive and retained, and no entry
   is an orphan;
 * every cached idle UC is in the IDLE state with a live base snapshot;
+* each cache's eviction policy tracks exactly the keys the cache holds;
 * each idle UC holds exactly one mapped network channel, and no proxy
   channel points at a destroyed UC (no channel leaks);
 * snapshot parent links are acyclic and never point at deleted
@@ -62,6 +63,18 @@ def audit_snapshot_lineage(snapshot: Snapshot, limit: int = 64) -> List[str]:
     return issues
 
 
+def audit_policy(name: str, policy, keys) -> List[str]:
+    """A policy must track exactly its cache's keys: a victim it names
+    must be present, and every entry must be reachable as a victim."""
+    keys = list(keys)
+    if len(policy) == len(keys) and all(key in policy for key in keys):
+        return []
+    return [
+        f"{name}: {policy.name} policy tracks {len(policy)} keys, "
+        f"cache holds {len(keys)} ({sum(key in policy for key in keys)} shared)"
+    ]
+
+
 def audit_node(node) -> List[str]:
     """Audit a :class:`~repro.seuss.node.SeussNode`; returns findings."""
     issues = audit_allocator(node.allocator)
@@ -81,6 +94,7 @@ def audit_node(node) -> List[str]:
             f"snapshot cache: held-page counter {cache._held_pages} "
             f"!= entries total {held}"
         )
+    issues.extend(audit_policy("snapshot cache", cache._policy, cache._entries))
 
     # -- idle UC cache ----------------------------------------------------
     idle_total = 0
@@ -95,6 +109,9 @@ def audit_node(node) -> List[str]:
         issues.append(
             f"uc cache: counter {len(node.uc_cache)} != bucket total {idle_total}"
         )
+    issues.extend(
+        audit_policy("uc cache", node.uc_cache._policy, node.uc_cache._idle)
+    )
 
     # -- runtime snapshots ---------------------------------------------------
     for name, record in node.runtime_records.items():

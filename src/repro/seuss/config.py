@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigError
+from repro.seuss.policy import canonical_policy_name
 
 
 class AOLevel(Enum):
@@ -82,12 +83,12 @@ class SeussConfig:
     #: the scan cost charged on the sim clock).  Opt-in.
     dedup_scanner: bool = False
     dedup_scan_rate_pages_per_s: float = 25_000.0
-    #: Pluggable cache eviction / keep-alive policy for the snapshot and
-    #: idle-UC caches (``seuss/policy.py``): ``"lru"`` (byte-identical
-    #: to the seed discipline), ``"lifo"``, ``"hybrid"`` (idle-time
+    #: Eviction order of the snapshot and idle-UC caches
+    #: (``seuss/policy.py``), one policy instance per cache: ``"lru"``
+    #: (the seed discipline), ``"lifo"``, ``"hybrid"`` (idle-time
     #: histograms, "Serverless in the Wild") or ``"greedy_dual"``
-    #: (FaasCache).  ``None`` keeps the historical hard-coded paths.
-    cache_policy: Optional[str] = None
+    #: (FaasCache).
+    cache_policy: str = "lru"
 
     def __post_init__(self) -> None:
         if self.memory_gb <= 0:
@@ -112,13 +113,6 @@ class SeussConfig:
             )
         if self.dedup_scan_rate_pages_per_s <= 0:
             raise ConfigError("dedup_scan_rate_pages_per_s must be positive")
-        if self.cache_policy is not None:
-            from repro.seuss.policy import POLICY_NAMES, normalize_policy_name
-
-            canonical = normalize_policy_name(self.cache_policy)
-            if canonical not in POLICY_NAMES:
-                raise ConfigError(
-                    f"cache_policy must be one of {POLICY_NAMES} (or None), "
-                    f"got {self.cache_policy!r}"
-                )
-            object.__setattr__(self, "cache_policy", canonical)
+        object.__setattr__(
+            self, "cache_policy", canonical_policy_name(self.cache_policy)
+        )

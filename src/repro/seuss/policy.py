@@ -13,12 +13,14 @@ experiment can race policies under a production-shaped fleet trace.
 
 A policy only *orders* eviction decisions and accounts keep-alive
 quality; the caches keep full ownership of entries, refcounts and
-budget accounting.  With no policy configured (the default) the caches
-run their historical code paths untouched, and the ``lru`` policy is
-pinned byte-identical to the seed discipline under eviction pressure.
-Policies never draw randomness and never schedule simulator events, so
-selecting one cannot perturb an event schedule except through the
-victim order itself.
+budget accounting, and every cache always holds one: with no policy
+configured the caches evict through :class:`LRUPolicy`, the seed
+discipline, whose victim sequence under eviction pressure is pinned to
+the seed's numbers.  A policy tracks exactly the keys its cache holds
+(``len`` and ``in``; ``audit_node`` checks it).  Policies never draw
+randomness, never schedule simulator events and write no trace
+records, so selecting one cannot perturb an event schedule or a trace
+except through the victim order itself.
 """
 
 from __future__ import annotations
@@ -39,19 +41,11 @@ POLICY_NAMES = ("lru", "lifo", "hybrid", "greedy_dual")
 class PolicyStats:
     """What one policy instance decided."""
 
-    tracked: int = 0
-    hits: int = 0
     evictions: int = 0
-    requeues: int = 0
     #: Hits that landed inside the key's keep-alive window vs. after it
     #: lapsed (hybrid-histogram only; window-less policies leave these 0).
     keepalive_hits: int = 0
     expired_hits: int = 0
-    #: Pre-warm accounting, charged by the keep-alive lab: instances
-    #: warmed ahead of a predicted arrival, and warm milliseconds spent
-    #: on pre-warms that were never used.
-    prewarms: int = 0
-    prewarm_wasted_ms: float = 0.0
 
 
 class CachePolicy:
@@ -60,7 +54,10 @@ class CachePolicy:
     The owning cache reports lifecycle transitions (``on_insert`` /
     ``on_hit`` / ``on_remove``) and asks :meth:`victim` which key to
     evict next; :meth:`requeue` tells the policy an eviction was refused
-    (live dependents) so the victim must be deprioritized.  Keep-alive
+    (live dependents) so the victim must be deprioritized.  ``len`` and
+    ``in`` view the tracked keys, which are always exactly the keys the
+    cache holds, so :meth:`victim` names one whenever the cache is
+    non-empty.  Keep-alive
     policies additionally expose per-key :meth:`keep_alive_ms` /
     :meth:`prewarm_gap_ms` windows for TTL-style expiry and pre-warming
     (consumed by the keep-alive replay lab; the node caches are purely
@@ -75,6 +72,18 @@ class CachePolicy:
 
     def now_ms(self) -> float:
         return self._clock()
+
+    # -- tracked keys ----------------------------------------------------
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def __contains__(self, key: object) -> bool:
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        # A policy tracking no keys is still a policy: ``policy or
+        # LRUPolicy()`` must keep it.
+        return True
 
     # -- ordering hooks --------------------------------------------------
     def on_insert(
@@ -114,21 +123,12 @@ class CachePolicy:
         stays warm (defaults to the plain keep-alive window)."""
         return self.keep_alive_ms(key)
 
-    # -- shared accounting ----------------------------------------------
-    def _note_eviction(self, key: str) -> None:
-        self.stats.evictions += 1
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.counter("policy.evictions")
-            tracer.event("policy.evict", policy=self.name, key=key)
-
 
 class LRUPolicy(CachePolicy):
-    """Least-recently-used: byte-identical to the seed discipline.
+    """Least-recently-used: the seed discipline and every cache's default.
 
-    Mirrors the ``OrderedDict`` recency order the caches keep anyway, so
-    selecting it reproduces the no-policy victim sequence exactly
-    (pinned by ``tests/test_policy.py`` under eviction pressure).
+    Keeps the keys in recency order, so its victim sequence is the
+    seed's (pinned by ``tests/test_policy.py`` under eviction pressure).
     """
 
     name = "lru"
@@ -136,6 +136,12 @@ class LRUPolicy(CachePolicy):
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         super().__init__(clock)
         self._order: "OrderedDict[str, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._order
 
     def on_insert(
         self,
@@ -146,17 +152,15 @@ class LRUPolicy(CachePolicy):
     ) -> None:
         self._order[key] = None
         self._order.move_to_end(key)
-        self.stats.tracked += 1
 
     def on_hit(self, key: str) -> None:
         if key in self._order:
             self._order.move_to_end(key)
-        self.stats.hits += 1
 
     def on_remove(self, key: str, evicted: bool = True) -> None:
         self._order.pop(key, None)
         if evicted:
-            self._note_eviction(key)
+            self.stats.evictions += 1
 
     def victim(self) -> Optional[str]:
         return next(iter(self._order)) if self._order else None
@@ -164,7 +168,6 @@ class LRUPolicy(CachePolicy):
     def requeue(self, key: str) -> None:
         if key in self._order:
             self._order.move_to_end(key)
-        self.stats.requeues += 1
 
 
 class LIFOPolicy(LRUPolicy):
@@ -186,7 +189,6 @@ class LIFOPolicy(LRUPolicy):
         # (oldest end), the opposite of LRU's rotation.
         if key in self._order:
             self._order.move_to_end(key, last=False)
-        self.stats.requeues += 1
 
 
 class HybridHistogramPolicy(CachePolicy):
@@ -250,6 +252,12 @@ class HybridHistogramPolicy(CachePolicy):
         self._heap: List[Tuple[float, int, str, int]] = []
         self._stamp: Dict[str, int] = {}
         self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._last_use)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._last_use
 
     # -- histogram bookkeeping -------------------------------------------
     def observe_idle(self, key: str, idle_ms: float) -> None:
@@ -343,7 +351,6 @@ class HybridHistogramPolicy(CachePolicy):
                 self.observe_idle(key, now - prev)
             self._last_arrival[key] = now
         self._push(key)
-        self.stats.tracked += 1
 
     def on_hit(self, key: str) -> None:
         now = self.now_ms()
@@ -362,13 +369,12 @@ class HybridHistogramPolicy(CachePolicy):
         self._last_arrival[key] = now
         self._last_use[key] = now
         self._push(key)
-        self.stats.hits += 1
 
     def on_remove(self, key: str, evicted: bool = True) -> None:
         self._last_use.pop(key, None)
         self._stamp.pop(key, None)
         if evicted:
-            self._note_eviction(key)
+            self.stats.evictions += 1
 
     def victim(self) -> Optional[str]:
         while self._heap:
@@ -385,7 +391,6 @@ class HybridHistogramPolicy(CachePolicy):
         # histogram) until its next real touch re-ranks it.
         if key in self._last_use:
             self._push(key, sort_key=float("inf"))
-        self.stats.requeues += 1
 
 
 class GreedyDualPolicy(CachePolicy):
@@ -417,6 +422,12 @@ class GreedyDualPolicy(CachePolicy):
         self._stamp: Dict[str, int] = {}
         self._seq = 0
 
+    def __len__(self) -> int:
+        return len(self._freq)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._freq
+
     def _credit(self, key: str) -> None:
         self._priority[key] = self.clock_value + (
             self._freq[key] * self._cost[key] / self._size[key]
@@ -439,13 +450,11 @@ class GreedyDualPolicy(CachePolicy):
         self._cost[key] = cost_ms if cost_ms > 0 else self.default_cost_ms
         self._size[key] = size_mb if size_mb > 0 else 1.0
         self._credit(key)
-        self.stats.tracked += 1
 
     def on_hit(self, key: str) -> None:
         if key in self._freq:
             self._freq[key] += 1
             self._credit(key)
-        self.stats.hits += 1
 
     def on_remove(self, key: str, evicted: bool = True) -> None:
         priority = self._priority.pop(key, None)
@@ -456,7 +465,7 @@ class GreedyDualPolicy(CachePolicy):
         if evicted:
             if priority is not None and priority > self.clock_value:
                 self.clock_value = priority
-            self._note_eviction(key)
+            self.stats.evictions += 1
 
     def victim(self) -> Optional[str]:
         while self._heap:
@@ -473,7 +482,6 @@ class GreedyDualPolicy(CachePolicy):
         if key in self._freq:
             self._freq[key] += 1
             self._credit(key)
-        self.stats.requeues += 1
 
 
 _POLICY_CLASSES = {
@@ -484,26 +492,29 @@ _POLICY_CLASSES = {
 }
 
 
-def normalize_policy_name(name: str) -> str:
-    """Canonical form of a policy name (hyphens/aliases folded)."""
-    folded = name.strip().lower().replace("-", "_")
-    aliases = {
-        "hybrid_histogram": "hybrid",
-        "gd": "greedy_dual",
-        "gdsf": "greedy_dual",
-        "faascache": "greedy_dual",
-    }
-    return aliases.get(folded, folded)
+_ALIASES = {
+    "hybrid_histogram": "hybrid",
+    "gd": "greedy_dual",
+    "gdsf": "greedy_dual",
+    "faascache": "greedy_dual",
+}
+
+
+def canonical_policy_name(name: str) -> str:
+    """The ``POLICY_NAMES`` entry ``name`` denotes (case, hyphens and
+    aliases folded); anything else raises :class:`ConfigError`."""
+    if isinstance(name, str):
+        folded = name.strip().lower().replace("-", "_")
+        canonical = _ALIASES.get(folded, folded)
+        if canonical in _POLICY_CLASSES:
+            return canonical
+    raise ConfigError(
+        f"unknown cache policy {name!r} (have {', '.join(POLICY_NAMES)})"
+    )
 
 
 def make_policy(
     name: str, clock: Optional[Callable[[], float]] = None, **kwargs
 ) -> CachePolicy:
     """Instantiate a policy by name (``POLICY_NAMES`` or an alias)."""
-    canonical = normalize_policy_name(name)
-    cls = _POLICY_CLASSES.get(canonical)
-    if cls is None:
-        raise ConfigError(
-            f"unknown cache policy {name!r} (have {', '.join(POLICY_NAMES)})"
-        )
-    return cls(clock=clock, **kwargs)
+    return _POLICY_CLASSES[canonical_policy_name(name)](clock=clock, **kwargs)

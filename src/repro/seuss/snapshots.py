@@ -2,7 +2,9 @@
 
 SEUSS "maintains a cache of snapshots as well as a cache of idle UCs"
 (§4).  This module is the former: function key → function snapshot,
-bounded by a memory budget, with LRU eviction.
+bounded by a memory budget, evicting in the order of its
+:class:`~repro.seuss.policy.CachePolicy` (LRU, the paper's rule, by
+default).
 
 Eviction respects snapshot-stack lifetime rules: "we address this
 concern in our prototype by only deleting function-specific snapshots
@@ -13,12 +15,11 @@ destroy idle UCs first, which releases their references.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.mem.snapshot import Snapshot
-from repro.seuss.policy import CachePolicy
+from repro.seuss.policy import CachePolicy, LRUPolicy
 from repro.trace import current as _active_tracer
 from repro.units import mb_to_pages, pages_to_mb
 
@@ -27,14 +28,17 @@ from repro.units import mb_to_pages, pages_to_mb
 class SnapshotCacheStats:
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
     evictions: int = 0
     eviction_failures: int = 0
     quarantined: int = 0
 
 
 class SnapshotCache:
-    """LRU cache of function-specific snapshots, bounded by memory."""
+    """Function-specific snapshots, bounded by memory.
+
+    Victims come from the cache's policy (an :class:`LRUPolicy` unless
+    one is passed), which tracks exactly the keys the cache holds.
+    """
 
     def __init__(
         self,
@@ -43,12 +47,9 @@ class SnapshotCache:
         policy: Optional[CachePolicy] = None,
     ) -> None:
         self._budget_pages = mb_to_pages(budget_mb)
-        self._entries: "OrderedDict[str, Snapshot]" = OrderedDict()
+        self._entries: Dict[str, Snapshot] = {}
         self._held_pages = 0
-        #: Optional pluggable eviction policy (``seuss/policy.py``).
-        #: ``None`` keeps the historical hard-coded LRU path untouched;
-        #: the ``lru`` policy is pinned byte-identical to it.
-        self._policy = policy
+        self._policy: CachePolicy = policy or LRUPolicy()
         #: Callback that destroys all idle UCs of a function (returns
         #: how many were destroyed), releasing snapshot references so
         #: eviction can proceed.
@@ -85,9 +86,7 @@ class SnapshotCache:
             if tracer.enabled:
                 tracer.event("snapshot_cache.miss", key=key)
             return None
-        self._entries.move_to_end(key)
-        if self._policy is not None:
-            self._policy.on_hit(key)
+        self._policy.on_hit(key)
         self.stats.hits += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -95,7 +94,7 @@ class SnapshotCache:
         return snapshot
 
     def put(self, key: str, snapshot: Snapshot) -> bool:
-        """Insert a snapshot, evicting LRU entries to fit the budget.
+        """Insert a snapshot, evicting the policy's victims to fit the budget.
 
         Returns ``False`` when an entry for ``key`` already exists (a
         concurrent cold path won the insertion race); the caller should
@@ -111,9 +110,7 @@ class SnapshotCache:
         snapshot.retain()
         self._entries[key] = snapshot
         self._held_pages += footprint
-        if self._policy is not None:
-            self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
-        self.stats.insertions += 1
+        self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
         tracer = _active_tracer()
         if tracer.enabled:
             tracer.event("snapshot_cache.insert", key=key, pages=footprint)
@@ -128,18 +125,11 @@ class SnapshotCache:
             and attempts > 0
         ):
             attempts -= 1
-            if self._policy is not None:
-                key = self._policy.victim()
-                if key is None or key not in self._entries:
-                    key = next(iter(self._entries))
-            else:
-                key = next(iter(self._entries))  # LRU victim
+            key = self._policy.victim()
             if not self._evict(key):
                 # Could not delete (live dependents survived drop_idle);
-                # rotate it to the back and try the next victim.
-                self._entries.move_to_end(key)
-                if self._policy is not None:
-                    self._policy.requeue(key)
+                # deprioritize it and try the next victim.
+                self._policy.requeue(key)
                 self.stats.eviction_failures += 1
 
     def _evict(self, key: str) -> bool:
@@ -150,8 +140,7 @@ class SnapshotCache:
         if snapshot.refcount > 1:
             return False  # a live invocation still depends on it
         del self._entries[key]
-        if self._policy is not None:
-            self._policy.on_remove(key)
+        self._policy.on_remove(key)
         snapshot.release()
         # Deduped snapshots only free shared frames at refcount zero;
         # uncharge exactly what physically returned to the pool.
@@ -179,10 +168,9 @@ class SnapshotCache:
         snapshot = self._entries.pop(key, None)
         if snapshot is None:
             return False
-        if self._policy is not None:
-            # Quarantine is not an eviction decision; keep policy
-            # eviction counts clean.
-            self._policy.on_remove(key, evicted=False)
+        # Quarantine is not an eviction decision; keep policy eviction
+        # counts clean.
+        self._policy.on_remove(key, evicted=False)
         self._held_pages -= snapshot.charged_pages
         self.stats.quarantined += 1
         tracer = _active_tracer()

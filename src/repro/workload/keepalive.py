@@ -155,7 +155,6 @@ class _Lab:
             # A pre-warm nobody used: its whole residency was waste.
             wasted = at_ms - entry.prewarmed_at
             self.result.prewarm_wasted_ms += wasted
-            self.policy.stats.prewarm_wasted_ms += wasted
             tracer = _active_tracer()
             if tracer.enabled:
                 tracer.counter("policy.prewarm_wasted_ms", delta=wasted)
@@ -191,11 +190,7 @@ class _Lab:
         seen_busy = set()
         while self.resident_mb + needed_mb > budget and self.entries and attempts > 0:
             attempts -= 1
-            key = self.policy.victim()
-            fn = int(key) if key is not None else None
-            if fn is None or fn not in self.entries:
-                # Policy lost track (shouldn't happen); fall back to any.
-                fn = next(iter(self.entries))
+            fn = int(self.policy.victim())
             victim = self.entries[fn]
             if victim.busy_until > at_ms:
                 if fn in seen_busy:
@@ -208,9 +203,7 @@ class _Lab:
                 self.policy.requeue(str(fn))
                 continue
             if victim.prewarmed_at is not None:
-                wasted = at_ms - victim.prewarmed_at
-                self.result.prewarm_wasted_ms += wasted
-                self.policy.stats.prewarm_wasted_ms += wasted
+                self.result.prewarm_wasted_ms += at_ms - victim.prewarmed_at
             # Under pressure the histogram's prediction still stands:
             # if the policy expects the victim back, warm it ahead of
             # the predicted return (unless that moment already passed).
@@ -250,7 +243,6 @@ class _Lab:
                 entry = self._insert(fn, when, prewarmed=True)
                 self._schedule_expiry(fn, entry)
                 self.result.prewarms += 1
-                self.policy.stats.prewarms += 1
 
     # -- the arrival path -------------------------------------------------
     def arrival(self, index: int, now_ms: float) -> None:
@@ -286,9 +278,6 @@ class _Lab:
         for entry in self.entries.values():
             if entry.prewarmed_at is not None:
                 self.result.prewarm_wasted_ms += end_ms - entry.prewarmed_at
-                self.policy.stats.prewarm_wasted_ms += (
-                    end_ms - entry.prewarmed_at
-                )
         self.result.avg_resident_mb = (
             self._area_mb_ms / end_ms if end_ms > 0 else 0.0
         )

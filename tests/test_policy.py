@@ -1,20 +1,26 @@
 """Cache-policy unit tests: victim orders, windows, stats, plumbing.
 
 The contract under test: policies only *order* eviction decisions (the
-caches keep ownership of entries and budgets), the ``lru`` policy is
-byte-identical to the seed discipline even under eviction pressure, and
-the histogram/greedy-dual policies implement their published decision
-rules exactly.
+caches keep ownership of entries and budgets) and track exactly the
+keys their cache holds, every pressure trial replays the numbers
+recorded before the caches' hard-coded LRU path was removed, and the
+histogram/greedy-dual policies implement their published decision rules
+exactly.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import pytest
 
+from repro import trace
 from repro.errors import ConfigError
 from repro.faas.cluster import FaasCluster
 from repro.linuxnode.config import LinuxNodeConfig
 from repro.metrics.resilience import ResilienceReport
+from repro.seuss.audit import audit_node, audit_policy
 from repro.seuss.config import SeussConfig
 from repro.seuss.policy import (
     POLICY_NAMES,
@@ -22,20 +28,21 @@ from repro.seuss.policy import (
     HybridHistogramPolicy,
     LIFOPolicy,
     LRUPolicy,
+    canonical_policy_name,
     make_policy,
-    normalize_policy_name,
 )
 from repro.sim import Environment
+from repro.trace import Tracer
 from repro.workload.functions import unique_nop_set
 from repro.workload.generator import run_trial
 
 
 class TestNames:
     def test_aliases_fold_to_canonical(self):
-        assert normalize_policy_name("hybrid-histogram") == "hybrid"
-        assert normalize_policy_name("GDSF") == "greedy_dual"
-        assert normalize_policy_name("FaasCache") == "greedy_dual"
-        assert normalize_policy_name(" LRU ") == "lru"
+        assert canonical_policy_name("hybrid-histogram") == "hybrid"
+        assert canonical_policy_name("GDSF") == "greedy_dual"
+        assert canonical_policy_name("FaasCache") == "greedy_dual"
+        assert canonical_policy_name(" LRU ") == "lru"
 
     def test_make_policy_builds_each_name(self):
         classes = {
@@ -52,6 +59,8 @@ class TestNames:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             make_policy("belady")
+        with pytest.raises(ConfigError):
+            canonical_policy_name(None)
 
 
 class TestLRUOrder:
@@ -72,7 +81,26 @@ class TestLRUOrder:
             policy.on_insert(key)
         policy.requeue("a")
         assert policy.victim() == "b"
-        assert policy.stats.requeues == 1
+        # A refused victim stays tracked.
+        assert len(policy) == 2 and "a" in policy
+
+
+class TestTrackedKeys:
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_len_and_in_follow_inserts_and_removes(self, name):
+        policy = make_policy(name)
+        assert len(policy) == 0 and "a" not in policy
+        # An empty policy is still a policy.
+        assert bool(policy)
+        for key in ("a", "b", "a"):
+            policy.on_insert(key)
+        policy.on_hit("b")
+        assert len(policy) == 2 and "a" in policy and "b" in policy
+        policy.on_remove("a")
+        policy.on_remove("b", evicted=False)
+        assert len(policy) == 0 and "a" not in policy and "b" not in policy
+        assert policy.victim() is None
+        assert policy.stats.evictions == 1
 
 
 class TestLIFOOrder:
@@ -216,7 +244,7 @@ class TestGreedyDual:
         policy.on_insert("b", size_mb=10.0, cost_ms=100.0)
         policy.requeue("a")
         assert policy.victim() == "b"
-        assert policy.stats.requeues == 1
+        assert policy._freq == {"a": 2, "b": 1}
 
 
 PRESSURE = dict(
@@ -233,48 +261,171 @@ def _fingerprint(trial):
     ]
 
 
-class TestSeedParityUnderPressure:
-    """The ``lru`` policy must replay the seed eviction decisions
-    byte-for-byte *while evictions are actually happening*."""
+def _digest(trial) -> str:
+    return hashlib.sha256(repr(_fingerprint(trial)).encode()).hexdigest()
 
-    def test_seuss_snapshot_evictions_identical(self):
-        def run(policy):
+
+#: The pressure trials below, recorded at commit 830dcf0, when the
+#: caches still carried their own hard-coded LRU path beside the
+#: policies: per policy, the SEUSS node's snapshot evictions, engine
+#: events, end time and the sha256 of the trial fingerprint.
+_SEUSS_LRU = (
+    25,
+    4754,
+    9010.768125000006,
+    "115481c60ef5187de898e8051eb54f656111a84f666c2a74ab53302a64d1cf23",
+)
+SEUSS_PINNED = {
+    "lru": _SEUSS_LRU,
+    "lifo": (
+        31,
+        4784,
+        9037.563437500008,
+        "b9be7c83836abe3069156022b96df14a71efc6a0e697a5839d3d57ac0f2868d3",
+    ),
+    "hybrid": _SEUSS_LRU,
+    "greedy_dual": _SEUSS_LRU,
+}
+#: The Linux node's engine events, end time and fingerprint sha256.
+_LINUX_HYBRID_GD = (
+    3820,
+    55926.279999999984,
+    "d2d8bb0bb28b284d72a9a372ae4dad60ed1c14a0c2fbd059aa6ab9baecc025cd",
+)
+LINUX_PINNED = {
+    "lru": (
+        3836,
+        57593.283999999985,
+        "dfa1063ec4e9773bf6d4e8295721476d185c3123cd2d6a9eee357e81187c353c",
+    ),
+    "lifo": (
+        3838,
+        57572.64200000001,
+        "2dabd09765f84277678006a87640cc3ead84c494c4db33ee1c24c5592c7ec702",
+    ),
+    "hybrid": _LINUX_HYBRID_GD,
+    "greedy_dual": _LINUX_HYBRID_GD,
+}
+
+
+def _pressure_trial(node_type, policy):
+    """The eviction-pressure trial: ``(trial, node, env)``."""
+    env = Environment()
+    if node_type == "seuss":
+        cluster = FaasCluster.with_seuss_node(
+            env,
+            config=SeussConfig(
+                snapshot_cache_budget_mb=48.0, cache_policy=policy
+            ),
+        )
+    else:
+        cluster = FaasCluster.with_linux_node(
+            env,
+            config=LinuxNodeConfig(
+                container_cache_limit=8, cache_policy=policy
+            ),
+        )
+    trial = run_trial(cluster, unique_nop_set(24), **PRESSURE)
+    return trial, cluster.nodes[0], env
+
+
+@pytest.fixture(scope="module")
+def pressure_trial():
+    """:func:`_pressure_trial`, run once per (node type, policy) in this
+    module: the trial is deterministic and the tests only read it."""
+    cached = functools.lru_cache(maxsize=None)(_pressure_trial)
+    yield cached
+    cached.cache_clear()
+
+
+class TestSeedParityUnderPressure:
+    """Every policy replays the seed's decisions *while evictions are
+    actually happening*: the ``lru`` default is the seed discipline."""
+
+    def test_seuss_snapshot_evictions_identical(self, pressure_trial):
+        assert SeussConfig().cache_policy == "lru"
+        for policy, pinned in SEUSS_PINNED.items():
+            trial, node, env = pressure_trial("seuss", policy)
+            evictions = node.snapshot_cache.stats.evictions
+            observed = (evictions, env.events_processed, env.now, _digest(trial))
+            assert observed == pinned, policy
+            assert node.cache_policy.stats.evictions == evictions
+
+    def test_linux_idle_evictions_identical(self, pressure_trial):
+        assert LinuxNodeConfig().cache_policy == "lru"
+        for policy, pinned in LINUX_PINNED.items():
+            trial, node, env = pressure_trial("linux", policy)
+            observed = (env.events_processed, env.now, _digest(trial))
+            assert observed == pinned, policy
+            assert node.cache_policy.stats.evictions > 0
+
+    def test_traced_default_trial_records_the_seed_trace(self):
+        tracer = trace.enable(Tracer())
+        try:
             env = Environment()
             cluster = FaasCluster.with_seuss_node(
-                env,
-                config=SeussConfig(
-                    snapshot_cache_budget_mb=48.0, cache_policy=policy
-                ),
+                env, config=SeussConfig(snapshot_cache_budget_mb=48.0)
             )
-            trial = run_trial(cluster, unique_nop_set(24), **PRESSURE)
-            return trial, cluster.nodes[0]
+            run_trial(cluster, unique_nop_set(24), **PRESSURE)
+        finally:
+            trace.disable()
+        recorded = (len(tracer.events), len(tracer.counters), len(tracer.spans))
+        assert recorded == (768, 1841, 2935)
+        names = {record.name for record in tracer.events}
+        names |= {sample.name for sample in tracer.counters}
+        names |= {span.name for span in tracer.spans}
+        assert "snapshot_cache.evict" in names
+        assert not [name for name in names if name.startswith("policy.")]
 
-        baseline, baseline_node = run(None)
-        mirrored, mirrored_node = run("lru")
-        assert baseline_node.snapshot_cache.stats.evictions > 0
-        assert (
-            mirrored_node.snapshot_cache.stats.evictions
-            == baseline_node.snapshot_cache.stats.evictions
+
+class TestPolicyTracksItsCache:
+    """The invariant that lets the caches trust every victim: a policy
+    tracks exactly the keys its cache holds."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_seuss_caches_audit_clean(self, pressure_trial, policy):
+        _, node, _ = pressure_trial("seuss", policy)
+        assert node.snapshot_cache.stats.evictions > 0
+        assert audit_node(node) == []
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_linux_idle_cache_matches_its_policy(self, pressure_trial, policy):
+        _, node, _ = pressure_trial("linux", policy)
+        assert node.cache_policy.stats.evictions > 0
+        assert audit_policy("idle containers", node.cache_policy, node._idle) == []
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_policies_stay_in_step_after_every_event(self, policy):
+        """Mid-invocation too: by a trial's end every hot-popped UC is
+        back in its cache, which would hide a pop that left its key
+        tracked."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env,
+            config=SeussConfig(snapshot_cache_budget_mb=12.0, cache_policy=policy),
         )
-        assert _fingerprint(mirrored) == _fingerprint(baseline)
-        assert mirrored_node.cache_policy.stats.evictions > 0
+        node = cluster.nodes[0]
+        functions = unique_nop_set(6)
+        for _ in range(4):
+            waves = [cluster.invoke(fn) for fn in functions + functions[:3]]
+            while not all(process.processed for process in waves):
+                env.step()
+                assert audit_policy(
+                    "snapshot cache", node.cache_policy, node.snapshot_cache._entries
+                ) == []
+                assert audit_policy("uc cache", node.uc_policy, node.uc_cache._idle) == []
+        assert node.snapshot_cache.stats.evictions > 0
+        assert node.uc_cache.stats.hot_hits > 0
+        # Quarantine takes an entry out without an eviction decision.
+        assert node.snapshot_cache.quarantine(functions[-1].key)
+        assert audit_node(node) == []
 
-    def test_linux_idle_evictions_identical(self):
-        def run(policy):
-            env = Environment()
-            cluster = FaasCluster.with_linux_node(
-                env,
-                config=LinuxNodeConfig(
-                    container_cache_limit=8, cache_policy=policy
-                ),
-            )
-            trial = run_trial(cluster, unique_nop_set(24), **PRESSURE)
-            return trial, cluster.nodes[0]
-
-        baseline, _ = run(None)
-        mirrored, mirrored_node = run("lru")
-        assert _fingerprint(mirrored) == _fingerprint(baseline)
-        assert mirrored_node.cache_policy.stats.evictions > 0
+    def test_audit_reports_a_diverged_policy(self, pressure_trial):
+        _, node, _ = pressure_trial("seuss", "lru")
+        stray = LRUPolicy()
+        stray.on_insert("not-cached")
+        findings = audit_policy("snapshot cache", stray, node.snapshot_cache._entries)
+        assert findings and "tracks 1 keys" in findings[0]
 
 
 class TestConfigPlumbing:
@@ -288,6 +439,12 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             LinuxNodeConfig(cache_policy="belady")
 
+    def test_none_is_not_a_policy(self):
+        with pytest.raises(ConfigError):
+            SeussConfig(cache_policy=None)
+        with pytest.raises(ConfigError):
+            LinuxNodeConfig(cache_policy=None)
+
     def test_node_builds_configured_policy(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(
@@ -299,6 +456,8 @@ class TestConfigPlumbing:
         # Separate instances: snapshot and UC caches must not share
         # recency state.
         assert node.cache_policy is not node.uc_policy
+        assert node.snapshot_cache._policy is node.cache_policy
+        assert node.uc_cache._policy is node.uc_policy
 
 
 class TestResilienceRow:
@@ -307,7 +466,7 @@ class TestResilienceRow:
         cluster = FaasCluster.with_seuss_node(env)
         run_trial(cluster, unique_nop_set(8), **PRESSURE)
         report = ResilienceReport.from_cluster(cluster)
-        assert report.cache_policy == ""
+        assert report.cache_policy == "lru"
         assert "cache policy" not in "\n".join(report.lines())
 
     def test_policy_row_reports_counters(self):
@@ -315,12 +474,15 @@ class TestResilienceRow:
         cluster = FaasCluster.with_seuss_node(
             env,
             config=SeussConfig(
-                snapshot_cache_budget_mb=48.0, cache_policy="lru"
+                snapshot_cache_budget_mb=48.0, cache_policy="lifo"
             ),
         )
         run_trial(cluster, unique_nop_set(24), **PRESSURE)
         report = ResilienceReport.from_cluster(cluster)
-        assert report.cache_policy == "lru"
+        assert report.cache_policy == "lifo"
         assert report.policy_evictions > 0
         text = "\n".join(report.lines())
-        assert "cache policy: lru" in text
+        assert (
+            f"cache policy: lifo ({report.policy_evictions} policy evictions, "
+            "0 keep-alive hits)" in text
+        )
