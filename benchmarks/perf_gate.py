@@ -2,8 +2,8 @@
 
 Measures the substrate loops SEUSS leans on — interval algebra,
 snapshot-stack lookups, COW fault storms, snapshot capture/deploy churn,
-cache eviction churn, raw event-loop throughput and full-stack hot
-invocations — and gates
+UC deploy/run/destroy churn, cache eviction churn, raw event-loop
+throughput and full-stack hot invocations — and gates
 CI on a checked-in baseline (:data:`BASELINE_PATH`).
 
 Wall-clock microbenchmarks are host-sensitive, so every run first times
@@ -188,6 +188,46 @@ def bench_snapshot_churn() -> Tuple[int, float]:
         parent.destroy()
     elapsed = time.perf_counter() - started
     return cycles, elapsed
+
+
+def bench_uc_lifecycle() -> Tuple[int, float]:
+    """Warm-deploy UC churn: the UC work of the warm path, without the
+    engine or the cost model.
+
+    One initialized node with one cached NOP function snapshot.  Each
+    round builds a UC from that snapshot, listens, maps its channel,
+    connects, restores the function, imports arguments, runs once and
+    destroys the UC, which must return the node's channels and frames
+    to where they started.  Ops are UCs.
+    """
+    from repro.seuss.node import SeussNode
+    from repro.sim import Environment
+    from repro.unikernel.context import UnikernelContext
+    from repro.workload.functions import nop_function
+
+    node = SeussNode(Environment())
+    node.initialize_sync()
+    fn = nop_function()
+    node.invoke_sync(fn)
+    fn_snapshot = node.snapshot_cache.get(fn.key)
+    runtime = node.runtime_record(fn.runtime).runtime
+    channels = node.network.active_channels
+    allocated = node.allocator.allocated_pages
+    ucs = 4000
+    started = time.perf_counter()
+    for _ in range(ucs):
+        uc = UnikernelContext(node.allocator, runtime, base=fn_snapshot)
+        uc.start_listening()
+        node.network.connect_uc(uc)
+        uc.accept_connection()
+        uc.restore_function(fn.key, fn.code_kb)
+        uc.import_args()
+        uc.execute(38)
+        uc.destroy()
+    elapsed = time.perf_counter() - started
+    assert node.network.active_channels == channels
+    assert node.allocator.allocated_pages == allocated
+    return ucs, elapsed
 
 
 def bench_batched_fault_resolve() -> Tuple[int, float]:
@@ -565,6 +605,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[int, float]], str]] = {
     "cow_fault_storm": (bench_cow_fault_storm, "writes"),
     "batched_fault_resolve": (bench_batched_fault_resolve, "pages"),
     "snapshot_churn": (bench_snapshot_churn, "cycles"),
+    "uc_lifecycle": (bench_uc_lifecycle, "UCs"),
     "routing_decision": (bench_routing_decision, "decisions"),
     "cache_churn": (bench_cache_churn, "cache ops"),
     "page_dedup": (bench_page_dedup, "table ops"),

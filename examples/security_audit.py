@@ -43,9 +43,9 @@ def main() -> None:
     uc = node.uc_cache.pop(fn.key)
 
     print("boundary enforcement:")
-    print(f"  hypercalls used by this UC so far: {uc.hypercalls.counts}")
+    print(f"  hypercalls used by this UC so far: {uc.hypercalls}")
     try:
-        uc.hypercalls.invoke("ptrace")  # a syscall, not a hypercall
+        uc.hypercall("ptrace")  # a syscall, not a hypercall
     except IsolationError as exc:
         print(f"  ptrace rejected at the boundary: {exc}\n")
 

@@ -20,9 +20,6 @@ Complexity guarantees (n, m = extent counts of the two operands):
   linear merges (never the O(n·m) splice loop of repeated ``add``);
 * ``page_count`` / ``len`` — O(1), maintained incrementally by every
   mutation.
-
-``generation`` is a monotonic mutation counter; derived values (e.g.
-the snapshot stack's cached page union) memoise against it.
 """
 
 from __future__ import annotations
@@ -36,13 +33,12 @@ Interval = Tuple[int, int]
 class IntervalSet:
     """A set of non-negative integers stored as disjoint intervals."""
 
-    __slots__ = ("_starts", "_stops", "_count", "_generation")
+    __slots__ = ("_starts", "_stops", "_count")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         self._starts: List[int] = []
         self._stops: List[int] = []
         self._count = 0
-        self._generation = 0
         for start, stop in intervals:
             self.add(start, stop)
 
@@ -64,7 +60,6 @@ class IntervalSet:
         out._starts = starts
         out._stops = stops
         out._count = count
-        out._generation = 0
         return out
 
     def copy(self) -> "IntervalSet":
@@ -82,11 +77,6 @@ class IntervalSet:
     def extent_count(self) -> int:
         """Number of disjoint intervals (a fragmentation measure)."""
         return len(self._starts)
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter (memoisation key for derived data)."""
-        return self._generation
 
     def __bool__(self) -> bool:
         return bool(self._starts)
@@ -151,7 +141,6 @@ class IntervalSet:
         starts[lo:hi] = [start]
         stops[lo:hi] = [stop]
         self._count += (stop - start) - removed
-        self._generation += 1
 
     def discard(self, start: int, stop: int) -> None:
         """Remove the interval ``[start, stop)`` (missing parts ignored)."""
@@ -180,11 +169,8 @@ class IntervalSet:
         starts[lo:hi] = new_starts
         stops[lo:hi] = new_stops
         self._count -= removed
-        self._generation += 1
 
     def clear(self) -> None:
-        if self._starts:
-            self._generation += 1
         self._starts.clear()
         self._stops.clear()
         self._count = 0
@@ -197,12 +183,10 @@ class IntervalSet:
             self._starts = list(other._starts)
             self._stops = list(other._stops)
             self._count = other._count
-            self._generation += 1
             return
         self._starts, self._stops, self._count = _merge_union(
             self._starts, self._stops, other._starts, other._stops
         )
-        self._generation += 1
 
     def difference_update(self, other: "IntervalSet") -> None:
         """In-place removal of every page in ``other`` (linear merge)."""
@@ -211,7 +195,6 @@ class IntervalSet:
         self._starts, self._stops, self._count = _merge_difference(
             self._starts, self._stops, other._starts, other._stops
         )
-        self._generation += 1
 
     # -- set algebra ---------------------------------------------------
     def intersect_range(self, start: int, stop: int) -> List[Interval]:

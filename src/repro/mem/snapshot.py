@@ -88,13 +88,12 @@ class Snapshot:
         # ``_corrupted``, standing in for bit rot in the stored frames.
         self._checksum = content_checksum(name, self._pages, self.cpu)
         self._corrupted = False
-        # Memoised union of the stack's pages, keyed by the summed
-        # generation counters of every page set in the chain (snapshots
-        # are immutable, so in practice the cache is built once).
+        # ``_pages`` is a private copy that nothing mutates, so the
+        # stack's page union is built once, at first use (and rebuilt
+        # only after delete() cuts the lineage), and the checksum is
+        # recomputed once, at the first verify().
         self._stack_cache: Optional[IntervalSet] = None
-        self._stack_cache_token = -1
-        # Memoised recomputed checksum for verify(): (generation, crc).
-        self._checksum_memo: Optional[Tuple[int, int]] = None
+        self._recomputed_checksum: Optional[int] = None
         # Cloning the dirty pages into snapshot-owned frames is the
         # capture step; the frames are held until the snapshot is deleted.
         # With a dedup domain attached, the duplicate-content region
@@ -213,20 +212,6 @@ class Snapshot:
         chain.reverse()
         return chain
 
-    def _stack_token(self) -> int:
-        """Invalidation key for the memoised stack union.
-
-        The summed page-set generations down the chain: any mutation of
-        any layer's pages (never happens for live snapshots, but the
-        cache does not rely on that) changes the token.
-        """
-        token = 0
-        node: Optional[Snapshot] = self
-        while node is not None:
-            token += node._pages.generation + 1
-            node = node.parent
-        return token
-
     def stack_pages_view(self) -> IntervalSet:
         """Shared memoised union of the stack's pages — do **not** mutate.
 
@@ -234,15 +219,14 @@ class Snapshot:
         or overlap counts borrow this instance instead of materialising
         a fresh union per query.
         """
-        token = self._stack_token()
-        if self._stack_cache is None or self._stack_cache_token != token:
+        union = self._stack_cache
+        if union is None:
             if self.parent is None:
                 union = self._pages.copy()
             else:
                 union = self.parent.stack_pages_view().union(self._pages)
             self._stack_cache = union
-            self._stack_cache_token = token
-        return self._stack_cache
+        return union
 
     def stack_pages(self) -> IntervalSet:
         """Union of pages mapped anywhere in the stack (a fresh copy)."""
@@ -265,19 +249,13 @@ class Snapshot:
         """Whether this snapshot (alone, not its stack) passes validation."""
         if self._corrupted:
             return False
-        # The recomputation is memoised against the page set's mutation
-        # counter, so the per-restore verify walk is O(stack depth), not
-        # O(total extents) — corruption is modelled by ``_corrupted``,
-        # which bypasses the memo above.
-        generation = self._pages.generation
-        memo = self._checksum_memo
-        if memo is None or memo[0] != generation:
-            memo = (
-                generation,
-                content_checksum(self.name, self._pages, self.cpu),
+        # Recomputed once, so the per-restore verify walk is O(stack
+        # depth), not O(total extents).
+        if self._recomputed_checksum is None:
+            self._recomputed_checksum = content_checksum(
+                self.name, self._pages, self.cpu
             )
-            self._checksum_memo = memo
-        return self._checksum == memo[1]
+        return self._checksum == self._recomputed_checksum
 
     def corrupt(self) -> None:
         """Simulate bit rot: the stored content no longer matches the
@@ -375,6 +353,7 @@ class Snapshot:
         if self.parent is not None:
             self.parent.release()
             self.parent = None
+            self._stack_cache = None
         return freed
 
     def __repr__(self) -> str:

@@ -8,6 +8,13 @@ core where the UC is resident.  TCP destination ports act as the unique
 key for mapping packets to an active UC."  UDP and IPv6 port mapping are
 unsupported (as in the prototype), and only outgoing TCP connections may
 be initiated from within a unikernel.
+
+Each proxy numbers its ports independently from :data:`PORT_RANGE_START`,
+so two cores can map the same port number at once: a port identifies a
+channel only together with its core's proxy.  Making ports unique
+node-wide would cap a node at one range, 28,232 mapped channels, while
+the single node of the end-to-end benchmark's ``cold_sweep`` workload
+already peaks at about 19k; that model change is not made here.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 from repro.errors import NetworkError
 
@@ -86,6 +93,8 @@ class Channel:
     port: int
     uc_id: int
     core: int
+    #: The proxy that maps this channel (and closes it).
+    proxy: "NetworkProxy" = field(repr=False)
     channel_id: int = field(default_factory=lambda: next(_channel_ids))
     bytes_in: int = 0
     bytes_out: int = 0
@@ -120,13 +129,12 @@ class NetworkProxy:
                 f"port mapping for {protocol!r} is not supported (TCP only)"
             )
         port = self._ports.allocate()
-        channel = Channel(port=port, uc_id=uc_id, core=self.core)
+        channel = Channel(
+            port=port, uc_id=uc_id, core=self.core, proxy=self
+        )
         self._channels[port] = channel
         self.stats.opened += 1
         return channel
-
-    def has_port(self, port: int) -> bool:
-        return port in self._channels
 
     def route(self, port: int) -> Channel:
         """Translate an incoming packet's destination port to its UC."""
@@ -172,20 +180,12 @@ class NodeNetwork:
     def connect_uc(self, uc) -> Channel:
         """Open the control channel for a UC on its resident core's proxy.
 
-        The channel is torn down automatically when the UC is destroyed.
+        The UC keeps it as ``uc.channel`` and closes it when destroyed.
         """
-        proxy = self.proxy_for(uc.uc_id)
-        channel = proxy.open_channel(uc.uc_id)
-        uc.add_destroy_hook(lambda: proxy.close_channel(channel))
+        channel = self.proxy_for(uc.uc_id).open_channel(uc.uc_id)
+        uc.channel = channel
         return channel
 
     @property
     def active_channels(self) -> int:
         return sum(proxy.active_channels for proxy in self.proxies)
-
-    def locate(self, port: int) -> Optional[Channel]:
-        """Find which core's proxy owns a port (the translation step)."""
-        for proxy in self.proxies:
-            if proxy.has_port(port):
-                return proxy.route(port)
-        return None

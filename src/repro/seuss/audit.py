@@ -10,8 +10,8 @@ findings.  Auditable invariants:
   is an orphan;
 * every cached idle UC is in the IDLE state with a live base snapshot;
 * each cache's eviction policy tracks exactly the keys the cache holds;
-* each idle UC holds exactly one mapped network channel, and no proxy
-  channel points at a destroyed UC (no channel leaks);
+* each idle UC's channel is open and is the channel its core's proxy
+  maps at that port;
 * snapshot parent links are acyclic and never point at deleted
   snapshots.
 """
@@ -105,6 +105,17 @@ def audit_node(node) -> List[str]:
                 issues.append(f"uc cache: {key!r} holds UC in state {uc.state}")
             if uc.space.base is None or uc.space.base.deleted:
                 issues.append(f"uc cache: {key!r} UC has dead base snapshot")
+            channel = uc.channel
+            proxy = node.network.proxy_for(uc.uc_id)
+            if (
+                channel is None
+                or channel.closed
+                or proxy._channels.get(channel.port) is not channel
+            ):
+                issues.append(
+                    f"network: idle UC {uc.name} ({key!r}) has no channel "
+                    f"mapped on core {proxy.core}'s proxy"
+                )
     if idle_total != len(node.uc_cache):
         issues.append(
             f"uc cache: counter {len(node.uc_cache)} != bucket total {idle_total}"
@@ -119,12 +130,4 @@ def audit_node(node) -> List[str]:
             issues.append(f"runtime snapshot {name!r} deleted while registered")
         if record.snapshot.refcount < 1:
             issues.append(f"runtime snapshot {name!r} unretained")
-
-    # -- network channels ---------------------------------------------------
-    # With no invocation in flight, channels map 1:1 onto idle UCs.
-    channels = node.network.active_channels
-    if channels < idle_total:
-        issues.append(
-            f"network: {channels} active channels for {idle_total} idle UCs"
-        )
     return issues

@@ -107,7 +107,7 @@ def profile_first_use(
         uc.import_function(f"probe-{index}", 0.1)
         uc.import_args()
         uc.execute(38)
-        for extent, hits in uc.driver.stats.first_use_events.items():
+        for extent, hits in uc.first_use_events.items():
             if hits:
                 counts[extent] = counts.get(extent, 0) + 1
         uc.destroy()

@@ -8,8 +8,9 @@ never applied retroactively, which removes deduplication side channels.
 
 This module packages those claims as inspectable data so examples and
 tests can audit them against the live mechanisms (the
-:class:`~repro.unikernel.solo5.HypercallInterface` boundary and the
-COW semantics of :class:`~repro.mem.AddressSpace`).
+:func:`~repro.unikernel.solo5.check_hypercall` boundary each UC crosses
+through :meth:`~repro.unikernel.context.UnikernelContext.hypercall`, and
+the COW semantics of :class:`~repro.mem.AddressSpace`).
 """
 
 from __future__ import annotations

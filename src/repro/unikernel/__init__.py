@@ -3,7 +3,8 @@
 A UC is the paper's unit of deployment: a Rumprun unikernel linked with
 a language interpreter and an OpenWhisk invocation driver, isolated in
 ring 3 above the SEUSS kernel and talking to it only through the Solo5
-hypercall surface.
+hypercall surface (:func:`~repro.unikernel.solo5.check_hypercall`,
+crossed through :meth:`UnikernelContext.hypercall`).
 
 The models here are behavioural: booting, initializing the interpreter,
 starting the driver, importing code, and executing a function each write
@@ -12,7 +13,6 @@ sizes), into a :class:`repro.mem.AddressSpace`.
 """
 
 from repro.unikernel.context import UCState, UnikernelContext
-from repro.unikernel.driver import InvocationDriver
 from repro.unikernel.interpreters import (
     NODEJS,
     PYTHON,
@@ -21,11 +21,9 @@ from repro.unikernel.interpreters import (
     registered_runtimes,
 )
 from repro.unikernel.layout import MemoryLayout, Region
-from repro.unikernel.solo5 import SOLO5_HYPERCALLS, HypercallInterface
+from repro.unikernel.solo5 import SOLO5_HYPERCALLS, check_hypercall
 
 __all__ = [
-    "InvocationDriver",
-    "HypercallInterface",
     "MemoryLayout",
     "NODEJS",
     "PYTHON",
@@ -34,6 +32,7 @@ __all__ = [
     "SOLO5_HYPERCALLS",
     "UCState",
     "UnikernelContext",
+    "check_hypercall",
     "get_runtime",
     "registered_runtimes",
 ]

@@ -1,10 +1,21 @@
 """Unikernel contexts: the unit of deployment.
 
-A :class:`UnikernelContext` (UC) bundles an address space, a driver, and
-a hypercall boundary.  Its lifecycle follows Figure 2: boot (only ever
-done once per runtime, to build the base snapshot), deploy from a
-snapshot, listen, connect, import code, capture a function snapshot,
-execute, and either sit idle for hot reuse or be destroyed.
+A :class:`UnikernelContext` (UC) is one object holding an address
+space, the in-UC OpenWhisk invocation driver and the Solo5 hypercall
+boundary.  Its lifecycle follows Figure 2: boot (only ever done once per
+runtime, to build the base snapshot), deploy from a snapshot, listen,
+connect, import code, capture a function snapshot, execute, and either
+sit idle for hot reuse or be destroyed.
+
+The driver is the script the prototype boots the interpreter into: it
+opens an HTTP/REST endpoint, accepts a connection from SEUSS OS, and
+services ``import code`` / ``run args`` commands (§4).  Each lifecycle
+method performs that command's page writes and hypercalls, ordered by
+:class:`UCState` alone.  First-use warming is modelled mechanistically:
+the network-stack and interpreter "first use" extents (``ao_network`` /
+``ao_interpreter``) are written the first time the relevant path runs
+*unless* they are already mapped, which is exactly what anticipatory
+optimization achieves by pre-writing them into the base snapshot.
 
 All methods here perform the *memory mechanics* (page writes, COW
 faults, snapshot capture).  Time is charged by the layer that owns the
@@ -23,10 +34,9 @@ from repro.mem.address_space import AddressSpace, WriteResult
 from repro.mem.frames import FrameAllocator
 from repro.mem.snapshot import CpuState, Snapshot
 from repro.unikernel import interpreters as regions
-from repro.unikernel.driver import DriverState, InvocationDriver
 from repro.unikernel.interpreters import RuntimeSpec
 from repro.unikernel.layout import MemoryLayout
-from repro.unikernel.solo5 import HypercallInterface
+from repro.unikernel.solo5 import check_hypercall
 
 _uc_ids = itertools.count(1)
 
@@ -59,6 +69,25 @@ class UCLifecycleError(ReproError):
 class UnikernelContext:
     """One isolated function-execution environment."""
 
+    __slots__ = (
+        "uc_id",
+        "name",
+        "runtime",
+        "layout",
+        "space",
+        "state",
+        "bound_function",
+        "completed_invocations",
+        "hypercalls",
+        "first_use_events",
+        "channel",
+    )
+
+    # Every UC of a runtime is configured with an identical IP/MAC so
+    # snapshots deploy anywhere (§6 "Networking").
+    guest_ip = "10.0.0.2"
+    guest_mac = "02:00:00:00:00:01"
+
     def __init__(
         self,
         allocator: FrameAllocator,
@@ -74,34 +103,55 @@ class UnikernelContext:
         self.space = AddressSpace(
             allocator, base=base, name=self.name, dedup=dedup
         )
-        self.hypercalls = HypercallInterface()
-        self.driver = InvocationDriver(self.space, self.layout, self.hypercalls)
         self.state = UCState.CREATED
         #: Name of the function whose code is resident (None until a
         #: function is imported or inherited through a fn snapshot).
         self.bound_function: Optional[str] = None
         self.completed_invocations = 0
-        # Every UC of a runtime is configured with an identical IP/MAC
-        # so snapshots deploy anywhere (§6 "Networking").
-        self.guest_ip = "10.0.0.2"
-        self.guest_mac = "02:00:00:00:00:01"
-        self._destroy_hooks: list = []
+        #: Solo5 crossings made so far, by hypercall name.
+        self.hypercalls: Dict[str, int] = {}
+        #: First-use extents this UC had to write, by region name.
+        self.first_use_events: Dict[str, int] = {}
+        #: The control channel the node's network layer mapped for this
+        #: UC (:meth:`repro.net.NodeNetwork.connect_uc`); closed on
+        #: :meth:`destroy`.
+        self.channel = None
 
-    def add_destroy_hook(self, hook) -> None:
-        """Register a callback run when the UC is torn down.
-
-        The node's network layer uses this to unmap the UC's proxy
-        channel when the UC goes away.
-        """
-        self._destroy_hooks.append(hook)
-
-    # -- state helpers --------------------------------------------------
+    # -- helpers ---------------------------------------------------------
     def _require(self, *allowed: UCState) -> None:
         if self.state not in allowed:
             raise UCLifecycleError(
                 f"{self.name}: operation requires state in "
                 f"{[s.value for s in allowed]}, currently {self.state.value}"
             )
+
+    def hypercall(self, name: str) -> None:
+        """Cross the Solo5 boundary; names outside it raise
+        :class:`~repro.errors.IsolationError`."""
+        check_hypercall(name)
+        self.hypercalls[name] = self.hypercalls.get(name, 0) + 1
+
+    def _write_region(
+        self, region_name: str, npages: Optional[int] = None
+    ) -> WriteResult:
+        region = self.layout.region(region_name)
+        count = region.npages if npages is None else min(npages, region.npages)
+        return self.space.write(region.start, count)
+
+    def _ensure_first_use(self, region_name: str) -> WriteResult:
+        """Write a first-use extent unless it is already mapped.
+
+        When the extent is present in the snapshot stack (because an AO
+        pass pre-wrote it) the path is already warm and nothing is
+        written: the mechanism behind Table 2's latency collapse.
+        """
+        region = self.layout.region(region_name)
+        probe = self.space.read(region.start, region.npages)
+        if probe.pages_unmapped == 0:
+            return _NOTHING
+        events = self.first_use_events
+        events[region_name] = events.get(region_name, 0) + 1
+        return self.space.write(region.start, region.npages)
 
     @property
     def destroyed(self) -> bool:
@@ -123,76 +173,100 @@ class UnikernelContext:
             raise UCLifecycleError(
                 f"{self.name}: booted UCs must not have a base snapshot"
             )
-        self.hypercalls.invoke("mem_info")
-        self.hypercalls.invoke("blkread")  # load the ramdisk image
-        total = WriteResult(0, 0, 0)
+        self.hypercall("mem_info")
+        self.hypercall("blkread")  # load the ramdisk image
+        total = _NOTHING
         for region_name in (regions.KERNEL, regions.INTERPRETER, regions.DRIVER):
-            region = self.layout.region(region_name)
-            result = self.space.write(region.start, region.npages)
-            total = _merge(total, result)
+            total = _merge(total, self._write_region(region_name))
         self.state = UCState.BOOTED
         return total
 
     # -- deployment path (Figure 2) ------------------------------------------
     def start_listening(self) -> WriteResult:
-        """Restart the driver into its listening state (every deploy)."""
+        """(Re)start the driver's HTTP endpoint; runs on every deploy."""
         self._require(UCState.CREATED, UCState.BOOTED)
-        result = self.driver.start_listening()
+        self.hypercall("netinfo")
+        self.hypercall("poll")
+        result = self._write_region(regions.LISTEN)
         self.state = UCState.LISTENING
         return result
 
     def accept_connection(self) -> WriteResult:
         """Accept the control connection from SEUSS OS."""
         self._require(UCState.LISTENING)
-        result = self.driver.accept_connection()
+        self.hypercall("netread")
+        first_use = self._ensure_first_use(regions.AO_NETWORK)
+        result = _merge(first_use, self._write_region(regions.CONN))
         self.state = UCState.CONNECTED
         return result
 
     def import_function(self, function_name: str, code_kb: float) -> WriteResult:
-        """Import + compile function source (cold path only)."""
+        """Import and compile function source received over the wire
+        (cold path only)."""
         self._require(UCState.CONNECTED)
         if self.bound_function is not None:
             raise UCLifecycleError(
                 f"{self.name}: already bound to {self.bound_function!r}"
             )
         pages = self.runtime.import_pages_for(code_kb)
-        result = self.driver.import_code(code_kb, pages)
+        self.hypercall("netread")
+        first_use = self._ensure_first_use(regions.AO_INTERPRETER)
+        result = _merge(first_use, self._write_region(regions.IMPORT, pages))
         self.bound_function = function_name
         self.state = UCState.IDLE
         return result
 
     def restore_function(self, function_name: str, code_kb: float) -> None:
-        """Resume with code inherited from a function snapshot (warm path)."""
+        """Resume with code inherited from a function snapshot (warm path).
+
+        The compiled code arrives through the snapshot stack, so the
+        driver resumes directly into its ready state: the warm path
+        "skips the code import and compilation stages" (§4).
+        """
         self._require(UCState.CONNECTED)
-        self.driver.restore_ready(code_kb)
         self.bound_function = function_name
         self.state = UCState.IDLE
 
     def import_args(self) -> WriteResult:
+        """Receive the run arguments for an invocation."""
         self._require(UCState.IDLE)
-        return self.driver.import_args()
+        self.hypercall("netread")
+        return self._write_region(regions.ARGS)
 
     def execute(self, exec_write_pages: int) -> WriteResult:
-        """Run the bound function once."""
+        """Run the bound function once; writes its run-time heap."""
         self._require(UCState.IDLE)
         if self.bound_function is None:
             raise UCLifecycleError(f"{self.name}: no function bound")
         self.state = UCState.RUNNING
-        result = self.driver.execute(exec_write_pages)
+        first_use = self._ensure_first_use(regions.AO_INTERPRETER)
+        result = _merge(
+            first_use, self._write_region(regions.EXEC, exec_write_pages)
+        )
+        self.hypercall("netwrite")  # send the result back
         self.state = UCState.IDLE
         self.completed_invocations += 1
         return result
 
     # -- anticipatory optimization hooks -----------------------------------
     def warm_network(self) -> WriteResult:
-        """Network AO pass: exercise the stack before snapshotting."""
+        """Network AO pass: send an HTTP request through the stack
+        before snapshotting."""
         self._require(UCState.BOOTED, UCState.LISTENING)
-        return self.driver.warm_network_path()
+        self.hypercall("netread")
+        self.hypercall("netwrite")
+        return self._ensure_first_use(regions.AO_NETWORK)
 
     def warm_interpreter(self) -> WriteResult:
-        """Interpreter AO pass: run a dummy script before snapshotting."""
+        """Interpreter AO pass: run a dummy script before snapshotting.
+
+        Warms the interpreter first-use extent and writes the dummy
+        script's own state, which bloats the base snapshot by ~2.1 MB
+        while removing ~0.9 MB from every descendant (§7).
+        """
         self._require(UCState.BOOTED, UCState.LISTENING)
-        return self.driver.run_dummy_script()
+        warm = self._ensure_first_use(regions.AO_INTERPRETER)
+        return _merge(warm, self._write_region(regions.AO_DUMMY))
 
     # -- snapshotting -------------------------------------------------------
     def capture_snapshot(
@@ -222,14 +296,14 @@ class UnikernelContext:
 
     # -- teardown -----------------------------------------------------------
     def destroy(self) -> int:
-        """Tear down the UC; returns pages reclaimed."""
+        """Tear down the UC and close its channel; returns pages reclaimed."""
         if self.destroyed:
             return 0
         freed = self.space.destroy()
         self.state = UCState.DESTROYED
-        for hook in self._destroy_hooks:
-            hook()
-        self._destroy_hooks.clear()
+        channel = self.channel
+        if channel is not None:
+            channel.proxy.close_channel(channel)
         return freed
 
     def __repr__(self) -> str:
@@ -237,6 +311,10 @@ class UnikernelContext:
             f"UnikernelContext({self.name!r}, {self.runtime.name}, "
             f"state={self.state.value}, fn={self.bound_function!r})"
         )
+
+
+#: What a warm first-use probe writes.
+_NOTHING = WriteResult(0, 0, 0)
 
 
 def _merge(a: WriteResult, b: WriteResult) -> WriteResult:

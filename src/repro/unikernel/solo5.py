@@ -6,14 +6,16 @@ the trusted kernel to the twelve hypercalls of the Solo5/ukvm middleware
 12 system calls while the standard security of a Docker container gives
 access to over 300 Linux syscalls."
 
-:class:`HypercallInterface` enforces that narrowing: guests may only
-invoke names in the allow-list, and every crossing is counted so tests
-and the security example can audit the domain traffic.
+:func:`check_hypercall` enforces that narrowing: a guest may only invoke
+names in :data:`SOLO5_HYPERCALLS`.  Each UC crosses the boundary through
+:meth:`~repro.unikernel.context.UnikernelContext.hypercall`, which counts
+its crossings so tests and the security example can audit the domain
+traffic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import FrozenSet
 
 from repro.errors import IsolationError
 
@@ -40,35 +42,10 @@ SOLO5_HYPERCALLS: FrozenSet[str] = frozenset(
 DOCKER_SECCOMP_SYSCALL_COUNT = 313
 
 
-class HypercallInterface:
-    """The narrow, auditable boundary between a UC and the host kernel."""
-
-    def __init__(self, allowed: FrozenSet[str] = SOLO5_HYPERCALLS) -> None:
-        self._allowed = allowed
-        self._counts: Dict[str, int] = {}
-
-    @property
-    def surface_size(self) -> int:
-        """Number of distinct domain crossings a guest may use."""
-        return len(self._allowed)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Per-hypercall invocation counts (a copy)."""
-        return dict(self._counts)
-
-    @property
-    def total_crossings(self) -> int:
-        return sum(self._counts.values())
-
-    def allows(self, name: str) -> bool:
-        return name in self._allowed
-
-    def invoke(self, name: str) -> None:
-        """Record a hypercall; unknown names breach the domain boundary."""
-        if name not in self._allowed:
-            raise IsolationError(
-                f"hypercall {name!r} is outside the {self.surface_size}-call "
-                "domain interface"
-            )
-        self._counts[name] = self._counts.get(name, 0) + 1
+def check_hypercall(name: str) -> None:
+    """Raise :class:`IsolationError` unless ``name`` is a Solo5 hypercall."""
+    if name not in SOLO5_HYPERCALLS:
+        raise IsolationError(
+            f"hypercall {name!r} is outside the {len(SOLO5_HYPERCALLS)}-call "
+            "domain interface"
+        )

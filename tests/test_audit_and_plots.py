@@ -34,6 +34,23 @@ class TestAudit:
         issues = audit_node(seuss_node)
         assert any("held-page counter" in issue for issue in issues)
 
+    def test_idle_uc_without_its_channel_is_named(self, seuss_node):
+        """Closing one idle UC's channel and mapping a stray one on
+        another proxy keeps the channel count equal to the idle-UC
+        count; the audit still finds the UC."""
+        for index in range(2):
+            seuss_node.invoke_sync(nop_function(owner=f"c{index}"))
+        idle = [uc for bucket in seuss_node.uc_cache._idle.values() for uc in bucket]
+        victim = idle[0]
+        proxy = victim.channel.proxy
+        proxy.close_channel(victim.channel)
+        stray = next(p for p in seuss_node.network.proxies if p is not proxy)
+        stray.open_channel(uc_id=victim.uc_id)
+        assert seuss_node.network.active_channels == len(idle)
+        issues = audit_node(seuss_node)
+        assert len(issues) == 1
+        assert victim.name in issues[0]
+
     def test_deleted_lineage_detected(self, allocator):
         from repro.mem.intervals import IntervalSet
         from repro.mem.snapshot import Snapshot

@@ -149,16 +149,3 @@ def test_interval_set_is_unhashable():
     with pytest.raises(TypeError):
         {IntervalSet([(0, 1)])}
 
-
-def test_generation_counts_mutations():
-    intervals = IntervalSet()
-    gen = intervals.generation
-    intervals.add(0, 10)
-    assert intervals.generation > gen
-    gen = intervals.generation
-    intervals.add(2, 5)  # fully covered: no content change, no bump
-    assert intervals.generation == gen
-    intervals.discard(100, 200)  # no overlap: no bump
-    assert intervals.generation == gen
-    intervals.discard(0, 1)
-    assert intervals.generation > gen

@@ -125,29 +125,11 @@ class TestNodeNetwork:
         class FakeUC:
             def __init__(self, uc_id):
                 self.uc_id = uc_id
-                self.hooks = []
-
-            def add_destroy_hook(self, hook):
-                self.hooks.append(hook)
 
         channels = [network.connect_uc(FakeUC(i)) for i in range(8)]
         cores = {c.core for c in channels}
         assert cores == {0, 1, 2, 3}
         assert network.active_channels == 8
-
-    def test_locate_finds_owning_core(self):
-        network = NodeNetwork(cores=2)
-
-        class FakeUC:
-            uc_id = 3
-
-            def add_destroy_hook(self, hook):
-                pass
-
-        channel = network.connect_uc(FakeUC())
-        located = network.locate(channel.port)
-        assert located is channel
-        assert network.locate(1) is None
 
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):

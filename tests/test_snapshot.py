@@ -68,6 +68,14 @@ class TestStacks:
         child = make_snapshot(alloc, pages=[(50, 150)], parent=base)
         assert child.stack_page_count() == 150
 
+    def test_deleted_snapshot_stack_view_covers_only_its_pages(self, alloc):
+        base = make_snapshot(alloc, name="base", pages=[(0, 100)])
+        child = make_snapshot(alloc, name="child", pages=[(200, 250)], parent=base)
+        assert child.stack_page_count() == 150  # the union is memoised
+        child.delete()
+        assert child.parent is None
+        assert child.stack_pages_view() == IntervalSet([(200, 250)])
+
     def test_resolve_finds_topmost_owner(self, alloc):
         base = make_snapshot(alloc, name="base", pages=[(0, 100)])
         child = make_snapshot(alloc, name="child", pages=[(50, 60)], parent=base)

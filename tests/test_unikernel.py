@@ -6,6 +6,8 @@ import pytest
 
 from repro.costs import SeussCostModel
 from repro.errors import ConfigError, IsolationError
+from repro.mem.frames import FrameAllocator
+from repro.unikernel.context import UnikernelContext
 from repro.unikernel.interpreters import (
     NODEJS,
     PYTHON,
@@ -18,8 +20,8 @@ from repro.unikernel.layout import MemoryLayout, REGION_ALIGN_PAGES
 from repro.unikernel.rumprun import boot_stages
 from repro.unikernel.solo5 import (
     DOCKER_SECCOMP_SYSCALL_COUNT,
-    HypercallInterface,
     SOLO5_HYPERCALLS,
+    check_hypercall,
 )
 
 
@@ -28,28 +30,30 @@ class TestSolo5:
         assert len(SOLO5_HYPERCALLS) == 12
 
     def test_interface_counts_crossings(self):
-        interface = HypercallInterface()
-        interface.invoke("netread")
-        interface.invoke("netread")
-        interface.invoke("poll")
-        assert interface.counts == {"netread": 2, "poll": 1}
-        assert interface.total_crossings == 3
+        uc = UnikernelContext(FrameAllocator(1_000), NODEJS)
+        uc.hypercall("netread")
+        uc.hypercall("netread")
+        uc.hypercall("poll")
+        assert uc.hypercalls == {"netread": 2, "poll": 1}
+        assert sum(uc.hypercalls.values()) == 3
 
     def test_unknown_hypercall_breaches_isolation(self):
-        interface = HypercallInterface()
         with pytest.raises(IsolationError):
-            interface.invoke("open")  # a Linux syscall, not a hypercall
+            check_hypercall("open")  # a Linux syscall, not a hypercall
+        uc = UnikernelContext(FrameAllocator(1_000), NODEJS)
+        with pytest.raises(IsolationError):
+            uc.hypercall("open")
+        assert uc.hypercalls == {}
 
     def test_surface_comparison_with_docker(self):
-        interface = HypercallInterface()
-        assert interface.surface_size == 12
+        assert len(SOLO5_HYPERCALLS) == 12
         assert DOCKER_SECCOMP_SYSCALL_COUNT > 300
-        assert DOCKER_SECCOMP_SYSCALL_COUNT / interface.surface_size > 25
+        assert DOCKER_SECCOMP_SYSCALL_COUNT / len(SOLO5_HYPERCALLS) > 25
 
     def test_allows_query(self):
-        interface = HypercallInterface()
-        assert interface.allows("walltime")
-        assert not interface.allows("fork")
+        check_hypercall("walltime")
+        with pytest.raises(IsolationError):
+            check_hypercall("fork")
 
 
 class TestLayout:
