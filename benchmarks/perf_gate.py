@@ -220,7 +220,7 @@ def bench_uc_lifecycle() -> Tuple[int, float]:
         uc.start_listening()
         node.network.connect_uc(uc)
         uc.accept_connection()
-        uc.restore_function(fn.key, fn.code_kb)
+        uc.restore_function(fn.key)
         uc.import_args()
         uc.execute(38)
         uc.destroy()

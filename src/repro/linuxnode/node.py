@@ -68,8 +68,10 @@ class LinuxNode:
         self.cache_policy = make_policy(
             self.config.cache_policy, clock=lambda: self.env.now
         )
-        # Idle containers per function, FIFO within a function.
-        self._idle: Dict[str, Deque[Instance]] = {}
+        # Idle containers per function, a plain list, oldest first:
+        # FIFO within a function (hot pops and eviction both take the
+        # oldest from the front).
+        self._idle: Dict[str, List[Instance]] = {}
         self._idle_count = 0
         self._busy_count = 0
         self._creating_count = 0
@@ -141,7 +143,7 @@ class LinuxNode:
         bucket = self._idle.get(fn_key)
         if not bucket:
             return None
-        instance = bucket.popleft()
+        instance = bucket.pop(0)
         if not bucket:
             del self._idle[fn_key]
             # Left the cache by being used, not evicted.
@@ -157,7 +159,7 @@ class LinuxNode:
         instance.state = InstanceState.IDLE
         bucket = self._idle.get(instance.fn_key)
         if bucket is None:
-            bucket = deque()
+            bucket = []
             self._idle[instance.fn_key] = bucket
         bucket.append(instance)
         self.cache_policy.on_insert(instance.fn_key)
@@ -181,7 +183,7 @@ class LinuxNode:
         if self._idle:
             key = self.cache_policy.victim()
             bucket = self._idle[key]
-            victim = bucket.popleft()
+            victim = bucket.pop(0)
             if not bucket:
                 del self._idle[key]
                 self.cache_policy.on_remove(key)

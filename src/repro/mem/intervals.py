@@ -20,14 +20,23 @@ Complexity guarantees (n, m = extent counts of the two operands):
   linear merges (never the O(n·m) splice loop of repeated ``add``);
 * ``page_count`` / ``len`` — O(1), maintained incrementally by every
   mutation.
+
+A set is stored either as two lists (mutable: a UC's private and dirty
+pages) or, after :meth:`IntervalSet.frozen_copy`, as two tuples of ints
+(read-only: a snapshot's pages and its stack union).  CPython stops
+tracking an all-int tuple at its first collection, so a frozen set costs
+the cyclic collector nothing after that.  Every read runs unchanged on
+either storage; every mutator of a frozen set raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Interval = Tuple[int, int]
+
+_FROZEN = "a frozen IntervalSet cannot be mutated"
 
 
 class IntervalSet:
@@ -53,9 +62,10 @@ class IntervalSet:
 
     @classmethod
     def _from_lists(
-        cls, starts: List[int], stops: List[int], count: int
+        cls, starts: Sequence[int], stops: Sequence[int], count: int
     ) -> "IntervalSet":
-        """Adopt already-canonical interval lists (internal fast path)."""
+        """Adopt already-canonical interval lists, or tuples for a
+        frozen set (internal fast path)."""
         out = cls.__new__(cls)
         out._starts = starts
         out._stops = stops
@@ -63,9 +73,23 @@ class IntervalSet:
         return out
 
     def copy(self) -> "IntervalSet":
+        """A mutable (list-backed) copy, whatever this set's storage."""
         return IntervalSet._from_lists(
             list(self._starts), list(self._stops), self._count
         )
+
+    def frozen_copy(self) -> "IntervalSet":
+        """A read-only copy stored as tuples (this set, if already frozen)."""
+        if self.frozen:
+            return self
+        return IntervalSet._from_lists(
+            tuple(self._starts), tuple(self._stops), self._count
+        )
+
+    @property
+    def frozen(self) -> bool:
+        """Whether the set is tuple-backed and rejects mutation."""
+        return self._starts.__class__ is tuple
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -91,11 +115,18 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._starts == other._starts and self._stops == other._stops
+        # tuple() of a tuple is the tuple itself, so this compares
+        # content whether either side is frozen or not.
+        return (
+            self._count == other._count
+            and tuple(self._starts) == tuple(other._starts)
+            and tuple(self._stops) == tuple(other._stops)
+        )
 
     # Content-equal sets would hash differently under the default
     # identity hash, silently breaking dict/set use; page sets are
-    # mutable, so they are explicitly unhashable instead.
+    # mutable (and a frozen set equals its mutable copy), so they are
+    # explicitly unhashable instead.
     __hash__ = None  # type: ignore[assignment]
 
     def __iter__(self) -> Iterator[Interval]:
@@ -117,13 +148,15 @@ class IntervalSet:
     # -- mutation ----------------------------------------------------------
     def add(self, start: int, stop: int) -> None:
         """Insert the interval ``[start, stop)``, merging as needed."""
+        starts, stops = self._starts, self._stops
+        if starts.__class__ is tuple:
+            raise TypeError(_FROZEN)
         if start < 0:
             raise ValueError(f"negative page number {start}")
         if stop <= start:
             if stop == start:
                 return
             raise ValueError(f"empty or inverted interval [{start}, {stop})")
-        starts, stops = self._starts, self._stops
         # Find the window of existing intervals that touch [start, stop).
         # An interval (s, e) touches if s <= stop and e >= start.
         lo = bisect_left(stops, start)
@@ -144,11 +177,13 @@ class IntervalSet:
 
     def discard(self, start: int, stop: int) -> None:
         """Remove the interval ``[start, stop)`` (missing parts ignored)."""
+        starts, stops = self._starts, self._stops
+        if starts.__class__ is tuple:
+            raise TypeError(_FROZEN)
         if stop <= start:
             if stop == start:
                 return
             raise ValueError(f"empty or inverted interval [{start}, {stop})")
-        starts, stops = self._starts, self._stops
         lo = bisect_right(stops, start)
         hi = bisect_left(starts, stop)
         if lo >= hi:
@@ -171,12 +206,16 @@ class IntervalSet:
         self._count -= removed
 
     def clear(self) -> None:
+        if self._starts.__class__ is tuple:
+            raise TypeError(_FROZEN)
         self._starts.clear()
         self._stops.clear()
         self._count = 0
 
     def update(self, other: "IntervalSet") -> None:
         """In-place union with ``other`` (single-pass linear merge)."""
+        if self._starts.__class__ is tuple:
+            raise TypeError(_FROZEN)
         if not other._starts:
             return
         if not self._starts:
@@ -190,6 +229,8 @@ class IntervalSet:
 
     def difference_update(self, other: "IntervalSet") -> None:
         """In-place removal of every page in ``other`` (linear merge)."""
+        if self._starts.__class__ is tuple:
+            raise TypeError(_FROZEN)
         if not self._starts or not other._starts:
             return
         self._starts, self._stops, self._count = _merge_difference(
@@ -326,10 +367,10 @@ class IntervalSet:
 
 
 def _merge_union(
-    a_starts: List[int],
-    a_stops: List[int],
-    b_starts: List[int],
-    b_stops: List[int],
+    a_starts: Sequence[int],
+    a_stops: Sequence[int],
+    b_starts: Sequence[int],
+    b_stops: Sequence[int],
 ) -> Tuple[List[int], List[int], int]:
     """Union of two canonical interval lists in one pass.
 
@@ -368,10 +409,10 @@ def _merge_union(
 
 
 def _merge_difference(
-    a_starts: List[int],
-    a_stops: List[int],
-    b_starts: List[int],
-    b_stops: List[int],
+    a_starts: Sequence[int],
+    a_stops: Sequence[int],
+    b_starts: Sequence[int],
+    b_stops: Sequence[int],
 ) -> Tuple[List[int], List[int], int]:
     """``a - b`` over canonical interval lists in one pass."""
     starts: List[int] = []

@@ -15,8 +15,8 @@ refcounts (:meth:`Snapshot.retain` / :meth:`Snapshot.release` /
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import SnapshotCorruptionError, SnapshotError
 from repro.mem.frames import FrameAllocator
@@ -59,11 +59,36 @@ class CpuState:
     instruction_pointer: int = 0
     stack_pointer: int = 0
     trigger_label: str = ""
-    registers: Dict[str, int] = field(default_factory=dict)
 
 
 class Snapshot:
-    """An immutable page-level diff with a parent lineage."""
+    """An immutable page-level diff with a parent lineage.
+
+    Both of its page sets, its own pages and the memoised stack union,
+    are frozen, so the collector tracks four objects per snapshot: the
+    snapshot, its :class:`CpuState` and the two sets, whose tuples of
+    ints it stops tracking at its first pass.
+    """
+
+    __slots__ = (
+        "name",
+        "parent",
+        "cpu",
+        "_pages",
+        "_allocator",
+        "_refs",
+        "_deleted",
+        "_orphan",
+        "_checksum",
+        "_corrupted",
+        "_stack_cache",
+        "_recomputed_checksum",
+        "_dedup",
+        "_chunk_ids",
+        "_shared_pages",
+        "_page_table_pages",
+        "_charged_pages",
+    )
 
     def __init__(
         self,
@@ -78,7 +103,7 @@ class Snapshot:
         self.name = name
         self.parent = parent
         self.cpu = cpu or CpuState()
-        self._pages = pages.copy()
+        self._pages = pages.frozen_copy()
         self._allocator = allocator
         self._refs = 0
         self._deleted = False
@@ -88,10 +113,10 @@ class Snapshot:
         # ``_corrupted``, standing in for bit rot in the stored frames.
         self._checksum = content_checksum(name, self._pages, self.cpu)
         self._corrupted = False
-        # ``_pages`` is a private copy that nothing mutates, so the
-        # stack's page union is built once, at first use (and rebuilt
-        # only after delete() cuts the lineage), and the checksum is
-        # recomputed once, at the first verify().
+        # ``_pages`` is frozen, so the stack's page union is built once,
+        # at first use (and rebuilt only after delete() cuts the
+        # lineage), and the checksum is recomputed once, at the first
+        # verify().
         self._stack_cache: Optional[IntervalSet] = None
         self._recomputed_checksum: Optional[int] = None
         # Cloning the dirty pages into snapshot-owned frames is the
@@ -149,7 +174,8 @@ class Snapshot:
     # -- introspection ---------------------------------------------------
     @property
     def pages(self) -> IntervalSet:
-        """The pages this snapshot owns (a *copy*; snapshots are immutable)."""
+        """The pages this snapshot owns (a mutable *copy*; snapshots are
+        immutable)."""
         return self._pages.copy()
 
     @property
@@ -213,18 +239,21 @@ class Snapshot:
         return chain
 
     def stack_pages_view(self) -> IntervalSet:
-        """Shared memoised union of the stack's pages — do **not** mutate.
+        """Shared memoised union of the stack's pages, frozen.
 
         The overlap-query fast path: readers that only need membership
         or overlap counts borrow this instance instead of materialising
-        a fresh union per query.
+        a fresh union per query.  Its mutators raise ``TypeError``; a
+        base snapshot's view is its own page set.
         """
         union = self._stack_cache
         if union is None:
             if self.parent is None:
-                union = self._pages.copy()
+                union = self._pages
             else:
-                union = self.parent.stack_pages_view().union(self._pages)
+                union = (
+                    self.parent.stack_pages_view().union(self._pages).frozen_copy()
+                )
             self._stack_cache = union
         return union
 

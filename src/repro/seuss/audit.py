@@ -5,9 +5,11 @@ workloads and then call :func:`audit_node`; a healthy node reports no
 findings.  Auditable invariants:
 
 * allocator category tallies sum to the allocated total;
-* the snapshot cache's held-page counter matches the sum of its
-  entries' footprints, every entry is alive and retained, and no entry
-  is an orphan;
+* the snapshot cache's held-page counter matches what its entries
+  hold: each entry's private pages (its footprint less the pages it
+  routes through the dedup frame table) plus, once, each shared chunk
+  any entry holds (without dedup, the sum of the entries' footprints);
+  every entry is alive and retained, and no entry is an orphan;
 * every cached idle UC is in the IDLE state with a live base snapshot;
 * each cache's eviction policy tracks exactly the keys the cache holds;
 * each idle UC's channel is open and is the channel its core's proxy
@@ -81,14 +83,21 @@ def audit_node(node) -> List[str]:
 
     # -- snapshot cache ---------------------------------------------------
     cache = node.snapshot_cache
+    # The cache charges what a capture claimed and uncharges what an
+    # eviction freed, so a chunk shared by several entries is held once,
+    # whichever entry claimed it.
     held = 0
+    chunk_ids = set()
     for key, snapshot in cache._entries.items():
-        held += snapshot.footprint_pages
+        held += snapshot.footprint_pages - snapshot.shared_pages
+        chunk_ids.update(snapshot._chunk_ids)
         if snapshot.deleted:
             issues.append(f"snapshot cache: {key!r} entry is deleted")
         if snapshot.refcount < 1:
             issues.append(f"snapshot cache: {key!r} entry is unretained")
         issues.extend(audit_snapshot_lineage(snapshot))
+    if chunk_ids:
+        held += sum(node.dedup.table.chunk_pages(cid) for cid in chunk_ids)
     if held != cache._held_pages:
         issues.append(
             f"snapshot cache: held-page counter {cache._held_pages} "

@@ -305,7 +305,7 @@ def invoke_on_node(
                     captured = None
                     reached(InvocationStage.CODE_IMPORTED)
                 else:  # WARM
-                    uc.restore_function(fn.key, fn.code_kb)
+                    uc.restore_function(fn.key)
                     if manifest is not None:
                         # Prefetched deploy: charge the lazy per-page
                         # rate only over the faults actually taken (the

@@ -13,9 +13,8 @@ first by default), each function's oldest UC first.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.seuss.policy import CachePolicy, LRUPolicy
 from repro.trace import current as _active_tracer
@@ -32,7 +31,10 @@ class UCCacheStats:
 class IdleUCCache:
     """Idle unikernel contexts keyed by function.
 
-    Hot pops take a function's newest UC and reclaim its oldest.  The
+    Each function's idle UCs are a plain list, oldest first: hot pops
+    take its newest UC from the end and reclaim its oldest from the
+    front.  (On 64-bit CPython a one-UC list is 88 bytes and a
+    ``deque`` 760 whatever it holds; most functions hold one.)  The
     policy (an :class:`LRUPolicy` unless one is passed) orders reclaim
     across functions and tracks exactly the functions with idle UCs.
     """
@@ -43,7 +45,7 @@ class IdleUCCache:
         policy: Optional[CachePolicy] = None,
     ) -> None:
         self._per_function_limit = per_function_limit
-        self._idle: Dict[str, Deque[UnikernelContext]] = {}
+        self._idle: Dict[str, List[UnikernelContext]] = {}
         self._count = 0
         self._policy: CachePolicy = policy or LRUPolicy()
         self.stats = UCCacheStats()
@@ -61,7 +63,7 @@ class IdleUCCache:
             raise ValueError(f"cannot cache UC in state {uc.state}")
         bucket = self._idle.get(key)
         if bucket is None:
-            bucket = deque()
+            bucket = []
             self._idle[key] = bucket
         if len(bucket) >= self._per_function_limit:
             return False
@@ -111,7 +113,7 @@ class IdleUCCache:
         while freed < pages_needed and self._idle:
             key = self._policy.victim()
             bucket = self._idle[key]
-            uc = bucket.popleft()
+            uc = bucket.pop(0)
             self._count -= 1
             if not bucket:
                 del self._idle[key]

@@ -216,7 +216,7 @@ class UnikernelContext:
         self.state = UCState.IDLE
         return result
 
-    def restore_function(self, function_name: str, code_kb: float) -> None:
+    def restore_function(self, function_name: str) -> None:
         """Resume with code inherited from a function snapshot (warm path).
 
         The compiled code arrives through the snapshot stack, so the

@@ -7,6 +7,7 @@ import pytest
 from repro.metrics.ascii_plot import burst_figure, scatter
 from repro.seuss.audit import audit_allocator, audit_node, audit_snapshot_lineage
 from repro.workload.functions import nop_function
+from tests.conftest import make_seuss_node
 
 
 class TestAudit:
@@ -22,6 +23,25 @@ class TestAudit:
             if index % 11 == 0:
                 seuss_node.snapshot_cache.evict_key(fn.key)
         assert audit_node(seuss_node) == []
+
+    @pytest.mark.parametrize("scope", ["tenant", "global"])
+    def test_dedup_node_stays_clean_through_inserts_and_evictions(self, scope):
+        """With shared chunks the cache charges a chunk to the entry that
+        claimed it and uncharges it when its last holder frees it, so
+        the held-page counter is the entries' private pages plus each
+        shared chunk once, not the sum of their footprints."""
+        node = make_seuss_node(page_dedup=True, dedup_scope=scope)
+        fns = [nop_function(f"f{index}", owner=f"o{index % 3}") for index in range(6)]
+        for fn in fns:
+            node.invoke_sync(fn)
+            assert audit_node(node) == []
+        assert node.dedup.saved_pages > 0
+        for fn in fns[:2]:
+            assert node.snapshot_cache.evict_key(fn.key)
+            assert audit_node(node) == []
+        node.snapshot_cache._held_pages += 8
+        issues = audit_node(node)
+        assert any("held-page counter" in issue for issue in issues)
 
     def test_allocator_imbalance_detected(self, seuss_node):
         seuss_node.allocator._by_category["phantom"] = 123

@@ -101,7 +101,7 @@ class TestWarmPath:
         warm = UnikernelContext(alloc, NODEJS, base=fn_snapshot)
         warm.start_listening()
         warm.accept_connection()
-        warm.restore_function("fn", 0.1)
+        warm.restore_function("fn")
         warm.import_args()
         warm.execute(38)
         assert warm.bound_function == "fn"

@@ -3,27 +3,20 @@ logic, and what one idle UC costs the collector."""
 
 from __future__ import annotations
 
-import gc
-import sys
 from collections import Counter
-from enum import Enum
-from types import ModuleType
 
 import pytest
 
 from repro.mem.frames import FrameAllocator
-from repro.mem.snapshot import Snapshot
-from repro.net.proxy import NetworkProxy
-from repro.seuss.node import SeussNode
 from repro.unikernel.context import (
     UCLifecycleError,
     UCState,
     UnikernelContext,
     layout_for,
 )
-from repro.unikernel.interpreters import NODEJS, RuntimeSpec
-from repro.unikernel.layout import MemoryLayout
+from repro.unikernel.interpreters import NODEJS
 from repro.workload.functions import nop_function
+from tests.census import tracked_census
 
 
 @pytest.fixture
@@ -80,10 +73,10 @@ class TestProtocol:
 
     def test_restore_ready_requires_connected(self, deployed):
         with pytest.raises(UCLifecycleError):
-            deployed.restore_function("fn", 0.1)
+            deployed.restore_function("fn")
         deployed.start_listening()
         deployed.accept_connection()
-        deployed.restore_function("fn", 0.1)
+        deployed.restore_function("fn")
         assert deployed.state is UCState.IDLE
         assert deployed.bound_function == "fn"
 
@@ -103,7 +96,7 @@ ACCEPTED = {
 
 COMMAND_ARGS = {
     "import_function": ("fn", 0.1),
-    "restore_function": ("fn", 0.1),
+    "restore_function": ("fn",),
     "execute": (38,),
 }
 
@@ -111,7 +104,7 @@ COMMAND_ARGS = {
 NEXT_STEP = {
     UCState.CREATED: lambda uc: uc.start_listening(),
     UCState.LISTENING: lambda uc: uc.accept_connection(),
-    UCState.CONNECTED: lambda uc: uc.restore_function("fn", 0.1),
+    UCState.CONNECTED: lambda uc: uc.restore_function("fn"),
     # RUNNING is only observable mid-execute, so it is set directly.
     UCState.IDLE: lambda uc: setattr(uc, "state", UCState.RUNNING),
 }
@@ -181,43 +174,6 @@ class TestStats:
 class TestLayoutCache:
     def test_layouts_shared_per_runtime(self):
         assert layout_for(NODEJS) is layout_for(NODEJS)
-
-
-#: What every UC of a node shares; the census walk stops there.
-SHARED = (
-    Snapshot,
-    FrameAllocator,
-    RuntimeSpec,
-    MemoryLayout,
-    NetworkProxy,
-    SeussNode,
-    Enum,
-    ModuleType,
-    type,
-)
-
-
-def tracked_census(root) -> Counter:
-    """GC-tracked objects reachable from ``root`` but not shared, by
-    type name.  Dicts are walked through but not counted, so the result
-    does not depend on how the interpreter lays out instance dicts;
-    module namespaces (a function's globals) are shared."""
-    seen = {id(root)} | {
-        id(vars(module))
-        for module in list(sys.modules.values())
-        if isinstance(module, ModuleType)
-    }
-    pending = [root]
-    census: Counter = Counter()
-    while pending:
-        obj = pending.pop()
-        if gc.is_tracked(obj) and type(obj) is not dict:
-            census[type(obj).__name__] += 1
-        for ref in gc.get_referents(obj):
-            if id(ref) not in seen and not isinstance(ref, SHARED):
-                seen.add(id(ref))
-                pending.append(ref)
-    return census
 
 
 class TestCensus:

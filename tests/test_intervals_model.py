@@ -143,9 +143,52 @@ def test_relations_match_set_model(seed):
         assert missing == window - left_model
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frozen_copy_reads_match_list_backed(seed):
+    """Every read gives the same answer on a frozen (tuple-backed) copy,
+    with the frozen copy as either operand, and what a read builds is
+    list-backed."""
+    rng = random.Random(seed)
+    for _case in range(300):
+        left, _ = random_operand(rng)
+        right, _ = random_operand(rng)
+        frozen_left, frozen_right = left.frozen_copy(), right.frozen_copy()
+        assert frozen_left.frozen and not left.frozen
+        assert frozen_left == left and left == frozen_left
+        assert frozen_left.intervals() == left.intervals()
+        assert frozen_left.page_count == left.page_count
+        start, stop = random_interval(rng)
+        probe = rng.randrange(SPAN)
+        assert (probe in frozen_left) == (probe in left)
+        for name in ("overlap_size", "missing_in_range", "intersect_range"):
+            read = getattr(frozen_left, name)(start, stop)
+            assert read == getattr(left, name)(start, stop)
+        operands = (
+            (frozen_left, right),
+            (left, frozen_right),
+            (frozen_left, frozen_right),
+        )
+        for a, b in operands:
+            for name in ("union", "intersection", "difference"):
+                out = getattr(a, name)(b)
+                assert out == getattr(left, name)(right)
+                check_canonical(out)
+                assert not out.frozen
+            for name in ("issubset", "isdisjoint"):
+                assert getattr(a, name)(b) == getattr(left, name)(right)
+            assert (a == b) == (left == right)
+        merged = left.copy()
+        merged.update(frozen_right)
+        assert merged == left.union(right) and not merged.frozen
+        merged.difference_update(frozen_left)
+        assert merged == right.difference(left) and not merged.frozen
+
+
 def test_interval_set_is_unhashable():
     with pytest.raises(TypeError):
         hash(IntervalSet())
+    with pytest.raises(TypeError):
+        hash(IntervalSet([(0, 1)]).frozen_copy())
     with pytest.raises(TypeError):
         {IntervalSet([(0, 1)])}
 

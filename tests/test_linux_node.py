@@ -96,6 +96,25 @@ class TestCacheLimitAndEviction:
         assert cold.value.latency_ms > io_fn.io_wait_ms
 
 
+class TestIdleOrder:
+    def test_hot_pops_and_eviction_take_a_function_s_oldest(self, linux_node):
+        """One function's idle containers queue oldest first; a hot pop
+        and an eviction both take the oldest."""
+        containers = []
+        for _ in range(3):
+            instance = linux_node.materialize_container()
+            instance.bind("default/nop")
+            linux_node._busy_count += 1  # caching idles a busy container
+            linux_node._cache_idle(instance)
+            containers.append(instance)
+        assert linux_node._pop_idle("default/nop") is containers[0]
+        assert linux_node._evict_one_idle() is containers[1]
+        assert containers[1].state is InstanceState.DESTROYED
+        assert linux_node._pop_idle("default/nop") is containers[2]
+        assert linux_node._pop_idle("default/nop") is None
+        assert linux_node.idle_containers == 0
+
+
 class TestBridgeFailures:
     def test_each_container_attaches_a_bridge_endpoint(self, env):
         node = LinuxNode(env, config=LinuxNodeConfig(seed=7))

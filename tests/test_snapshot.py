@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.errors import SnapshotError
@@ -9,6 +12,8 @@ from repro.mem.frames import FrameAllocator
 from repro.mem.intervals import IntervalSet
 from repro.mem.paging import page_table_pages_for
 from repro.mem.snapshot import CpuState, Snapshot
+from repro.workload.functions import nop_function
+from tests.census import tracked_census
 
 
 @pytest.fixture
@@ -90,6 +95,64 @@ class TestStacks:
         assert base.refcount == 1
         child.delete()
         assert base.refcount == 0
+
+
+#: Every mutator of a page set, including one that would change nothing.
+MUTATIONS = {
+    "add": lambda pages: pages.add(500, 600),
+    "add_covered": lambda pages: pages.add(0, 10),
+    "discard": lambda pages: pages.discard(0, 10),
+    "clear": lambda pages: pages.clear(),
+    "update": lambda pages: pages.update(IntervalSet([(500, 600)])),
+    "difference_update": lambda pages: pages.difference_update(
+        IntervalSet([(0, 10)])
+    ),
+}
+
+
+class TestFrozenPages:
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_stack_view_rejects_mutation(self, alloc, mutation):
+        base = make_snapshot(alloc, name="base", pages=[(0, 100)])
+        child = make_snapshot(alloc, name="child", pages=[(200, 250)], parent=base)
+        for snapshot, count in ((base, 100), (child, 150)):
+            view = snapshot.stack_pages_view()
+            extents = view.intervals()
+            with pytest.raises(TypeError):
+                MUTATIONS[mutation](view)
+            assert view.intervals() == extents
+            assert snapshot.stack_pages_view() is view
+            assert snapshot.stack_page_count() == count
+
+    def test_base_stack_view_is_its_own_page_set(self, alloc):
+        base = make_snapshot(alloc, pages=[(0, 100)])
+        assert base.stack_pages_view() is base._pages
+        assert base.stack_pages_view().frozen
+
+    def test_copies_handed_out_are_mutable(self, alloc):
+        base = make_snapshot(alloc, name="base", pages=[(0, 100)])
+        child = make_snapshot(alloc, name="child", pages=[(200, 250)], parent=base)
+        for pages in (child.pages, child.stack_pages()):
+            assert not pages.frozen
+            pages.add(500, 600)
+        assert child.page_count == 50
+        assert child.stack_page_count() == 150
+
+
+class TestCensus:
+    def test_cached_function_snapshot_is_itself_its_cpu_state_and_two_page_sets(
+        self, seuss_node
+    ):
+        """Its page sets are tuples of ints, which the collector stops
+        tracking at its first pass; the walk stops at the parent."""
+        fn = nop_function()
+        seuss_node.invoke_sync(fn)
+        snapshot = seuss_node.snapshot_cache.get(fn.key)
+        assert snapshot.parent is not None
+        gc.collect()
+        assert tracked_census(snapshot) == Counter(
+            Snapshot=1, CpuState=1, IntervalSet=2
+        )
 
 
 class TestLifetime:
