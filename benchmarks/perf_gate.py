@@ -540,13 +540,14 @@ def bench_million_event_fleet() -> Tuple[int, float]:
     """Fleet-scale engine churn: >1M events through ``timeout_batch``.
 
     A seeded Zipf-skewed arrival mix (10k functions, 400 arrivals/ms,
-    exponential 250 ms service) driven through the batched injection
-    path — ``timeout_batch`` arrival epochs with pre-scheduled
-    completions — over 520k arrivals = 1,040,002 engine events.  Each
-    100k-entry batch holds one heap slot, so about five events are
-    pending at a time; one entry per timeout would keep a median of
-    164k pending.  The committed reference for the per-arrival-process
-    driver on the same workload lives in
+    exponential 250 ms service) driven through the shared open-loop
+    injector — one stream of arrivals and one of pre-computed
+    completions, each in 10k-entry ``timeout_batch`` epochs — over 520k
+    arrivals = 1,040,004 engine events (two per arrival, plus the start
+    and end of the two injector processes).  Each batch holds one heap
+    slot, so two events are pending at a time; one entry per timeout
+    would keep a median of 164k pending.  The committed reference for
+    the per-arrival-process driver on the same workload lives in
     ``benchmarks/fleet_heap_baseline.json``.
 
     GC is disabled inside the timed region (and restored after): at a

@@ -41,14 +41,14 @@ def run_backend(backend: str):
         cluster = FaasCluster.with_linux_node(env)
     functions = unique_nop_set(FUNCTIONS, owner_prefix=f"zipf-{backend}")
     popularity = ZipfPopularity(FUNCTIONS, exponent=1.1, seed=11)
-    trace = synthesize_trace(
+    times, function_ids = synthesize_trace(
         functions,
         PoissonArrivals(RATE_PER_S, seed=11),
         popularity,
         count=REQUESTS,
     )
     head_keys = {functions[i].key for i in range(HEAD)}
-    results = replay_trace(cluster, trace)
+    results = replay_trace(cluster, functions, times, function_ids)
     ok = [r for r in results if r.success]
     head = [r.latency_ms for r in ok if r.function_key in head_keys]
     tail = [r.latency_ms for r in ok if r.function_key not in head_keys]

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
 from repro.seuss.policy import POLICY_NAMES
 from repro.workload.fleet import FleetTraceConfig, synthesize_fleet_trace
-from repro.workload.keepalive import KeepAliveConfig, replay_keepalive
+from repro.workload.keepalive import race_policies
 
 
 def run_keepalive(
@@ -65,42 +65,40 @@ def run_keepalive(
     )
     #: policy -> [(budget_mb, cold_rate)] for plots/tests.
     curves: Dict[str, List[Tuple[float, float]]] = {}
-    for budget in budgets_mb:
-        cold_rates: Dict[str, float] = {}
-        for policy in POLICY_NAMES:
-            replay = replay_keepalive(
-                trace,
-                KeepAliveConfig(
-                    policy=policy,
-                    memory_budget_mb=float(budget),
-                    cold_start_ms=cold_start_ms,
-                ),
-            )
-            cold_rates[policy] = replay.cold_rate
-            curves.setdefault(policy, []).append(
-                (float(budget), replay.cold_rate)
-            )
-            result.add_row(
-                policy,
-                int(budget),
-                replay.arrivals,
-                round(replay.cold_rate, 4),
-                round(replay.warm_rate, 4),
-                replay.prewarms,
-                replay.prewarm_hits,
-                replay.evictions,
-                replay.expirations,
-                round(replay.avg_resident_mb, 1),
-                round(replay.peak_resident_mb, 1),
-            )
-        best = min(cold_rates, key=lambda name: (cold_rates[name], name))
-        lru = cold_rates["lru"]
+    #: budget_mb -> policy -> cold_rate, for the per-budget notes.
+    cold_rates: Dict[float, Dict[str, float]] = {}
+    replays = race_policies(
+        trace,
+        POLICY_NAMES,
+        [float(budget) for budget in budgets_mb],
+        cold_start_ms=cold_start_ms,
+    )
+    for replay in replays:
+        budget = replay.budget_mb
+        cold_rates.setdefault(budget, {})[replay.policy] = replay.cold_rate
+        curves.setdefault(replay.policy, []).append((budget, replay.cold_rate))
+        result.add_row(
+            replay.policy,
+            int(budget),
+            replay.arrivals,
+            round(replay.cold_rate, 4),
+            round(replay.warm_rate, 4),
+            replay.prewarms,
+            replay.prewarm_hits,
+            replay.evictions,
+            replay.expirations,
+            round(replay.avg_resident_mb, 1),
+            round(replay.peak_resident_mb, 1),
+        )
+    for budget, rates in cold_rates.items():
+        best = min(rates, key=lambda name: (rates[name], name))
+        lru = rates["lru"]
         if best != "lru" and lru > 0:
-            saved = (lru - cold_rates[best]) / lru
+            saved = (lru - rates[best]) / lru
             result.add_note(
                 f"at {int(budget)} MB, {best} cuts the cold-start rate "
                 f"{saved:.1%} below the seed LRU discipline "
-                f"({cold_rates[best]:.4f} vs {lru:.4f})"
+                f"({rates[best]:.4f} vs {lru:.4f})"
             )
         else:
             result.add_note(

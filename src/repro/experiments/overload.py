@@ -40,20 +40,21 @@ resource the control plane manages), not in the shim queue.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.costs import DEFAULT_COSTS, CostBook
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
 from repro.experiments.chaos import BASE_PLAN, CHAOS_BREAKER, CHAOS_RETRIES
 from repro.faas.cluster import FaasCluster
 from repro.faas.overload import OverloadConfig, ShedPolicy
-from repro.faas.records import FunctionSpec, InvocationResult
+from repro.faas.records import FunctionSpec
 from repro.metrics.collector import LatencyRecorder
 from repro.metrics.resilience import ResilienceReport, goodput_per_sec
 from repro.seuss.config import SeussConfig
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.workload.functions import cpu_bound_function
+from repro.workload.traces import poisson_window, replay_trace
 
 #: CPU-bound body long enough that a core is a contended resource.
 EXEC_MS = 50.0
@@ -105,38 +106,6 @@ def _overload_functions() -> List[FunctionSpec]:
     ]
 
 
-def _client(
-    cluster: FaasCluster,
-    fn: FunctionSpec,
-    recorder: LatencyRecorder,
-) -> Generator:
-    result = yield cluster.invoke(fn)
-    recorder.add(result)
-
-
-def _open_loop(
-    cluster: FaasCluster,
-    functions: Sequence[FunctionSpec],
-    rate_per_s: float,
-    duration_ms: float,
-    recorder: LatencyRecorder,
-    seed: int,
-) -> Generator:
-    """Poisson arrivals for ``duration_ms``, then drain the clients."""
-    env = cluster.env
-    rng = random.Random(seed)
-    clients = []
-    window_end = env.now + duration_ms
-    while True:
-        fn = functions[rng.randrange(len(functions))]
-        clients.append(env.process(_client(cluster, fn, recorder)))
-        gap_ms = rng.expovariate(rate_per_s) * 1000.0
-        if env.now + gap_ms >= window_end:
-            break
-        yield env.timeout(gap_ms)
-    yield env.all_of(clients)
-
-
 def run_overload_trial(
     multiple: float,
     duration_ms: float = DEFAULT_DURATION_MS,
@@ -178,12 +147,19 @@ def run_overload_trial(
     for fn in functions:
         env.run(until=cluster.invoke(fn))
     rate_per_s = multiple * cluster_capacity_rps(cluster.costs)
-    recorder = LatencyRecorder()
+    rng = random.Random(seed)
     started_ms = env.now
-    process = env.process(
-        _open_loop(cluster, functions, rate_per_s, duration_ms, recorder, seed)
+    times, function_ids = poisson_window(
+        rng,
+        lambda: rng.randrange(FUNCTION_COUNT),
+        rate_per_s,
+        duration_ms,
+        started_ms,
     )
-    env.run(until=process)
+    recorder = LatencyRecorder()
+    recorder.results.extend(
+        replay_trace(cluster, functions, times, function_ids)
+    )
     elapsed_ms = env.now - started_ms
     return recorder, ResilienceReport.from_cluster(cluster), elapsed_ms
 

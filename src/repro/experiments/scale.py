@@ -33,8 +33,7 @@ is the subsystem under test.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from typing import Generator, List, Sequence
+from typing import List, Sequence
 
 from repro.costs import DEFAULT_COSTS
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
@@ -46,6 +45,7 @@ from repro.metrics.resilience import ResilienceReport
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.workload.functions import cpu_bound_function
+from repro.workload.traces import ZipfPopularity, poisson_window, replay_trace
 
 #: Distinct functions in the Zipf mix: enough that no node holds them
 #: all (locality is earned, not free) but small enough that one warmup
@@ -73,28 +73,8 @@ def shard_ceiling_rps() -> float:
     return DEFAULT_COSTS.platform.shim_max_rate_per_s
 
 
-def zipf_weights(count: int = FUNCTION_COUNT, s: float = ZIPF_S) -> List[float]:
-    """Unnormalized Zipf popularity: rank r gets weight 1/r^s."""
-    return [1.0 / (rank**s) for rank in range(1, count + 1)]
-
-
-class ZipfSampler:
-    """Seeded Zipf-distributed index sampler (CDF + bisect)."""
-
-    def __init__(self, count: int, s: float, seed: int) -> None:
-        self._rng = random.Random(seed)
-        self._cdf: List[float] = []
-        total = 0.0
-        for weight in zipf_weights(count, s):
-            total += weight
-            self._cdf.append(total)
-        self._total = total
-
-    def sample(self) -> int:
-        return bisect_right(self._cdf, self._rng.random() * self._total)
-
-    def uniform_gap_ms(self, rate_per_s: float) -> float:
-        return self._rng.expovariate(rate_per_s) * 1000.0
+#: The mix's popularity: rank r gets weight 1/r^s.
+POPULARITY = ZipfPopularity(FUNCTION_COUNT, ZIPF_S)
 
 
 def _scale_functions() -> List[FunctionSpec]:
@@ -102,33 +82,6 @@ def _scale_functions() -> List[FunctionSpec]:
         cpu_bound_function(f"scale-{index}", owner="scale", exec_ms=EXEC_MS)
         for index in range(FUNCTION_COUNT)
     ]
-
-
-def _client(cluster: FaasCluster, fn, recorder: LatencyRecorder) -> Generator:
-    result = yield cluster.invoke(fn)
-    recorder.add(result)
-
-
-def _open_loop(
-    cluster: FaasCluster,
-    functions: Sequence[FunctionSpec],
-    sampler: ZipfSampler,
-    rate_per_s: float,
-    duration_ms: float,
-    recorder: LatencyRecorder,
-) -> Generator:
-    """Poisson arrivals over the Zipf mix, then drain the clients."""
-    env = cluster.env
-    clients = []
-    window_end = env.now + duration_ms
-    while True:
-        fn = functions[sampler.sample()]
-        clients.append(env.process(_client(cluster, fn, recorder)))
-        gap_ms = sampler.uniform_gap_ms(rate_per_s)
-        if env.now + gap_ms >= window_end:
-            break
-        yield env.timeout(gap_ms)
-    yield env.all_of(clients)
 
 
 def run_scale_trial(
@@ -159,15 +112,19 @@ def run_scale_trial(
     # measured window only.
     for shard in cluster.control_plane.shards:
         shard.router.stats = RoutingStats()
-    sampler = ZipfSampler(FUNCTION_COUNT, ZIPF_S, seed)
-    recorder = LatencyRecorder()
+    rng = random.Random(seed)
     started_ms = env.now
-    process = env.process(
-        _open_loop(
-            cluster, functions, sampler, rate_per_s, duration_ms, recorder
-        )
+    times, function_ids = poisson_window(
+        rng,
+        lambda: POPULARITY.sample(rng)[0],
+        rate_per_s,
+        duration_ms,
+        started_ms,
     )
-    env.run(until=process)
+    recorder = LatencyRecorder()
+    recorder.results.extend(
+        replay_trace(cluster, functions, times, function_ids)
+    )
     elapsed_ms = env.now - started_ms
     return recorder, ResilienceReport.from_cluster(cluster), elapsed_ms
 

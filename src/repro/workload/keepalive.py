@@ -9,9 +9,9 @@ against a policy-managed warm-instance cache model: per function one
 warm instance (the FaasCache simplification), a memory budget enforced
 by :class:`~repro.seuss.policy.CachePolicy` victim selection, TTL-style
 expiry for policies that expose keep-alive windows, and histogram-driven
-pre-warming.  Arrivals are injected through
-:meth:`~repro.sim.core.Environment.timeout_batch` epochs — the bulk path
-PR 9 built — so an hour-long 100k-function trace replays in seconds.
+pre-warming.  Arrivals enter through the shared open-loop injector
+(:func:`~repro.workload.traces.inject`), so an hour-long 100k-function
+trace replays in seconds.
 
 The model is deliberately simple but conservative: a busy instance
 cannot be evicted; concurrent arrivals to one function queue on its
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.seuss.policy import CachePolicy, make_policy
 from repro.sim import Environment
 from repro.trace import current as _active_tracer
 from repro.workload.fleet import FleetTrace
+from repro.workload.traces import inject
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,12 @@ class KeepAliveConfig:
     #: Cold-start overhead added ahead of execution on a miss (and the
     #: rebuild cost greedy-dual credits per hit).
     cold_start_ms: float = 150.0
-    #: Arrivals injected per ``timeout_batch`` bulk insert.
-    epoch_size: int = 10_000
 
     def __post_init__(self) -> None:
         if self.memory_budget_mb <= 0:
             raise ConfigError("memory_budget_mb must be positive")
         if self.cold_start_ms < 0:
             raise ConfigError("cold_start_ms must be non-negative")
-        if self.epoch_size < 1:
-            raise ConfigError("epoch_size must be >= 1")
 
 
 @dataclass
@@ -213,7 +210,6 @@ class _Lab:
             del self.entries[fn]
             self._release(victim.size_mb, at_ms)
             self.policy.on_remove(str(fn))
-            self.result.evictions += 1
         if self.resident_mb + needed_mb > budget:
             self.result.overcommits += 1
 
@@ -293,56 +289,38 @@ def replay_keepalive(
 ) -> KeepAliveResult:
     """Replay ``trace`` against one policy-managed cache; fully deterministic.
 
-    Arrivals enter through bulk ``timeout_batch`` epochs (the batched
-    replay idiom): arrivals fire in injection order, so one shared
-    cursor callback drives the lab with no per-arrival closures.
+    Arrivals fire in stream order, so one cursor callback drives the
+    lab with no per-arrival closures.
     """
     if env is None:
         env = Environment()
     lab = _Lab(trace, config)
-    times = trace.times_ms
-    total = len(times)
-    if total:
-        cursor = iter(range(total)).__next__
+    cursor = iter(range(trace.arrivals)).__next__
 
-        def arrive(event) -> None:
-            lab.arrival(cursor(), env.now)
+    def arrive(event) -> None:
+        lab.arrival(cursor(), env.now)
 
-        def driver():
-            for start in range(0, total, config.epoch_size):
-                end = min(start + config.epoch_size, total)
-                now = env.now
-                timeouts = env.timeout_batch(
-                    [times[i] - now for i in range(start, end)],
-                    callback=arrive,
-                )
-                yield timeouts[-1]
-
-        env.process(driver())
-        env.run()
+    inject(env, trace.times_ms, arrive)
+    env.run()
     return lab.finish(max(trace.config.duration_ms, env.now))
 
 
 def race_policies(
     trace: FleetTrace,
-    policies: List[str],
-    budgets_mb: List[float],
+    policies: Sequence[str],
+    budgets_mb: Sequence[float],
     cold_start_ms: float = 150.0,
-    epoch_size: int = 10_000,
 ) -> List[KeepAliveResult]:
-    """Replay the same trace for every (policy, budget) pair."""
-    results: List[KeepAliveResult] = []
-    for budget in budgets_mb:
-        for policy in policies:
-            results.append(
-                replay_keepalive(
-                    trace,
-                    KeepAliveConfig(
-                        policy=policy,
-                        memory_budget_mb=budget,
-                        cold_start_ms=cold_start_ms,
-                        epoch_size=epoch_size,
-                    ),
-                )
-            )
-    return results
+    """Replay the same trace for every (budget, policy) pair, budget-major."""
+    return [
+        replay_keepalive(
+            trace,
+            KeepAliveConfig(
+                policy=policy,
+                memory_budget_mb=budget,
+                cold_start_ms=cold_start_ms,
+            ),
+        )
+        for budget in budgets_mb
+        for policy in policies
+    ]

@@ -1,4 +1,4 @@
-"""Synthetic arrival and popularity models.
+"""Synthetic arrival and popularity models, and the open-loop injector.
 
 The paper's benchmark sends uniformly random invocations from a closed
 set of workers; production FaaS traffic is neither uniform nor closed.
@@ -7,6 +7,14 @@ burst-modulated arrival processes, and Zipf-skewed function popularity
 (the shape reported for the Azure Functions traces) — so the two
 backends can also be compared under realistic skew
 (``examples/zipf_workload.py``).
+
+It is also the one way open-loop load enters the simulator.  Like the
+paper's load generator, which pre-computes its send order so every
+trial replays the same requests, every caller draws its stream first
+and then hands it to :func:`inject`.  A stream is ascending
+``times_ms`` offsets from the start of injection, plus, where
+functions are named, a parallel ``function_ids`` vector into a
+function list.
 """
 
 from __future__ import annotations
@@ -15,10 +23,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.faas.records import FunctionSpec
+from repro.sim import Environment, Event
 
 
 class ArrivalProcess:
@@ -132,45 +142,17 @@ class ModulatedArrivals(ArrivalProcess):
             yield gap
 
 
-class ZipfStream:
-    """A resumable index stream over a :class:`ZipfPopularity`.
-
-    Holds its own :class:`random.Random` seeded once at construction,
-    so consecutive :meth:`take` calls continue the underlying uniform
-    stream — two draws of 500 concatenate to exactly one draw of 1000.
-    """
-
-    __slots__ = ("_rng", "_population", "_cum_weights", "drawn")
-
-    def __init__(self, popularity: "ZipfPopularity") -> None:
-        self._rng = random.Random(popularity.seed)
-        self._population = range(popularity.function_count)
-        # ``choices(weights=w)`` accumulates w internally on every call;
-        # pre-accumulating once is byte-identical (same float order) and
-        # O(1) per segment instead of O(function_count).
-        self._cum_weights = list(
-            itertools.accumulate(popularity.weights())
-        )
-        #: Total indices drawn so far (segment-stitching bookkeeping).
-        self.drawn = 0
-
-    def take(self, count: int) -> List[int]:
-        """The next ``count`` indices of the stream."""
-        if count < 0:
-            raise ConfigError(f"negative count {count}")
-        self.drawn += count
-        return self._rng.choices(
-            self._population, cum_weights=self._cum_weights, k=count
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            yield self.take(1)[0]
-
-
 @dataclass(frozen=True)
 class ZipfPopularity:
-    """Zipf-distributed function popularity: rank-``k`` weight k^-s."""
+    """Zipf-distributed function popularity: rank-``k`` weight k^-s.
+
+    The one Zipf sampler.  :meth:`sample` draws on the caller's RNG, so
+    a caller that interleaves popularity with other draws keeps one RNG
+    order, and consecutive draws on one RNG continue one stream.  Like
+    the arrival processes, a popularity also owns a stream seeded with
+    ``seed``: the one :func:`synthesize_trace` draws from, so
+    consecutive traces continue it.
+    """
 
     function_count: int
     exponent: float = 1.1
@@ -181,9 +163,8 @@ class ZipfPopularity:
             raise ConfigError("function_count must be >= 1")
         if self.exponent <= 0:
             raise ConfigError("exponent must be positive")
-        # Persistent sampling stream behind ``sample_indices`` (lazily
-        # created; object.__setattr__ because the dataclass is frozen).
-        object.__setattr__(self, "_stream", None)
+        # object.__setattr__ because the dataclass is frozen.
+        object.__setattr__(self, "_rng", random.Random(self.seed))
 
     def weights(self) -> List[float]:
         return [
@@ -191,25 +172,24 @@ class ZipfPopularity:
             for rank in range(1, self.function_count + 1)
         ]
 
-    def stream(self) -> ZipfStream:
-        """A fresh resumable stream (independent of other streams)."""
-        return ZipfStream(self)
+    @cached_property
+    def cum_weights(self) -> List[float]:
+        """Running totals of :meth:`weights`, accumulated once."""
+        return list(itertools.accumulate(self.weights()))
 
-    def sample_indices(self, count: int) -> List[int]:
-        """``count`` function indices, most popular = index 0.
+    def sample(self, rng: random.Random, count: int = 1) -> List[int]:
+        """``count`` function indices drawn on ``rng``, most popular = 0.
 
-        Sampling is *resumable*: consecutive calls continue one
-        persistent RNG stream, so synthesizing a long trace in segments
-        draws fresh indices per segment.  (The historical implementation
-        re-seeded per call and replayed the identical sequence every
-        time.)  The first call is byte-identical to the historical
-        output; use :meth:`stream` for explicitly independent streams.
+        One ``rng.random()`` per index, bisected into the running
+        totals: the draws ``rng.choices(weights=self.weights())`` gives
+        from the same RNG state, without accumulating the weights again
+        on every call.
         """
-        stream = self._stream
-        if stream is None:
-            stream = ZipfStream(self)
-            object.__setattr__(self, "_stream", stream)
-        return stream.take(count)
+        if count < 0:
+            raise ConfigError(f"negative count {count}")
+        return rng.choices(
+            range(self.function_count), cum_weights=self.cum_weights, k=count
+        )
 
     def head_share(self, head: int) -> float:
         """Fraction of traffic hitting the ``head`` most popular fns."""
@@ -217,57 +197,120 @@ class ZipfPopularity:
         return sum(weights[:head]) / sum(weights)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One invocation of a synthetic trace."""
-
-    at_ms: float
-    function: FunctionSpec
-
-
 def synthesize_trace(
     functions: Sequence[FunctionSpec],
     arrivals: ArrivalProcess,
     popularity: ZipfPopularity,
     count: int,
-) -> List[TraceEntry]:
-    """Zip arrivals and popularity into a replayable trace."""
+) -> Tuple[List[float], List[int]]:
+    """Draw ``count`` arrivals over ``functions`` for :func:`replay_trace`.
+
+    Returns ``(times_ms, function_ids)``: the next ``count`` arrival
+    times of ``arrivals`` and as many indices from ``popularity``'s own
+    seeded stream.
+    """
     if popularity.function_count != len(functions):
         raise ConfigError(
             f"popularity over {popularity.function_count} functions, "
             f"got {len(functions)}"
         )
     times = arrivals.arrival_times(count)
-    indices = popularity.sample_indices(count)
-    return [
-        TraceEntry(at_ms=at, function=functions[idx])
-        for at, idx in zip(times, indices)
-    ]
+    return times, popularity.sample(popularity._rng, count)
 
 
-def replay_trace(cluster, trace: Sequence[TraceEntry], epoch_size: int = 10_000):
-    """Replay a trace open-loop against a cluster; returns results.
+def poisson_window(
+    rng: random.Random,
+    pick: Callable[[], int],
+    rate_per_s: float,
+    duration_ms: float,
+    start_ms: float,
+) -> Tuple[List[float], List[int]]:
+    """Pre-draw one open-loop Poisson window for :func:`replay_trace`.
 
-    Unlike the closed-loop :class:`~repro.workload.generator.LoadGenerator`
-    (C workers, at most C in flight), a trace replay launches each
-    request at its timestamp regardless of completions — the open-loop
-    behaviour of real external clients.
-
-    The arrival timeline is injected epoch-by-epoch through
-    :meth:`~repro.sim.Environment.timeout_batch` — one bulk queue insert
-    per ``epoch_size`` entries and no per-entry waiter process — which
-    keeps million-invocation fleet replays affordable.  Requires
-    ``trace`` sorted by ``at_ms`` (as :func:`synthesize_trace`
-    produces).  Results arrive in completion order.
+    Draws in the order a live arrival loop would: each arrival's
+    function id (``pick()``), then the exponential gap to the next
+    arrival on ``rng``.  The first arrival opens the window, and the
+    window closes at the first gap that reaches ``start_ms +
+    duration_ms``.  Times accumulate on the clock from ``start_ms``, the
+    instant the replay will start, so each arrival lands where a chain
+    of ``env.timeout(gap)`` calls would put it.  Returns the arrivals'
+    offsets from ``start_ms`` and their function ids.
     """
-    if epoch_size < 1:
-        raise ConfigError(f"epoch_size must be >= 1, got {epoch_size}")
+    window_end = start_ms + duration_ms
+    at = start_ms
+    times: List[float] = []
+    function_ids: List[int] = []
+    while True:
+        function_ids.append(pick())
+        times.append(at - start_ms)
+        gap_ms = rng.expovariate(rate_per_s) * 1000.0
+        if at + gap_ms >= window_end:
+            return times, function_ids
+        at += gap_ms
+
+
+#: Arrivals per ``timeout_batch`` bulk insert, for every caller of
+#: :func:`inject`.  It bounds how many arrival timeouts exist ahead of
+#: the clock, never what a replay observes.
+EPOCH_SIZE = 10_000
+
+
+def inject(
+    env: Environment,
+    times_ms: Sequence[float],
+    arrive: Callable[[Event], None],
+) -> None:
+    """Fire ``arrive`` once per arrival, ``times_ms[i]`` after now.
+
+    The open-loop injector.  ``times_ms`` are ascending offsets from the
+    start of injection (the clock when this is called), so a stream
+    replays the same whatever the clock reads when it starts.  Arrivals
+    enter through :meth:`~repro.sim.Environment.timeout_batch`
+    :data:`EPOCH_SIZE` at a time: each epoch holds one heap slot and
+    builds no per-arrival process, and the next epoch is queued when
+    the last arrival of this one fires.  Arrivals fire in stream order,
+    so ``arrive`` (each arrival timeout's callback) is one function
+    that advances the caller's cursor into its parallel vectors.
+    """
+    epoch = EPOCH_SIZE
+    if epoch < 1:
+        raise ConfigError(f"EPOCH_SIZE must be >= 1, got {epoch}")
+    start = env.now
+
+    def driver():
+        for first in range(0, len(times_ms), epoch):
+            now = env.now
+            timeouts = env.timeout_batch(
+                [start + t - now for t in times_ms[first : first + epoch]],
+                callback=arrive,
+            )
+            yield timeouts[-1]
+
+    env.process(driver())
+
+
+def replay_trace(
+    cluster,
+    functions: Sequence[FunctionSpec],
+    times_ms: Sequence[float],
+    function_ids: Sequence[int],
+) -> list:
+    """Replay an arrival stream open-loop against a cluster; returns results.
+
+    Arrival ``i`` invokes ``functions[function_ids[i]]`` ``times_ms[i]``
+    after the replay starts.  Unlike the closed-loop
+    :class:`~repro.workload.generator.LoadGenerator` (C workers, at most
+    C in flight), a replay launches each request on schedule regardless
+    of completions — the open-loop behaviour of real external clients.
+    Results arrive in completion order.
+    """
     env = cluster.env
-    total = len(trace)
-    if total == 0:
-        return []
+    total = len(times_ms)
     results: list = []
+    if total == 0:
+        return results
     done = env.event()
+    next_fn = map(functions.__getitem__, function_ids).__next__
 
     def collect(process) -> None:
         if not process.ok:
@@ -280,24 +323,9 @@ def replay_trace(cluster, trace: Sequence[TraceEntry], epoch_size: int = 10_000)
         if len(results) == total:
             done.succeed()
 
-    def launch(event, entry: TraceEntry) -> None:
-        cluster.invoke(entry.function).callbacks.append(collect)
+    def launch(event) -> None:
+        cluster.invoke(next_fn()).callbacks.append(collect)
 
-    def driver():
-        for start in range(0, total, epoch_size):
-            chunk = trace[start : start + epoch_size]
-            now = env.now
-            timeouts = env.timeout_batch(
-                [max(0.0, entry.at_ms - now) for entry in chunk]
-            )
-            for timeout, entry in zip(timeouts, chunk):
-                timeout.callbacks.append(
-                    lambda event, entry=entry: launch(event, entry)
-                )
-            # Hold the next epoch back until this one's arrivals fired,
-            # keeping at most epoch_size arrival timeouts in the queue.
-            yield timeouts[-1]
-
-    env.process(driver())
+    inject(env, times_ms, launch)
     env.run(until=done)
     return results

@@ -1,18 +1,32 @@
-"""Batched scheduling paths: replay, open-loop trials, volley dispatch.
+"""Batched scheduling paths: the open-loop injector and volley dispatch.
 
 Every bulk path is the only path; these tests pin (a) that it produces
 the client-visible outcomes of the per-request idiom it replaced —
-kept here as test oracles — and (b) that batching actually removes
-engine events rather than adding them.
+kept here as test oracles — (b) that batching actually removes engine
+events rather than adding them, and (c) that the injector's epoch size
+is invisible to every caller.
 """
+
+import random
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.overload import run_overload_trial
+from repro.experiments.scale import run_scale_trial
 from repro.faas.cluster import FaasCluster
 from repro.sim import Environment
+from repro.workload import traces
 from repro.workload.burst import BurstConfig, BurstWorkload
+from repro.workload.fleet import (
+    FleetConfig,
+    FleetTraceConfig,
+    generate,
+    run_batched,
+    synthesize_fleet_trace,
+)
 from repro.workload.functions import cpu_bound_function
+from repro.workload.keepalive import KeepAliveConfig, replay_keepalive
 from repro.workload.traces import (
     PoissonArrivals,
     ZipfPopularity,
@@ -33,6 +47,7 @@ def _functions(count=8, exec_ms=5.0):
 
 
 def _trace(fns, count=400):
+    """``(times_ms, function_ids)`` over ``fns``."""
     return synthesize_trace(
         fns,
         PoissonArrivals(200.0, seed=3),
@@ -41,18 +56,30 @@ def _trace(fns, count=400):
     )
 
 
-def _serial_replay(cluster, trace):
-    """Oracle: one waiter process and one arrival timeout per entry."""
+def _epochs(monkeypatch, size):
+    """Set the injector's epoch size for the rest of the test."""
+    monkeypatch.setattr(traces, "EPOCH_SIZE", size)
+
+
+def _serial_replay(cluster, functions, times_ms, function_ids):
+    """Oracle: one waiter process and one arrival timeout per arrival,
+    each firing ``times_ms[i]`` after the replay starts."""
     env = cluster.env
     results = []
 
-    def fire(entry):
-        delay = max(0.0, entry.at_ms - env.now)
-        if delay:
-            yield env.timeout(delay)
-        results.append((yield cluster.invoke(entry.function)))
+    def fire(offset, fn):
+        if offset:
+            yield env.timeout(offset)
+        results.append((yield cluster.invoke(fn)))
 
-    env.run(until=env.all_of([env.process(fire(entry)) for entry in trace]))
+    env.run(
+        until=env.all_of(
+            [
+                env.process(fire(offset, functions[index]))
+                for offset, index in zip(times_ms, function_ids)
+            ]
+        )
+    )
     return results
 
 
@@ -64,13 +91,13 @@ def _outcome_key(results):
 
 
 class TestBatchedReplay:
-    def test_outcomes_identical_to_legacy(self):
+    def test_outcomes_identical_to_legacy(self, monkeypatch):
+        fns = _functions()
         legacy_cluster = _cluster()
-        results_legacy = _serial_replay(legacy_cluster, _trace(_functions()))
+        results_legacy = _serial_replay(legacy_cluster, fns, *_trace(fns))
         batched_cluster = _cluster()
-        results_batched = replay_trace(
-            batched_cluster, _trace(_functions()), epoch_size=64
-        )
+        _epochs(monkeypatch, 64)
+        results_batched = replay_trace(batched_cluster, fns, *_trace(fns))
         assert _outcome_key(results_legacy) == _outcome_key(results_batched)
         # The batched path must save events, not add them.
         assert (
@@ -78,21 +105,39 @@ class TestBatchedReplay:
             < legacy_cluster.env.events_processed
         )
 
-    def test_single_epoch_and_tiny_epochs_agree(self):
-        whole = replay_trace(
-            _cluster(), _trace(_functions(), count=120), epoch_size=10_000
-        )
-        tiny = replay_trace(
-            _cluster(), _trace(_functions(), count=120), epoch_size=7
-        )
+    def test_every_arrival_leaves_at_its_offset_from_the_start(self):
+        """Regression: replay once read arrival times as absolute clock
+        readings and clamped the past ones at the clock, so on a SEUSS
+        cluster (clock 847.4375 ms after boot) 160 of these 400 arrivals
+        left at the replay's first instant."""
+        cluster = _cluster()
+        start = cluster.env.now
+        assert start > 0
+        times, function_ids = _trace(_functions())
+        # One function per arrival, so each result names its arrival.
+        fns = _functions(len(times))
+        results = replay_trace(cluster, fns, times, range(len(times)))
+        offset = {fn.key: at for fn, at in zip(fns, times)}
+        assert len(results) == len(times)
+        for result in results:
+            assert result.sent_at_ms == start + offset[result.function_key]
+
+    def test_single_epoch_and_tiny_epochs_agree(self, monkeypatch):
+        fns = _functions()
+        _epochs(monkeypatch, 10_000)
+        whole = replay_trace(_cluster(), fns, *_trace(fns, count=120))
+        _epochs(monkeypatch, 7)
+        tiny = replay_trace(_cluster(), fns, *_trace(fns, count=120))
         assert _outcome_key(whole) == _outcome_key(tiny)
 
     def test_empty_trace(self):
-        assert replay_trace(_cluster(), []) == []
+        assert replay_trace(_cluster(), [], [], []) == []
 
-    def test_bad_epoch_size(self):
-        with pytest.raises(ConfigError, match="epoch_size"):
-            replay_trace(_cluster(), _trace(_functions(), 10), epoch_size=0)
+    def test_bad_epoch_size(self, monkeypatch):
+        fns = _functions()
+        _epochs(monkeypatch, 0)
+        with pytest.raises(ConfigError, match="EPOCH_SIZE"):
+            replay_trace(_cluster(), fns, *_trace(fns, 10))
 
 
 class _Boom(RuntimeError):
@@ -130,8 +175,10 @@ class TestBatchedReplayFailureParity:
     sitting in the results list."""
 
     def _trace(self, boom_at, count=5):
+        """``(functions, times_ms, function_ids)``, one function per
+        arrival, the ``boom_at``-th of which fails as a process."""
         fns = _functions(count)
-        entries = synthesize_trace(
+        times, function_ids = synthesize_trace(
             fns,
             PoissonArrivals(100.0, seed=2),
             ZipfPopularity(count, seed=2),
@@ -139,32 +186,30 @@ class TestBatchedReplayFailureParity:
         )
         from dataclasses import replace
 
-        boom = replace(
-            entries[boom_at].function, name=f"{boom_at}boom"
-        )
-        entries[boom_at] = type(entries[boom_at])(
-            at_ms=entries[boom_at].at_ms, function=boom
-        )
-        return entries
+        functions = [fns[index] for index in function_ids]
+        functions[boom_at] = replace(functions[boom_at], name=f"{boom_at}boom")
+        return functions, times, range(count)
 
-    def test_legacy_and_batched_raise_identically(self):
+    def test_legacy_and_batched_raise_identically(self, monkeypatch):
         trace = self._trace(boom_at=2)
         with pytest.raises(_Boom) as legacy:
-            _serial_replay(_ExplodingCluster(), trace)
+            _serial_replay(_ExplodingCluster(), *trace)
+        _epochs(monkeypatch, 2)
         with pytest.raises(_Boom) as batched:
-            replay_trace(_ExplodingCluster(), trace, epoch_size=2)
+            replay_trace(_ExplodingCluster(), *trace)
         assert str(batched.value) == str(legacy.value)
 
-    def test_failure_on_final_entry_still_raises(self):
+    def test_failure_on_final_entry_still_raises(self, monkeypatch):
         # The exact shape of the old bug: last entry fails, collector
         # counts it as the completing result, replay "succeeds".
         trace = self._trace(boom_at=4)
+        _epochs(monkeypatch, 64)
         with pytest.raises(_Boom):
-            replay_trace(_ExplodingCluster(), trace, epoch_size=64)
+            replay_trace(_ExplodingCluster(), *trace)
 
 
 class TestChaosReplayEquivalence:
-    def test_faulty_cluster_outcomes_identical(self):
+    def test_faulty_cluster_outcomes_identical(self, monkeypatch):
         """Under fault injection (crashes, corrupt restores, retries)
         the batched replay sees the exact client-visible outcomes of
         the serial replay — including failed requests."""
@@ -184,9 +229,11 @@ class TestChaosReplayEquivalence:
                 retries=RetryPolicy(max_attempts=2),
             )
 
-        trace = _trace(_functions(), count=300)
-        legacy = _serial_replay(cluster(), trace)
-        batched = replay_trace(cluster(), trace, epoch_size=64)
+        fns = _functions()
+        trace = _trace(fns, count=300)
+        legacy = _serial_replay(cluster(), fns, *trace)
+        _epochs(monkeypatch, 64)
+        batched = replay_trace(cluster(), fns, *trace)
         assert len(legacy) == len(batched) == 300
         assert _outcome_key(legacy) == _outcome_key(batched)
 
@@ -194,16 +241,18 @@ class TestChaosReplayEquivalence:
 class TestOpenLoopTrial:
     """An open-loop trial is a replay of a Poisson arrival trace."""
 
-    def test_completes_all_invocations(self):
+    def test_completes_all_invocations(self, monkeypatch):
+        fns = _functions()
+        _epochs(monkeypatch, 97)
         results = replay_trace(
             _cluster(),
-            synthesize_trace(
-                _functions(),
+            fns,
+            *synthesize_trace(
+                fns,
                 PoissonArrivals(300.0, seed=5),
                 ZipfPopularity(8, seed=5),
                 300,
             ),
-            epoch_size=97,
         )
         assert len(results) == 300
         assert all(r.success for r in results)
@@ -212,19 +261,24 @@ class TestOpenLoopTrial:
         sent = [r.sent_at_ms for r in results]
         assert max(sent) - min(sent) < 3_000.0
 
-    def test_deterministic_across_epoch_sizes(self):
-        trace = _trace(_functions(), count=150)
-        a = replay_trace(_cluster(), trace, epoch_size=11)
-        b = replay_trace(_cluster(), trace, epoch_size=150)
+    def test_deterministic_across_epoch_sizes(self, monkeypatch):
+        fns = _functions()
+        trace = _trace(fns, count=150)
+        _epochs(monkeypatch, 11)
+        a = replay_trace(_cluster(), fns, *trace)
+        _epochs(monkeypatch, 150)
+        b = replay_trace(_cluster(), fns, *trace)
         assert _outcome_key(a) == _outcome_key(b)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ConfigError):
             _trace([], count=10)
         with pytest.raises(ConfigError):
             PoissonArrivals(0.0)
+        fns = _functions()
+        _epochs(monkeypatch, 0)
         with pytest.raises(ConfigError):
-            replay_trace(_cluster(), _trace(_functions(), 10), epoch_size=0)
+            replay_trace(_cluster(), fns, *_trace(fns, 10))
 
 
 class TestVolleyDispatch:
@@ -304,16 +358,9 @@ class TestVolleyDispatch:
 
 
 class TestFleetDrivers:
-    def _workload(self, arrivals=3_000):
-        from repro.workload.fleet import FleetConfig, generate
-
-        return generate(FleetConfig(arrivals=arrivals, epoch_size=1_000))
-
-    def test_drivers_observe_identical_workload(self):
+    def test_drivers_observe_identical_workload(self, monkeypatch):
         """The batched driver against the per-arrival-process oracle."""
-        from repro.workload.fleet import run_batched
-
-        workload = self._workload()
+        workload = generate(FleetConfig(arrivals=3_000))
         env = Environment()
         counts = [0] * workload.config.functions
         completed = []
@@ -331,6 +378,7 @@ class TestFleetDrivers:
         ):
             env.process(fire(at, index, service))
         env.run()
+        _epochs(monkeypatch, 1_000)
         batched = run_batched(workload)
         assert batched.function_counts == counts
         assert batched.final_ms == env.now
@@ -338,6 +386,71 @@ class TestFleetDrivers:
         # Batching halves the engine events (2 vs 4 per arrival).
         assert batched.engine_events < env.events_processed
         assert batched.events_per_arrival < 2.5
+
+
+def _replay_outcome():
+    fns = _functions()
+    return _outcome_key(replay_trace(_cluster(), fns, *_trace(fns, count=120)))
+
+
+def _trial_outcome(trial):
+    recorder, report, elapsed_ms = trial
+    return (
+        [
+            (r.function_key, r.sent_at_ms, r.finished_at_ms, r.success, r.path)
+            for r in recorder.results
+        ],
+        elapsed_ms,
+        report,
+    )
+
+
+def _scale_outcome():
+    return _trial_outcome(
+        run_scale_trial(2, 2, "snapshot_affinity", 100.0, 300.0, seed=0x5CA1E)
+    )
+
+
+def _overload_outcome():
+    return _trial_outcome(
+        run_overload_trial(2.0, 400.0, controlled=True, seed=0x10AD)
+    )
+
+
+def _keepalive_outcome():
+    trace = synthesize_fleet_trace(
+        FleetTraceConfig(functions=500, duration_ms=120_000.0, seed=0xABC)
+    )
+    return replay_keepalive(
+        trace, KeepAliveConfig(policy="hybrid", memory_budget_mb=512.0)
+    )
+
+
+def _fleet_outcome():
+    return run_batched(generate(FleetConfig(arrivals=2_000)))
+
+
+class TestEpochSizeIsInvisible:
+    """Every caller of the injector sees the same outcomes whatever its
+    epoch size: one arrival per epoch, 7, or the whole stream in one."""
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            _replay_outcome,
+            _scale_outcome,
+            _overload_outcome,
+            _keepalive_outcome,
+            _fleet_outcome,
+        ],
+        ids=["replay_trace", "scale", "overload", "keepalive", "fleet"],
+    )
+    def test_every_caller(self, monkeypatch, outcome):
+        outcomes = []
+        for size in (1, 7, 10**9):
+            _epochs(monkeypatch, size)
+            outcomes.append(outcome())
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestTimeoutBatchCallback:

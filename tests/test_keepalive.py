@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
+from repro.workload import traces
 from repro.workload.fleet import (
     CLASS_PERIODIC,
     FleetTrace,
@@ -154,21 +155,12 @@ class TestKeepAliveReplay:
         second = replay_keepalive(trace, config)
         assert first == second
 
-    def test_epoch_size_is_invisible(self, trace):
-        tiny = replay_keepalive(
-            trace,
-            KeepAliveConfig(
-                policy="greedy_dual", memory_budget_mb=1_024.0, epoch_size=37
-            ),
-        )
-        huge = replay_keepalive(
-            trace,
-            KeepAliveConfig(
-                policy="greedy_dual",
-                memory_budget_mb=1_024.0,
-                epoch_size=1_000_000,
-            ),
-        )
+    def test_epoch_size_is_invisible(self, trace, monkeypatch):
+        config = KeepAliveConfig(policy="greedy_dual", memory_budget_mb=1_024.0)
+        monkeypatch.setattr(traces, "EPOCH_SIZE", 37)
+        tiny = replay_keepalive(trace, config)
+        monkeypatch.setattr(traces, "EPOCH_SIZE", 1_000_000)
+        huge = replay_keepalive(trace, config)
         assert tiny == huge
 
     def test_budget_is_respected_or_reported(self, trace):
@@ -201,7 +193,7 @@ class TestKeepAliveReplay:
         with pytest.raises(ConfigError):
             KeepAliveConfig(memory_budget_mb=0.0)
         with pytest.raises(ConfigError):
-            KeepAliveConfig(epoch_size=0)
+            KeepAliveConfig(cold_start_ms=-1.0)
 
 
 @pytest.mark.keepalive

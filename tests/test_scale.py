@@ -8,14 +8,16 @@ with affinity routing on.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.experiments.scale import (
+    FUNCTION_COUNT,
+    POPULARITY,
     run_scale,
     run_scale_trial,
     shard_ceiling_rps,
-    zipf_weights,
-    ZipfSampler,
 )
 
 pytestmark = pytest.mark.scale
@@ -96,23 +98,24 @@ class TestLocality:
 
 class TestZipfMix:
     def test_weights_are_head_heavy(self):
-        weights = zipf_weights()
+        weights = POPULARITY.weights()
+        assert len(weights) == FUNCTION_COUNT
         assert weights[0] > 10 * weights[-1]
         assert weights == sorted(weights, reverse=True)
 
     def test_sampler_is_seeded_and_skewed(self):
-        sampler = ZipfSampler(36, 1.2, seed=1)
+        rng = random.Random(1)
         counts = {}
         for _ in range(5000):
-            index = sampler.sample()
-            assert 0 <= index < 36
+            index = POPULARITY.sample(rng)[0]
+            assert 0 <= index < FUNCTION_COUNT
             counts[index] = counts.get(index, 0) + 1
-        assert counts[0] > counts.get(35, 0)
-        again = ZipfSampler(36, 1.2, seed=1)
-        once_more = ZipfSampler(36, 1.2, seed=1)
-        assert [again.sample() for _ in range(50)] == [
-            once_more.sample() for _ in range(50)
-        ]
+        assert counts[0] > counts.get(FUNCTION_COUNT - 1, 0)
+        again = random.Random(1)
+        once_more = random.Random(1)
+        assert [POPULARITY.sample(again)[0] for _ in range(50)] == (
+            POPULARITY.sample(once_more, 50)
+        )
 
 
 class TestExperimentHarness:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -122,8 +124,8 @@ class TestZipf:
         assert popularity.head_share(10) > 0.35
 
     def test_samples_follow_weights(self):
-        popularity = ZipfPopularity(function_count=50, exponent=1.2, seed=5)
-        indices = popularity.sample_indices(20_000)
+        popularity = ZipfPopularity(function_count=50, exponent=1.2)
+        indices = popularity.sample(random.Random(5), 20_000)
         top = sum(1 for i in indices if i == 0) / len(indices)
         assert top == pytest.approx(popularity.weights()[0] / sum(popularity.weights()), rel=0.15)
 
@@ -133,19 +135,24 @@ class TestZipf:
         with pytest.raises(ConfigError):
             ZipfPopularity(function_count=5, exponent=0)
         with pytest.raises(ConfigError):
-            ZipfPopularity(function_count=5, seed=1).stream().take(-1)
+            ZipfPopularity(function_count=5, seed=1).sample(random.Random(1), -1)
 
-    def test_sample_indices_resumable(self):
-        """Regression: ``sample_indices`` once re-seeded per call, so
+    def test_draws_resume_across_calls(self):
+        """Regression: the trace sampler once re-seeded per call, so
         every call replayed the identical index sequence.  Consecutive
-        calls must continue one stream — and concatenate to exactly one
-        larger draw."""
+        draws on one RNG — and consecutive traces from one popularity —
+        must continue one stream and concatenate to one larger draw."""
         popularity = ZipfPopularity(function_count=50, exponent=1.1, seed=8)
-        first = popularity.sample_indices(500)
-        second = popularity.sample_indices(500)
+        rng = random.Random(8)
+        first = popularity.sample(rng, 500)
+        second = popularity.sample(rng, 500)
         assert first != second  # the old bug: first == second
-        fresh = ZipfPopularity(function_count=50, exponent=1.1, seed=8)
-        assert first + second == fresh.sample_indices(1000)
+        assert first + second == popularity.sample(random.Random(8), 1000)
+        functions = unique_nop_set(50)
+        arrivals = PoissonArrivals(10.0, seed=8)
+        _, trace_first = synthesize_trace(functions, arrivals, popularity, 500)
+        _, trace_second = synthesize_trace(functions, arrivals, popularity, 500)
+        assert trace_first + trace_second == first + second
 
     def test_first_call_matches_historical_output(self):
         """The first draw is byte-identical to the historical re-seeded
@@ -154,17 +161,63 @@ class TestZipf:
         historical = random.Random(8).choices(
             range(50), weights=popularity.weights(), k=200
         )
-        assert popularity.sample_indices(200) == historical
+        assert popularity.sample(random.Random(8), 200) == historical
+        _, function_ids = synthesize_trace(
+            unique_nop_set(50), PoissonArrivals(10.0), popularity, 200
+        )
+        assert function_ids == historical
 
     def test_stream_is_independent_and_counts(self):
         popularity = ZipfPopularity(function_count=20, exponent=1.2, seed=6)
-        stream = popularity.stream()
-        a = stream.take(3)
-        b = stream.take(7)
-        assert stream.drawn == 10
-        assert a + b == popularity.stream().take(10)
-        # Streams are independent of sample_indices' persistent stream.
-        assert popularity.sample_indices(3) == a
+        rng = random.Random(6)
+        a = popularity.sample(rng, 3)
+        b = popularity.sample(rng, 7)
+        assert (len(a), len(b)) == (3, 7)
+        assert a + b == popularity.sample(random.Random(6), 10)
+        # A caller's RNG is independent of the popularity's own stream,
+        # which synthesize_trace draws from.
+        _, function_ids = synthesize_trace(
+            unique_nop_set(20), PoissonArrivals(10.0), popularity, 3
+        )
+        assert function_ids == a
+
+    @pytest.mark.parametrize(
+        "count, exponent, seed",
+        [(36, 1.2, 0x5CA1E), (10_000, 1.1, 0xF1EE7), (50, 1.05, 7)],
+    )
+    def test_one_sampler_matches_the_samplers_it_replaced(
+        self, count, exponent, seed
+    ):
+        """``ZipfPopularity.sample`` against the three samplers it
+        replaced, each kept inline as the oracle, drawing from the same
+        RNG state."""
+        draws = 20_000
+        popularity = ZipfPopularity(count, exponent, seed=seed)
+        ours = popularity.sample(random.Random(seed), draws)
+        # The scale experiment's CDF + bisect sampler.
+        rng = random.Random(seed)
+        cdf = []
+        total = 0.0
+        for weight in [1.0 / (rank**exponent) for rank in range(1, count + 1)]:
+            total += weight
+            cdf.append(total)
+        assert ours == [
+            bisect_right(cdf, rng.random() * total) for _ in range(draws)
+        ]
+        # The fleet generator's inline weights.
+        weights = [1.0 / pow(rank, exponent) for rank in range(1, count + 1)]
+        assert ours == random.Random(seed).choices(
+            range(count), weights=weights, k=draws
+        )
+        # The old per-seed stream: pre-accumulated weights, one RNG
+        # seeded with the popularity's seed, drawn in two takes.
+        rng = random.Random(seed)
+        cum_weights = list(itertools.accumulate(popularity.weights()))
+        stream = [
+            rng.choices(range(count), cum_weights=cum_weights, k=take)
+            for take in (draws // 3, draws - draws // 3)
+        ]
+        assert ours == stream[0] + stream[1]
 
 
 class TestTraceReplay:
@@ -172,14 +225,14 @@ class TestTraceReplay:
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         functions = unique_nop_set(16)
-        trace = synthesize_trace(
+        times, function_ids = synthesize_trace(
             functions,
             PoissonArrivals(rate_per_s=50.0, seed=9),
             ZipfPopularity(function_count=16, exponent=1.1, seed=9),
             count=300,
         )
-        assert len(trace) == 300
-        results = replay_trace(cluster, trace)
+        assert len(times) == len(function_ids) == 300
+        results = replay_trace(cluster, functions, times, function_ids)
         assert len(results) == 300
         assert all(r.success for r in results)
         # Zipf skew: the most popular function dominates and runs hot.
@@ -195,19 +248,19 @@ class TestTraceReplay:
                 count=10,
             )
 
-    def test_open_loop_concurrency_exceeds_closed_loop(self):
+    def test_replay_in_flight_exceeds_closed_loop(self):
         """A trace replay can have unbounded in-flight requests."""
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         functions = unique_nop_set(4)
         # 64 requests all at t=0: open loop fires them simultaneously.
-        trace = synthesize_trace(
+        times, function_ids = synthesize_trace(
             functions,
             PoissonArrivals(rate_per_s=1e6, seed=1),
             ZipfPopularity(function_count=4, seed=1),
             count=64,
         )
-        results = replay_trace(cluster, trace)
+        results = replay_trace(cluster, functions, times, function_ids)
         assert len(results) == 64
 
 
