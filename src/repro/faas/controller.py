@@ -430,15 +430,7 @@ class Controller:
                         tracer.counter("quota.rate_rejections")
                     else:
                         tracer.counter("quota.concurrency_rejections")
-                return InvocationResult(
-                    request_id=request.request_id,
-                    function_key=fn.key,
-                    path=InvocationPath.ERROR,
-                    success=False,
-                    sent_at_ms=request.sent_at_ms,
-                    finished_at_ms=env.now,
-                    error=f"throttled: {reason}",
-                )
+                return self._respond(request, 1, error=f"throttled: {reason}")
 
             if self.overload is not None:
                 self.overload.note_admitted()
@@ -486,16 +478,7 @@ class Controller:
                             error = "request timed out"
                         self.stats.failed += 1
                         root.annotate(error=error)
-                        return InvocationResult(
-                            request_id=request.request_id,
-                            function_key=fn.key,
-                            path=InvocationPath.ERROR,
-                            success=False,
-                            sent_at_ms=request.sent_at_ms,
-                            finished_at_ms=env.now,
-                            error=error,
-                            attempts=attempt,
-                        )
+                        return self._respond(request, attempt, error=error)
                     if not self._should_retry(node_result, attempt, backoff_spent):
                         if not node_result.success and self.retries.enabled:
                             self.stats.retry_exhausted += 1
@@ -552,20 +535,7 @@ class Controller:
                     DeadlineExceededError("response missed the client deadline")
                 )
                 root.annotate(late_response=True, error=error)
-                return InvocationResult(
-                    request_id=request.request_id,
-                    function_key=fn.key,
-                    path=node_result.path,
-                    success=False,
-                    sent_at_ms=request.sent_at_ms,
-                    finished_at_ms=env.now,
-                    node_latency_ms=node_result.latency_ms,
-                    breakdown=dict(node_result.breakdown),
-                    error=error,
-                    pages_copied=node_result.pages_copied,
-                    attempts=attempt,
-                    transferred_mb=node_result.transferred_mb,
-                )
+                return self._respond(request, attempt, node_result, error)
             if node_result.success:
                 self.stats.succeeded += 1
                 if attempt > 1:
@@ -577,19 +547,36 @@ class Controller:
                 path=node_result.path.value,
                 attempts=attempt,
             )
-            return InvocationResult(
-                request_id=request.request_id,
-                function_key=fn.key,
-                path=node_result.path,
-                success=node_result.success,
-                sent_at_ms=request.sent_at_ms,
-                finished_at_ms=env.now,
-                node_latency_ms=node_result.latency_ms,
-                breakdown=dict(node_result.breakdown),
-                error=node_result.error,
-                pages_copied=node_result.pages_copied,
-                attempts=attempt,
-                transferred_mb=node_result.transferred_mb,
-            )
+            return self._respond(request, attempt, node_result)
         finally:
             root.finish(at=env.now)
+
+    def _respond(
+        self,
+        request: InvocationRequest,
+        attempts: int,
+        node_result: Optional[NodeInvocation] = None,
+        error: Optional[str] = None,
+    ) -> InvocationResult:
+        """What the client sees when its request ends.
+
+        ``node_result`` is the node's answer, when one reached the
+        controller in time; ``error``, when given, fails the request
+        with that message instead (throttled, expired or timed out
+        before any answer, or an answer that missed the deadline).
+        """
+        answered = node_result is not None
+        return InvocationResult(
+            request_id=request.request_id,
+            function_key=request.function.key,
+            path=node_result.path if answered else InvocationPath.ERROR,
+            success=error is None and node_result.success,
+            sent_at_ms=request.sent_at_ms,
+            finished_at_ms=self.env.now,
+            node_latency_ms=node_result.latency_ms if answered else 0.0,
+            breakdown=node_result.breakdown if answered else {},
+            error=node_result.error if error is None else error,
+            pages_copied=node_result.pages_copied if answered else 0,
+            attempts=attempts,
+            transferred_mb=node_result.transferred_mb if answered else 0.0,
+        )

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceededError
+from repro.sim import Interrupted
+from repro.trace import tracer_for
+
+#: Stage span for time spent queued for a core (never in a breakdown).
+STAGE_QUEUE_WAIT = "queue_wait"
 
 
 class InvocationStage(Enum):
@@ -134,6 +139,193 @@ class NodeInvocation:
 
     def stages_in_order(self) -> "list[InvocationStage]":
         return sorted(self.stage_times, key=self.stage_times.get)
+
+
+class InvocationLedger:
+    """The books of one node-side invocation, on either node type.
+
+    It records stage charges (a breakdown entry plus a span that tiles
+    the ``invocation`` root), Figure 1 stamps and core time, from
+    :meth:`core_granted` to :meth:`release_core` (which callers put in
+    a ``finally``), and gates stages on the client's deadline.  One of
+    :meth:`finish`, :meth:`cancel` or :meth:`fail` ends the invocation:
+    it updates the node's counters and returns the
+    :class:`NodeInvocation`.  Nothing else writes a node's
+    ``useful_ms``, ``wasted_ms``, ``zombie_count`` or
+    ``cancelled_count``.
+    """
+
+    __slots__ = (
+        "node",
+        "env",
+        "function_key",
+        "deadline_ms",
+        "cancel_expired",
+        "started",
+        "breakdown",
+        "stage_times",
+        "root",
+        "path",
+        "pages_copied",
+        "pages_prefetched",
+        "busy_ms",
+        "_core",
+        "_queue_started",
+        "_core_acquired_at",
+    )
+
+    def __init__(
+        self,
+        node,
+        fn: FunctionSpec,
+        deadline_ms: Optional[float] = None,
+        cancel_expired: bool = False,
+    ) -> None:
+        env = node.env
+        now = env.now
+        self.node = node
+        self.env = env
+        self.function_key = fn.key
+        self.deadline_ms = deadline_ms
+        self.cancel_expired = cancel_expired
+        self.started = self._queue_started = now
+        self.breakdown: Dict[str, float] = {}
+        self.stage_times = {InvocationStage.REQUEST_RECEIVED: now}
+        self.root = tracer_for(env).span(
+            "invocation",
+            at=now,
+            category="invocation",
+            function=self.function_key,
+            runtime=fn.runtime,
+        )
+        self.path = InvocationPath.ERROR  # until the node picks one
+        self.pages_copied = 0
+        self.pages_prefetched = 0
+        #: Core time held so far (queue and I/O waits hold none).
+        self.busy_ms = 0.0
+        self._core = None
+        self._core_acquired_at: Optional[float] = None
+
+    def charge(self, stage: str, ms: float) -> float:
+        """Bill ``ms`` to ``stage``; the caller yields a timeout of the
+        returned ``ms`` at once, so the span's edges are known now."""
+        breakdown = self.breakdown
+        breakdown[stage] = breakdown.get(stage, 0.0) + ms
+        now = self.env.now
+        self.root.done(stage, now, now + ms)
+        return ms
+
+    def charge_since(self, stage: str, start: float) -> None:
+        """Bill the time since ``start``: a stage whose cost is known
+        only once it ends (the Linux container creation)."""
+        now = self.env.now
+        self.breakdown[stage] = self.breakdown.get(stage, 0.0) + (now - start)
+        self.root.done(stage, start, now)
+
+    def reached(self, stage: InvocationStage) -> None:
+        self.stage_times[stage] = self.env.now
+
+    def check_deadline(self) -> None:
+        """With cancellation on, start no stage for a client that already
+        gave up (the controller's watchdog usually cancels first; this
+        catches exact-boundary races)."""
+        if (
+            self.cancel_expired
+            and self.deadline_ms is not None
+            and self.env.now >= self.deadline_ms
+        ):
+            raise Interrupted(
+                DeadlineExceededError("deadline passed at stage boundary")
+            )
+
+    def request_core(self):
+        """Queue for a core: yield the request, then call
+        :meth:`core_granted`."""
+        self._core = self.node.cores.request()
+        self._queue_started = self.env.now
+        return self._core
+
+    def core_granted(self) -> None:
+        self._core_acquired_at = now = self.env.now
+        self.root.done(STAGE_QUEUE_WAIT, self._queue_started, now)
+
+    def release_core(self) -> None:
+        """Hand back the core (or a still-queued request) and bank the
+        time it was held; a no-op when none is held."""
+        core = self._core
+        if core is not None:
+            self.node.cores.release(core)
+            self._core = None
+        acquired = self._core_acquired_at
+        if acquired is not None:
+            self.busy_ms += self.env.now - acquired
+            self._core_acquired_at = None
+
+    def finish(self) -> NodeInvocation:
+        """Completed: count the path, then bank the core time as useful,
+        or as waste for a zombie (done after the client's deadline)."""
+        node = self.node
+        now = self.env.now
+        node.stats.count(self.path)
+        self.root.annotate(
+            path=self.path.value, success=True, pages_copied=self.pages_copied
+        )
+        if self.pages_prefetched:
+            self.root.annotate(pages_prefetched=self.pages_prefetched)
+        wasted = 0.0
+        if self.deadline_ms is not None and now > self.deadline_ms:
+            node.zombie_count += 1
+            node.wasted_ms += self.busy_ms
+            wasted = self.busy_ms
+            self.root.annotate(zombie=True, wasted_ms=wasted)
+        else:
+            node.useful_ms += self.busy_ms
+        return self._close(now, wasted_ms=wasted)
+
+    def cancel(self, exc: Interrupted) -> NodeInvocation:
+        """Cancelled mid-flight: the core time so far is waste."""
+        error = str(exc.cause) if exc.cause is not None else "cancelled"
+        self.node.cancelled_count += 1
+        self.node.wasted_ms += self.busy_ms
+        self.root.annotate(
+            path=self.path.value,
+            cancelled=True,
+            error=error,
+            wasted_ms=self.busy_ms,
+        )
+        return self._close(
+            self.env.now, error=error, cancelled=True, wasted_ms=self.busy_ms
+        )
+
+    def fail(self, error: str, stall_ms: float = 0.0) -> NodeInvocation:
+        """Failed: count the error now and answer ``ERROR`` ``stall_ms``
+        later (the caller yields that long before returning it)."""
+        self.node.stats.errors += 1
+        self.path = InvocationPath.ERROR
+        self.root.annotate(path=self.path.value, error=error)
+        return self._close(self.env.now + stall_ms, error=error)
+
+    def _close(
+        self,
+        end: float,
+        error: Optional[str] = None,
+        cancelled: bool = False,
+        wasted_ms: float = 0.0,
+    ) -> NodeInvocation:
+        self.root.finish(at=end)
+        return NodeInvocation(
+            path=self.path,
+            success=error is None,
+            latency_ms=end - self.started,
+            breakdown=self.breakdown,
+            pages_copied=self.pages_copied,
+            pages_prefetched=self.pages_prefetched,
+            error=error,
+            function_key=self.function_key,
+            stage_times=self.stage_times,
+            cancelled=cancelled,
+            wasted_ms=wasted_ms,
+        )
 
 
 _request_ids = itertools.count(1)

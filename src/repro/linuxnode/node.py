@@ -17,12 +17,11 @@ from collections import deque
 from typing import Deque, Dict, Generator, List, Optional
 
 from repro.costs import CostBook, DEFAULT_COSTS
-from repro.errors import DeadlineExceededError, OutOfMemoryError
 from repro.faas.records import (
     FunctionSpec,
+    InvocationLedger,
     InvocationPath,
     InvocationStage,
-    NodeInvocation,
     PathCounts,
 )
 from repro.linuxnode.bridge import VirtualBridge
@@ -285,75 +284,42 @@ class LinuxNode:
     ) -> Generator:
         env = self.env
         costs = self.costs.linux
-        started = env.now
-        breakdown: Dict[str, float] = {}
-        stage_times: Dict[InvocationStage, float] = {
-            InvocationStage.REQUEST_RECEIVED: started
-        }
-
-        def charge(stage: str, duration: float) -> float:
-            breakdown[stage] = breakdown.get(stage, 0.0) + duration
-            return duration
-
-        def reached(stage: InvocationStage) -> None:
-            stage_times[stage] = env.now
-
-        def check_deadline() -> None:
-            # Stage-boundary deadline gate (only with cancellation on).
-            if (
-                cancel_expired
-                and deadline_ms is not None
-                and env.now >= deadline_ms
-            ):
-                raise Interrupted(
-                    DeadlineExceededError("deadline passed at stage boundary")
-                )
-
+        ledger = InvocationLedger(self, fn, deadline_ms, cancel_expired)
         # Cancellation-safe ownership state: what this invocation holds
         # right now, so an Interrupted at any yield can hand it all back.
-        path = InvocationPath.ERROR
         instance = None
-        core = None
-        core_acquired_at = None
-        busy_ms = 0.0
         waiter = None
 
         try:
             instance = self._pop_idle(fn.key)
             if instance is not None:
-                path = InvocationPath.HOT
+                ledger.path = InvocationPath.HOT
                 if self.config.pause_containers:
                     # Idle containers were paused; resume before use.  The
                     # paper disables pausing because this tax destabilizes
                     # the hot path under heavy load.
                     yield env.timeout(
-                        charge("unpause", costs.container_unpause_ms)
+                        ledger.charge("unpause", costs.container_unpause_ms)
                     )
-                yield env.timeout(charge(STAGE_HOT, costs.container_hot_ms))
-                reached(InvocationStage.CODE_IMPORTED)
+                yield env.timeout(ledger.charge(STAGE_HOT, costs.container_hot_ms))
+                ledger.reached(InvocationStage.CODE_IMPORTED)
             else:
                 stemcell = self.stemcells.take()
                 if stemcell is not None:
-                    path = InvocationPath.WARM
+                    ledger.path = InvocationPath.WARM
                     instance = stemcell
                     instance.state = InstanceState.BUSY
                     self._busy_count += 1
                     instance.bind(fn.key)
-                    reached(InvocationStage.ENVIRONMENT_CREATED)
-                    reached(InvocationStage.RUNTIME_INITIALIZED)
-                    yield env.timeout(
-                        charge(STAGE_IMPORT, costs.container_import_ms)
-                    )
-                    reached(InvocationStage.CODE_IMPORTED)
                 else:
-                    path = InvocationPath.COLD
+                    ledger.path = InvocationPath.COLD
                     # Make room in the container cache, waiting for an
                     # evictable container if everything is busy.
                     while not self.has_container_capacity():
                         victim = self._evict_one_idle()
                         if victim is not None:
                             yield env.timeout(
-                                charge(STAGE_EVICT, costs.container_destroy_ms)
+                                ledger.charge(STAGE_EVICT, costs.container_destroy_ms)
                             )
                             break
                         waiter = Event(env)
@@ -362,86 +328,51 @@ class LinuxNode:
                         waiter = None
                     creation_started = env.now
                     instance = yield from self.create_container()
-                    charge(STAGE_CREATE, env.now - creation_started)
+                    ledger.charge_since(STAGE_CREATE, creation_started)
                     if instance is None:
                         # The container's control connection timed out; the
                         # client-side request will error at the platform
-                        # timeout (the 'x' marks of Figures 6-8).
-                        self.stats.errors += 1
+                        # timeout (the 'x' marks of Figures 6-8).  The
+                        # error counts now, the answer comes after a stall.
                         stall = self.costs.platform.request_timeout_ms * 1.1
-                        yield env.timeout(stall)
-                        return NodeInvocation(
-                            path=InvocationPath.ERROR,
-                            success=False,
-                            latency_ms=env.now - started,
-                            breakdown=breakdown,
-                            error="container connection timed out (bridge)",
-                            function_key=fn.key,
+                        failed = ledger.fail(
+                            "container connection timed out (bridge)",
+                            stall_ms=stall,
                         )
+                        yield env.timeout(stall)
+                        return failed
                     instance.bind(fn.key)
-                    reached(InvocationStage.ENVIRONMENT_CREATED)
-                    reached(InvocationStage.RUNTIME_INITIALIZED)
-                    yield env.timeout(
-                        charge(STAGE_IMPORT, costs.container_import_ms)
-                    )
-                    reached(InvocationStage.CODE_IMPORTED)
+                ledger.reached(InvocationStage.ENVIRONMENT_CREATED)
+                ledger.reached(InvocationStage.RUNTIME_INITIALIZED)
+                yield env.timeout(
+                    ledger.charge(STAGE_IMPORT, costs.container_import_ms)
+                )
+                ledger.reached(InvocationStage.CODE_IMPORTED)
 
-            reached(InvocationStage.ARGUMENTS_LOADED)
-            check_deadline()
-            core = self.cores.request()
-            yield core
-            core_acquired_at = env.now
+            ledger.reached(InvocationStage.ARGUMENTS_LOADED)
+            ledger.check_deadline()
             try:
-                yield env.timeout(charge(STAGE_EXEC, fn.exec_ms))
+                yield ledger.request_core()
+                ledger.core_granted()
+                yield env.timeout(ledger.charge(STAGE_EXEC, fn.exec_ms))
                 if fn.io_wait_ms > 0:
-                    self.cores.release(core)
-                    core = None
-                    busy_ms += env.now - core_acquired_at
-                    core_acquired_at = None
-                    yield env.timeout(charge(STAGE_IO_WAIT, fn.io_wait_ms))
-                    core = self.cores.request()
-                    yield core
-                    core_acquired_at = env.now
+                    ledger.release_core()
+                    yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
+                    yield ledger.request_core()
+                    ledger.core_granted()
             finally:
-                if core is not None:
-                    self.cores.release(core)
-                    core = None
-                if core_acquired_at is not None:
-                    busy_ms += env.now - core_acquired_at
-                    core_acquired_at = None
+                ledger.release_core()
 
-            reached(InvocationStage.EXECUTED)
-            reached(InvocationStage.RESULT_RETURNED)
+            ledger.reached(InvocationStage.EXECUTED)
+            ledger.reached(InvocationStage.RESULT_RETURNED)
             instance.invocations += 1
             self._cache_idle(instance)
-            self.stats.count(path)
-            wasted = 0.0
-            if deadline_ms is not None and env.now > deadline_ms:
-                # Zombie completion: the client stopped waiting.
-                self.zombie_count += 1
-                self.wasted_ms += busy_ms
-                wasted = busy_ms
-            else:
-                self.useful_ms += busy_ms
-            return NodeInvocation(
-                path=path,
-                success=True,
-                latency_ms=env.now - started,
-                breakdown=breakdown,
-                function_key=fn.key,
-                stage_times=stage_times,
-                wasted_ms=wasted,
-            )
+            return ledger.finish()
         except Interrupted as exc:
-            # Cancelled mid-flight: hand back everything held.  The
-            # container is destroyed (its partial state is unusable) and
-            # the freed capacity wakes any cold start parked behind it.
-            if core is not None:
-                self.cores.release(core)  # handles a queued request too
-                core = None
-            if core_acquired_at is not None:
-                busy_ms += env.now - core_acquired_at
-                core_acquired_at = None
+            # Cancelled mid-flight: hand back everything held (the core
+            # went back in the ``finally`` above).  The container is
+            # destroyed (its partial state is unusable) and the freed
+            # capacity wakes any cold start parked behind it.
             if waiter is not None:
                 if waiter.triggered:
                     self._notify_capacity()  # pass the consumed wake on
@@ -454,20 +385,7 @@ class LinuxNode:
                 self._busy_count -= 1
                 self._destroy_container(instance)
                 self._notify_capacity()
-            error = str(exc.cause) if exc.cause is not None else "cancelled"
-            self.cancelled_count += 1
-            self.wasted_ms += busy_ms
-            return NodeInvocation(
-                path=path,
-                success=False,
-                latency_ms=env.now - started,
-                breakdown=breakdown,
-                error=error,
-                function_key=fn.key,
-                stage_times=stage_times,
-                cancelled=True,
-                wasted_ms=busy_ms,
-            )
+            return ledger.cancel(exc)
 
     # -- Table 3: raw instance deployment -------------------------------------
     def deploy_instance(self, kind: InstanceKind) -> Generator:

@@ -155,10 +155,10 @@ class ResilienceReport:
             cache = getattr(node, "snapshot_cache", None)
             if cache is not None:
                 report.snapshots_quarantined += cache.stats.quarantined
-            report.cancelled += getattr(node, "cancelled_count", 0)
-            report.zombies += getattr(node, "zombie_count", 0)
-            report.useful_ms += getattr(node, "useful_ms", 0.0)
-            report.wasted_ms += getattr(node, "wasted_ms", 0.0)
+            report.cancelled += node.cancelled_count
+            report.zombies += node.zombie_count
+            report.useful_ms += node.useful_ms
+            report.wasted_ms += node.wasted_ms
             for policy in (
                 getattr(node, "cache_policy", None),
                 getattr(node, "uc_policy", None),

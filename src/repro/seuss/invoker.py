@@ -17,18 +17,14 @@ tracer and the invocation is byte-identical to an untraced one.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
-from repro.errors import (
-    DeadlineExceededError,
-    OutOfMemoryError,
-    SnapshotCorruptionError,
-)
+from repro.errors import OutOfMemoryError, SnapshotCorruptionError
 from repro.faas.records import (
     FunctionSpec,
+    InvocationLedger,
     InvocationPath,
     InvocationStage,
-    NodeInvocation,
 )
 from repro.mem.workingset import WorkingSetRecorder
 from repro.sim import Interrupted
@@ -37,7 +33,6 @@ from repro.unikernel.context import UnikernelContext
 from repro.units import pages_to_mb
 
 #: Stage keys used in latency breakdowns.
-STAGE_QUEUE_WAIT = "queue_wait"
 STAGE_UC_CREATE = "uc_create"
 STAGE_CONNECT = "connect"
 STAGE_FAULTS = "cow_faults"
@@ -61,7 +56,9 @@ def invoke_on_node(
     """Service one invocation; yields sim events, returns NodeInvocation.
 
     ``node`` is a :class:`~repro.seuss.node.SeussNode` (typed loosely to
-    avoid an import cycle).
+    avoid an import cycle).  The invocation's books (breakdown, stage
+    spans, core time and the node's counters) are kept by an
+    :class:`~repro.faas.records.InvocationLedger`.
 
     ``deadline_ms`` is the client's absolute deadline, propagated so the
     node can tell work somebody is waiting for from work nobody is: a
@@ -77,13 +74,8 @@ def invoke_on_node(
     """
     env = node.env
     costs = node.costs.seuss
-    started = env.now
-    breakdown: Dict[str, float] = {}
-    stage_times: Dict[InvocationStage, float] = {
-        InvocationStage.REQUEST_RECEIVED: started
-    }
-    pages_copied = 0
-    pages_prefetched = 0
+    ledger = InvocationLedger(node, fn, deadline_ms, cancel_expired)
+    root = ledger.root
     # Working-set record/prefetch state (only active when the node's
     # config opts in; the hot path never touches it).
     manifest = None
@@ -92,46 +84,6 @@ def invoke_on_node(
     batch = None
     connect_copied = 0
     deploy_fault_mark = 0
-    tracer = tracer_for(env)
-    root = tracer.span(
-        "invocation",
-        at=started,
-        category="invocation",
-        function=fn.key,
-        runtime=fn.runtime,
-    )
-
-    def charge(stage: str, duration: float) -> float:
-        breakdown[stage] = breakdown.get(stage, 0.0) + duration
-        # The caller immediately yields a timeout of ``duration``, so
-        # the stage span's edges are known here, before time passes.
-        root.done(stage, env.now, env.now + duration)
-        return duration
-
-    def reached(stage: InvocationStage) -> None:
-        stage_times[stage] = env.now
-
-    def check_deadline() -> None:
-        # Stage-boundary deadline gate (active only with cancellation
-        # on): never start the next stage for a client that already
-        # gave up.  The controller's watchdog usually cancels first;
-        # this catches exact-boundary races.
-        if (
-            cancel_expired
-            and deadline_ms is not None
-            and env.now >= deadline_ms
-        ):
-            raise Interrupted(
-                DeadlineExceededError("deadline passed at stage boundary")
-            )
-
-    # Core-occupancy accounting: ``busy_ms`` is the time this invocation
-    # actually held a core — the node work truly wasted if it is
-    # cancelled or completes as a zombie (queue and I/O waits burn no
-    # core and are not charged).
-    core = None
-    core_acquired_at = None
-    busy_ms = 0.0
     #: A captured-but-not-yet-cached function snapshot (cold path); on
     #: cancellation it is orphaned so the UC teardown reaps its pages.
     captured = None
@@ -165,15 +117,12 @@ def invoke_on_node(
                 if fn_snapshot is not None
                 else InvocationPath.COLD
             )
-        root.annotate(path=path.value)
+        ledger.path = path
 
-        core = node.cores.request()
-        queue_started = env.now
-        yield core
-        core_acquired_at = env.now
-        root.done(STAGE_QUEUE_WAIT, queue_started, env.now)
-        check_deadline()
         try:
+            yield ledger.request_core()
+            ledger.core_granted()
+            ledger.check_deadline()
             if path is not InvocationPath.HOT:
                 runtime_record = node.runtime_record(fn.runtime)
                 base = fn_snapshot if path is InvocationPath.WARM else runtime_record.snapshot
@@ -185,21 +134,12 @@ def invoke_on_node(
                         dedup=node.dedup,
                     )
                 except OutOfMemoryError as exc:
-                    node.stats.errors += 1
-                    root.annotate(path=InvocationPath.ERROR.value, error="oom")
-                    return NodeInvocation(
-                        path=InvocationPath.ERROR,
-                        success=False,
-                        latency_ms=env.now - started,
-                        breakdown=breakdown,
-                        error=f"out of memory creating UC: {exc}",
-                        function_key=fn.key,
-                    )
-                yield env.timeout(charge(STAGE_UC_CREATE, costs.uc_create_ms))
-                reached(InvocationStage.ENVIRONMENT_CREATED)
+                    return ledger.fail(f"out of memory creating UC: {exc}")
+                yield env.timeout(ledger.charge(STAGE_UC_CREATE, costs.uc_create_ms))
+                ledger.reached(InvocationStage.ENVIRONMENT_CREATED)
                 # Deploying from any snapshot resumes inside an initialized
                 # interpreter — the whole point of the method.
-                reached(InvocationStage.RUNTIME_INITIALIZED)
+                ledger.reached(InvocationStage.RUNTIME_INITIALIZED)
 
                 if node.config.prefetch_working_sets:
                     # REAP: replay the recorded working set in one batch
@@ -213,10 +153,11 @@ def invoke_on_node(
                     )
                     manifest = node.working_sets.get(manifest_key)
                     recorder = WorkingSetRecorder(uc.space)
+                    tracer = tracer_for(env)  # for the prefetch counters
                     if manifest is not None:
                         batch = uc.space.resolve_batch(manifest.pages)
                         if batch.pages_resolved:
-                            pages_prefetched = batch.pages_resolved
+                            ledger.pages_prefetched = batch.pages_resolved
                             node.working_sets.note_prefetch(
                                 batch.pages_resolved
                             )
@@ -225,7 +166,7 @@ def invoke_on_node(
                                     "prefetch.pages", batch.pages_resolved
                                 )
                             yield env.timeout(
-                                charge(
+                                ledger.charge(
                                     STAGE_PREFETCH,
                                     costs.prefetch_ms(batch.mb_resolved),
                                 )
@@ -233,14 +174,14 @@ def invoke_on_node(
 
                 result = uc.start_listening()
                 connect_copied = result.pages_copied
-                pages_copied += result.pages_copied
+                ledger.pages_copied += result.pages_copied
                 # Map the control channel on the resident core's proxy; it
                 # is unmapped automatically when the UC is destroyed.
                 node.network.connect_uc(uc)
                 result = uc.accept_connection()
                 connect_copied += result.pages_copied
-                pages_copied += result.pages_copied
-                yield env.timeout(charge(STAGE_CONNECT, costs.tcp_connect_ms))
+                ledger.pages_copied += result.pages_copied
+                yield env.timeout(ledger.charge(STAGE_CONNECT, costs.tcp_connect_ms))
                 if recorder is not None:
                     recorder.mark_connected(connect_copied)
 
@@ -254,21 +195,21 @@ def invoke_on_node(
                             1.0,
                             connect_copied / max(1, manifest.connect_pages),
                         )
-                    yield env.timeout(charge(STAGE_FAULTS, fault_ms))
+                    yield env.timeout(ledger.charge(STAGE_FAULTS, fault_ms))
                     if not runtime_record.ao_level.network:
                         yield env.timeout(
-                            charge(
+                            ledger.charge(
                                 STAGE_NETWORK_FIRST_USE, costs.network_first_use_ms
                             )
                         )
                     result = uc.import_function(fn.key, fn.code_kb)
-                    pages_copied += result.pages_copied
+                    ledger.pages_copied += result.pages_copied
                     yield env.timeout(
-                        charge(STAGE_IMPORT, costs.import_compile_ms(fn.code_kb))
+                        ledger.charge(STAGE_IMPORT, costs.import_compile_ms(fn.code_kb))
                     )
                     if not runtime_record.ao_level.interpreter:
                         yield env.timeout(
-                            charge(
+                            ledger.charge(
                                 STAGE_INTERP_FIRST_USE,
                                 costs.interpreter_first_use_ms,
                             )
@@ -285,7 +226,7 @@ def invoke_on_node(
                     )
                     captured = snapshot
                     yield env.timeout(
-                        charge(
+                        ledger.charge(
                             STAGE_CAPTURE, costs.snapshot_capture_ms(snapshot.size_mb)
                         )
                     )
@@ -303,7 +244,7 @@ def invoke_on_node(
                         # reap this duplicate when its UC is destroyed.
                         snapshot.mark_orphan()
                     captured = None
-                    reached(InvocationStage.CODE_IMPORTED)
+                    ledger.reached(InvocationStage.CODE_IMPORTED)
                 else:  # WARM
                     uc.restore_function(fn.key)
                     if manifest is not None:
@@ -326,7 +267,7 @@ def invoke_on_node(
                                 - runtime_record.snapshot.size_mb,
                             )
                     yield env.timeout(
-                        charge(
+                        ledger.charge(
                             STAGE_FAULTS,
                             costs.warm_fault_ms(
                                 diff_mb,
@@ -335,19 +276,19 @@ def invoke_on_node(
                         )
                     )
                     # Inherited through the function snapshot.
-                    reached(InvocationStage.CODE_IMPORTED)
+                    ledger.reached(InvocationStage.CODE_IMPORTED)
             else:
-                reached(InvocationStage.CODE_IMPORTED)  # resident in the idle UC
+                ledger.reached(InvocationStage.CODE_IMPORTED)  # resident in the idle UC
 
             # -- common tail: args, execute, result -------------------------
-            check_deadline()
+            ledger.check_deadline()
             result = uc.import_args()
-            pages_copied += result.pages_copied
-            yield env.timeout(charge(STAGE_ARGS, costs.arg_import_ms))
-            reached(InvocationStage.ARGUMENTS_LOADED)
+            ledger.pages_copied += result.pages_copied
+            yield env.timeout(ledger.charge(STAGE_ARGS, costs.arg_import_ms))
+            ledger.reached(InvocationStage.ARGUMENTS_LOADED)
 
             result = uc.execute(fn.exec_write_pages)
-            pages_copied += result.pages_copied
+            ledger.pages_copied += result.pages_copied
             exec_ms = fn.exec_ms
             if injector is not None and injector.core_runs_slow():
                 # Degraded-core fault: the body runs, just slower.
@@ -357,7 +298,7 @@ def invoke_on_node(
                     at=env.now,
                     factor=injector.plan.slow_core_factor,
                 )
-            yield env.timeout(charge(STAGE_EXEC, exec_ms))
+            yield env.timeout(ledger.charge(STAGE_EXEC, exec_ms))
             if manifest is not None and path is InvocationPath.WARM:
                 # Faults taken after the deploy charge (args/exec pages
                 # the manifest missed) fall back to the lazy per-MB
@@ -370,47 +311,25 @@ def invoke_on_node(
                         else costs.warm_fault_per_mb_ms
                     )
                     yield env.timeout(
-                        charge(STAGE_FAULTS, per_mb * pages_to_mb(tail_faults))
+                        ledger.charge(STAGE_FAULTS, per_mb * pages_to_mb(tail_faults))
                     )
             if fn.io_wait_ms > 0:
                 # Blocked on external I/O: the poll-based UC releases its
                 # core while waiting.
-                node.cores.release(core)
-                core = None
-                busy_ms += env.now - core_acquired_at
-                core_acquired_at = None
-                yield env.timeout(charge(STAGE_IO_WAIT, fn.io_wait_ms))
-                core = node.cores.request()
-                queue_started = env.now
-                yield core
-                core_acquired_at = env.now
-                root.done(STAGE_QUEUE_WAIT, queue_started, env.now)
-            check_deadline()
-            reached(InvocationStage.EXECUTED)
-            yield env.timeout(charge(STAGE_RESULT, costs.result_return_ms))
-            reached(InvocationStage.RESULT_RETURNED)
+                ledger.release_core()
+                yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
+                yield ledger.request_core()
+                ledger.core_granted()
+            ledger.check_deadline()
+            ledger.reached(InvocationStage.EXECUTED)
+            yield env.timeout(ledger.charge(STAGE_RESULT, costs.result_return_ms))
+            ledger.reached(InvocationStage.RESULT_RETURNED)
         except OutOfMemoryError as exc:
             if uc is not None:
                 uc.destroy()
-            node.stats.errors += 1
-            root.annotate(path=InvocationPath.ERROR.value, error="oom")
-            return NodeInvocation(
-                path=InvocationPath.ERROR,
-                success=False,
-                latency_ms=env.now - started,
-                breakdown=breakdown,
-                pages_copied=pages_copied,
-                pages_prefetched=pages_prefetched,
-                error=f"out of memory during {path.value} path: {exc}",
-                function_key=fn.key,
-            )
+            return ledger.fail(f"out of memory during {path.value} path: {exc}")
         finally:
-            if core is not None:
-                node.cores.release(core)
-                core = None
-            if core_acquired_at is not None:
-                busy_ms += env.now - core_acquired_at
-                core_acquired_at = None
+            ledger.release_core()
 
         # -- working-set bookkeeping ---------------------------------------
         if recorder is not None:
@@ -436,64 +355,14 @@ def invoke_on_node(
         cached = node.config.cache_idle_ucs and node.uc_cache.put(fn.key, uc)
         if not cached:
             uc.destroy()
-
-        node.stats.count(path)
-        root.annotate(success=True, pages_copied=pages_copied)
-        if pages_prefetched:
-            root.annotate(pages_prefetched=pages_prefetched)
-        wasted = 0.0
-        if deadline_ms is not None and env.now > deadline_ms:
-            # Zombie: the answer is correct but the client stopped
-            # waiting — every core-ms this burned was for nobody.
-            node.zombie_count += 1
-            node.wasted_ms += busy_ms
-            wasted = busy_ms
-            root.annotate(zombie=True, wasted_ms=busy_ms)
-        else:
-            node.useful_ms += busy_ms
-        return NodeInvocation(
-            path=path,
-            success=True,
-            latency_ms=env.now - started,
-            breakdown=breakdown,
-            pages_copied=pages_copied,
-            pages_prefetched=pages_prefetched,
-            function_key=fn.key,
-            stage_times=stage_times,
-            wasted_ms=wasted,
-        )
+        return ledger.finish()
     except Interrupted as exc:
         # Cancelled mid-flight (controller deadline watchdog, a shed
-        # policy's eviction, or the stage-boundary gate above): unwind
-        # now, releasing whatever was held, and report the core time
-        # burned as wasted work.
-        if core is not None:
-            node.cores.release(core)  # handles a still-queued request too
-            core = None
-        if core_acquired_at is not None:
-            busy_ms += env.now - core_acquired_at
-            core_acquired_at = None
+        # policy's eviction, or the stage-boundary gate): the core went
+        # back in the ``finally`` above; release the rest now and report
+        # the core time burned as wasted work.
         if captured is not None:
             captured.mark_orphan()  # reaped by the UC teardown below
         if uc is not None:
             uc.destroy()
-        cause = exc.cause
-        error = str(cause) if cause is not None else "cancelled"
-        node.cancelled_count += 1
-        node.wasted_ms += busy_ms
-        root.annotate(cancelled=True, error=error, wasted_ms=busy_ms)
-        return NodeInvocation(
-            path=path,
-            success=False,
-            latency_ms=env.now - started,
-            breakdown=breakdown,
-            pages_copied=pages_copied,
-            pages_prefetched=pages_prefetched,
-            error=error,
-            function_key=fn.key,
-            stage_times=stage_times,
-            cancelled=True,
-            wasted_ms=busy_ms,
-        )
-    finally:
-        root.finish(at=env.now)
+        return ledger.cancel(exc)

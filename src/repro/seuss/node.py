@@ -19,7 +19,7 @@ from repro.costs import CostBook, DEFAULT_COSTS
 from repro.errors import ConfigError
 from repro.faas.records import (
     FunctionSpec,
-    InvocationPath,
+    InvocationLedger,
     NodeInvocation,
     PathCounts,
 )
@@ -314,15 +314,9 @@ class SeussNode:
 
     def _crashed_invocation(self, fn: FunctionSpec) -> Generator:
         """A dead node's peer sees an immediate connection reset."""
-        self.stats.errors += 1
+        failed = InvocationLedger(self, fn).fail("node crashed")
         yield self.env.timeout(0.0)
-        return NodeInvocation(
-            path=InvocationPath.ERROR,
-            success=False,
-            latency_ms=0.0,
-            error="node crashed",
-            function_key=fn.key,
-        )
+        return failed
 
     def invoke_sync(self, fn: FunctionSpec) -> NodeInvocation:
         """Invoke and run the environment until completion (micro tests)."""

@@ -171,7 +171,22 @@ class SnapshotCache:
         # Quarantine is not an eviction decision; keep policy eviction
         # counts clean.
         self._policy.on_remove(key, evicted=False)
-        self._held_pages -= snapshot.charged_pages
+        # Uncharge what leaves with the entry: its private pages plus
+        # each shared chunk no remaining entry holds.  A chunk another
+        # entry still holds stays charged until that entry leaves.
+        released = snapshot.footprint_pages - snapshot.shared_pages
+        if snapshot._chunk_ids:
+            held = {
+                cid
+                for entry in self._entries.values()
+                for cid in entry._chunk_ids
+            }
+            table = snapshot._dedup.table
+            released += sum(
+                table.chunk_pages(cid)
+                for cid in set(snapshot._chunk_ids) - held
+            )
+        self._held_pages -= released
         self.stats.quarantined += 1
         tracer = _active_tracer()
         if tracer.enabled:

@@ -43,6 +43,25 @@ class TestAudit:
         issues = audit_node(node)
         assert any("held-page counter" in issue for issue in issues)
 
+    @pytest.mark.parametrize("scope", ["tenant", "global"])
+    def test_dedup_quarantine_uncharges_shared_chunks_once(self, scope):
+        """Quarantine uncharges what leaves the cache with the entry: its
+        private pages plus each shared chunk no remaining entry holds.
+        The chunks a sibling still holds leave with the sibling's
+        eviction, once."""
+        node = make_seuss_node(page_dedup=True, dedup_scope=scope)
+        first, second = (nop_function(name, owner="o") for name in "ab")
+        for fn in (first, second):
+            node.invoke_sync(fn)
+        assert node.dedup.saved_pages > 0
+        cache = node.snapshot_cache
+        assert cache.quarantine(first.key)
+        assert audit_node(node) == []
+        assert cache.evict_key(second.key)
+        assert audit_node(node) == []
+        assert len(cache) == 0
+        assert cache._held_pages == 0
+
     def test_allocator_imbalance_detected(self, seuss_node):
         seuss_node.allocator._by_category["phantom"] = 123
         issues = audit_allocator(seuss_node.allocator)

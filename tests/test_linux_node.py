@@ -137,6 +137,22 @@ class TestBridgeFailures:
         past_limit = bridge.connection_failure_prob(16)
         assert past_limit > 0.5  # the majority-failure regime
 
+    def test_failed_connection_counts_its_error_before_the_stall(self, env):
+        """The error counts when the connection fails; the node answers
+        only after stalling past the platform's request timeout."""
+        node = LinuxNode(env)
+        node.bridge.roll_connection_failure = lambda concurrent: True
+        process = node.invoke(nop_function())
+        env.run(until=1000.0)  # the ~541 ms creation has failed by now
+        assert process.is_alive and node.stats.errors == 1
+        result = env.run(until=process)
+        assert result.path is InvocationPath.ERROR and not result.success
+        stall = node.costs.platform.request_timeout_ms * 1.1
+        assert result.latency_ms == pytest.approx(
+            result.breakdown["container_create"] + stall
+        )
+        assert node.stats.errors == 1
+
 
 class TestRawInstances:
     def test_process_deployment(self, linux_node):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceededError
 from repro.experiments.overload import (
     DEADLINE_MS,
     cluster_capacity_rps,
@@ -32,10 +32,19 @@ from repro.faas.overload import (
     RetryBudget,
     ShedPolicy,
 )
-from repro.faas.records import InvocationRequest
+from repro.faas.records import InvocationPath, InvocationRequest
+from repro.linuxnode.config import LinuxNodeConfig
+from repro.linuxnode.node import LinuxNode
 from repro.metrics.resilience import ResilienceReport, goodput_per_sec
+from repro.seuss.node import SeussNode
 from repro.sim import Environment
-from repro.workload.functions import cpu_bound_function, nop_function
+from repro.workload.functions import (
+    cpu_bound_function,
+    io_bound_function,
+    nop_function,
+    unique_nop_set,
+)
+from repro.workload.generator import run_trial
 
 
 # -- config ---------------------------------------------------------------
@@ -296,6 +305,131 @@ class TestCancellation:
         assert node.cancelled_count == 0
         # The full body was burned for nobody.
         assert node.wasted_ms >= 200.0
+
+
+class TestLinuxEndings:
+    """The Linux node's cancel and zombie endings, driven on the node
+    the way the controller drives them (a deadline, then a cancel)."""
+
+    BODY_MS = 200.0
+
+    @pytest.fixture
+    def warmed(self):
+        """A Linux node holding one idle container of the victim."""
+        node = LinuxNode(Environment())
+        fn = cpu_bound_function("victim", owner="t", exec_ms=self.BODY_MS)
+        node.env.run(until=node.invoke(fn))
+        return node, fn
+
+    def test_cancel_mid_execute_wastes_the_partial_body(self, warmed):
+        node, fn = warmed
+        env = node.env
+        start = env.now
+        process = node.invoke(fn, deadline_ms=start + 100.0, cancel_expired=True)
+        env.run(until=start + 100.0)
+        assert process.cancel(DeadlineExceededError("client deadline expired"))
+        result = env.run(until=process)
+        assert result.cancelled and not result.success
+        # The hot start holds no core; execution did, until the cancel.
+        hot_ms = node.costs.linux.container_hot_ms
+        assert result.wasted_ms == pytest.approx(100.0 - hot_ms)
+        assert node.wasted_ms == result.wasted_ms
+        assert node.cancelled_count == 1
+        assert node.useful_ms == pytest.approx(self.BODY_MS)  # the warm-up
+        # The container was destroyed and the core handed back.
+        assert node.total_containers == 0
+        assert node.allocator.category_pages("container") == 0
+        assert node.bridge.endpoints == 0
+        assert node.cores.count == 0
+        quick = cpu_bound_function("quick", owner="t", exec_ms=10.0)
+        assert env.run(until=node.invoke(quick)).success
+
+    def test_cancel_while_parked_on_capacity_wastes_nothing(self):
+        env = Environment()
+        node = LinuxNode(env, config=LinuxNodeConfig(container_cache_limit=1))
+        blocker = node.invoke(io_bound_function("blocker"))
+        parked = node.invoke(
+            nop_function(owner="waiter"),
+            deadline_ms=env.now + 50.0,
+            cancel_expired=True,
+        )
+        env.run(until=env.now + 50.0)
+        assert len(node._capacity_waiters) == 1
+        assert parked.cancel(DeadlineExceededError("client deadline expired"))
+        result = env.run(until=parked)
+        assert result.cancelled and result.path is InvocationPath.COLD
+        assert result.wasted_ms == 0.0
+        assert node.wasted_ms == 0.0 and node.cancelled_count == 1
+        assert not node._capacity_waiters
+        assert env.run(until=blocker).success
+        assert node.total_containers == 1
+
+    def test_zombie_wastes_the_full_body(self, warmed):
+        node, fn = warmed
+        env = node.env
+        before = node.wasted_ms
+        result = env.run(until=node.invoke(fn, deadline_ms=env.now + 100.0))
+        assert result.success and not result.cancelled
+        assert node.zombie_count == 1
+        assert result.wasted_ms == pytest.approx(self.BODY_MS)
+        assert node.wasted_ms == before + result.wasted_ms
+        assert node.useful_ms == pytest.approx(self.BODY_MS)  # the warm-up
+
+
+class TestCoreTimeLaw:
+    """``useful_ms`` is the core time completed invocations held, on
+    both node types: the stages billed while holding a core."""
+
+    #: Breakdown stages billed while holding a core, per node type.
+    HOLDING = {
+        "seuss": lambda breakdown: sum(breakdown.values())
+        - breakdown.get("io_wait", 0.0),
+        "linux": lambda breakdown: breakdown.get("execute", 0.0),
+    }
+
+    @pytest.mark.parametrize("node_type", sorted(HOLDING))
+    def test_useful_time_is_the_core_holding_stages(self, node_type):
+        constructor = {
+            "seuss": FaasCluster.with_seuss_node,
+            "linux": FaasCluster.with_linux_node,
+        }[node_type]
+        cluster = constructor(Environment())
+        functions = unique_nop_set(16) + [io_bound_function("io")]
+        trial = run_trial(
+            cluster, functions, invocation_count=200, workers=8, seed=0x0FF
+        )
+        assert all(result.success for result in trial.results)
+        assert any("io_wait" in result.breakdown for result in trial.results)
+        holding = self.HOLDING[node_type]
+        node = cluster.node
+        assert node.useful_ms == pytest.approx(
+            sum(holding(result.breakdown) for result in trial.results)
+        )
+        assert node.wasted_ms == 0.0
+
+    @pytest.mark.parametrize("node_type", sorted(HOLDING))
+    def test_each_ending_adds_its_own_waste(self, node_type):
+        if node_type == "seuss":
+            node = SeussNode(Environment())
+            node.initialize_sync()
+        else:
+            node = LinuxNode(Environment())
+        env = node.env
+        fn = cpu_bound_function("victim", owner="t", exec_ms=200.0)
+        env.run(until=node.invoke(fn))
+        for cancel in (False, True):  # a zombie, then a cancellation
+            before = node.wasted_ms
+            process = node.invoke(
+                fn, deadline_ms=env.now + 100.0, cancel_expired=cancel
+            )
+            if cancel:
+                env.run(until=env.now + 100.0)
+                process.cancel(DeadlineExceededError("client deadline expired"))
+            result = env.run(until=process)
+            assert result.cancelled is cancel
+            assert result.wasted_ms > 0.0
+            assert node.wasted_ms == before + result.wasted_ms
+        assert node.zombie_count == node.cancelled_count == 1
 
 
 # -- observability: quota + overload counters surface ---------------------

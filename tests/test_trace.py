@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import trace
 from repro.faas.records import InvocationPath
+from repro.linuxnode.config import LinuxNodeConfig
+from repro.linuxnode.node import LinuxNode
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.trace import NULL_TRACER, NullTracer, Tracer, tracer_for
@@ -16,7 +20,11 @@ from repro.trace.analysis import (
     critical_path,
     stage_totals,
 )
-from repro.workload.functions import nop_function
+from repro.workload.functions import (
+    io_bound_function,
+    nop_function,
+    unique_nop_set,
+)
 
 
 # -- span recording ---------------------------------------------------------
@@ -272,3 +280,58 @@ class TestInstrumentation:
         assert result.success
         assert trace.current() is NULL_TRACER
         assert len(NULL_TRACER.spans) == 0
+
+
+class TestLinuxInstrumentation:
+    """A traced Linux node records the same ``invocation`` roots, and
+    stage spans that tile them, as a SEUSS one."""
+
+    def test_stage_spans_tile_each_root_and_sum_to_its_breakdown(self):
+        env = Environment()
+        tracer = Tracer()
+        tracer.attach(env)
+        try:
+            node = LinuxNode(env, LinuxNodeConfig(stemcell_pool_size=4))
+            node.start_stemcell_pool()
+            functions = unique_nop_set(16) + [io_bound_function("io")]
+            rng = random.Random(7)
+            pending = [rng.choice(functions) for _ in range(200)]
+            processes = []
+
+            def worker():
+                while pending:
+                    process = node.invoke(pending.pop())
+                    processes.append(process)
+                    yield process
+
+            env.run(until=env.all_of([env.process(worker()) for _ in range(8)]))
+        finally:
+            tracer.detach(env)
+        roots = tracer.roots("invocation")
+        results = [process.value for process in processes]
+        assert len(roots) == len(results) == 200
+        assert {result.path for result in results} == {
+            InvocationPath.COLD, InvocationPath.WARM, InvocationPath.HOT
+        }
+        assert any("io_wait" in result.breakdown for result in results)
+        for root, result in zip(roots, results):
+            assert root.attrs["function"] == result.function_key
+            assert root.attrs["path"] == result.path.value
+            assert root.duration_ms == pytest.approx(result.latency_ms)
+            assert coverage_residual(tracer, root) == pytest.approx(
+                0.0, abs=1e-9
+            )
+            # Every billed stage is a span of that name; each core
+            # request is a ``queue_wait`` span only.  Container creation
+            # is billed after it ends (``charge_since``) and still spans
+            # it exactly.
+            children = tracer.children(root)
+            queue_waits = [c for c in children if c.name == "queue_wait"]
+            assert len(queue_waits) == (2 if "io_wait" in result.breakdown else 1)
+            spans = {}
+            for child in children:
+                if child.name != "queue_wait":
+                    spans[child.name] = (
+                        spans.get(child.name, 0.0) + child.duration_ms
+                    )
+            assert spans == pytest.approx(result.breakdown)

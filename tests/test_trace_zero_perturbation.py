@@ -14,6 +14,11 @@ from repro import trace
 from repro.experiments import load_all
 from repro.experiments.suite import run_suite
 from repro.trace import Tracer
+from tests.test_zero_perturbation import (
+    INVOCATIONS,
+    assert_replays_default,
+    default_fingerprint,
+)
 
 #: A deterministic selection covering the seeded fault-injection paths
 #: (chaos), the microbenchmark paths (table1) and the traced experiment
@@ -86,3 +91,23 @@ def test_traced_suite_json_differs_only_in_trace_fields():
     assert base_payload == traced_payload
     assert base_trace == {"enabled": False, "path": None}
     assert traced_trace == {"enabled": True, "path": None}
+
+
+def test_traced_linux_trial_replays_untraced_schedule():
+    """A Linux node records spans too (one ``invocation`` root per
+    request); tracing it still leaves the event schedule untouched."""
+    # Fingerprint the untraced run first: an attached tracer is also the
+    # active one, which a cluster built meanwhile would record into.
+    default_fingerprint("linux")
+    attached = []
+
+    def attach_tracer(env, cluster):
+        attached.append((Tracer().attach(env), env))
+
+    try:
+        assert_replays_default("linux", prepare=attach_tracer)
+    finally:
+        for tracer, env in attached:
+            tracer.detach(env)
+    ((tracer, _),) = attached
+    assert len(tracer.roots("invocation")) == INVOCATIONS
