@@ -71,5 +71,6 @@ examples:
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .hypothesis \
-		.bench-micro.json trace-latency.json perf-gate.json
+		.bench-micro.json trace-latency.json trace-figure5.json \
+		perf-gate.json experiments-quick.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

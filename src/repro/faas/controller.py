@@ -574,7 +574,7 @@ class Controller:
             sent_at_ms=request.sent_at_ms,
             finished_at_ms=self.env.now,
             node_latency_ms=node_result.latency_ms if answered else 0.0,
-            breakdown=node_result.breakdown if answered else {},
+            breakdown=node_result.breakdown if answered else None,
             error=node_result.error if error is None else error,
             pages_copied=node_result.pages_copied if answered else 0,
             attempts=attempts,

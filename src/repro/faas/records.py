@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.sim import Interrupted
@@ -74,9 +75,13 @@ class FunctionSpec:
         if self.exec_write_pages < 0:
             raise ConfigError(f"negative exec_write_pages in {self.name!r}")
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Unique cache key: one isolated cache slot per client function."""
+        """Unique cache key: one isolated cache slot per client function.
+
+        Built at first use and kept, so every cache key, span and result
+        of the function shares one string (most specs of a large sweep
+        are never invoked, so none is built at construction)."""
         return f"{self.owner}/{self.name}"
 
     @property
@@ -209,8 +214,7 @@ class InvocationLedger:
     def charge(self, stage: str, ms: float) -> float:
         """Bill ``ms`` to ``stage``; the caller yields a timeout of the
         returned ``ms`` at once, so the span's edges are known now."""
-        breakdown = self.breakdown
-        breakdown[stage] = breakdown.get(stage, 0.0) + ms
+        self._bill(stage, ms)
         now = self.env.now
         self.root.done(stage, now, now + ms)
         return ms
@@ -219,8 +223,18 @@ class InvocationLedger:
         """Bill the time since ``start``: a stage whose cost is known
         only once it ends (the Linux container creation)."""
         now = self.env.now
-        self.breakdown[stage] = self.breakdown.get(stage, 0.0) + (now - start)
+        self._bill(stage, now - start)
         self.root.done(stage, start, now)
+
+    def _bill(self, stage: str, ms: float) -> None:
+        # A first charge keeps its float (``float`` returns a float
+        # itself, so a hot stage points at the cost model's constant);
+        # an int charge still lands as a float.
+        breakdown = self.breakdown
+        if stage in breakdown:
+            breakdown[stage] += ms
+        else:
+            breakdown[stage] = float(ms)
 
     def reached(self, stage: InvocationStage) -> None:
         self.stage_times[stage] = self.env.now
@@ -299,7 +313,10 @@ class InvocationLedger:
 
     def fail(self, error: str, stall_ms: float = 0.0) -> NodeInvocation:
         """Failed: count the error now and answer ``ERROR`` ``stall_ms``
-        later (the caller yields that long before returning it)."""
+        later (the caller yields that long before returning it).  The
+        core time held so far produced no answer, so it is waste."""
+        self.release_core()
+        self.node.wasted_ms += self.busy_ms
         self.node.stats.errors += 1
         self.path = InvocationPath.ERROR
         self.root.annotate(path=self.path.value, error=error)
@@ -356,31 +373,99 @@ class InvocationRequest:
         return self.deadline_ms is not None and now_ms >= self.deadline_ms
 
 
-@dataclass
-class InvocationResult:
-    """The outcome of one invocation, as the client observes it."""
+#: One stage-name tuple per distinct stage sequence, shared by every
+#: result that ran that sequence.
+_STAGE_NAMES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
-    request_id: int
-    function_key: str
-    path: InvocationPath
-    success: bool
-    sent_at_ms: float
-    finished_at_ms: float
-    #: Latency measured at the compute node ("from the moment the
-    #: invocation request is received by the node to the moment the
-    #: result is returned from the UC", §7).  A remote-warm deploy
-    #: adds the replica transfer before it and the residual remote
-    #: page faults after it.
-    node_latency_ms: float = 0.0
-    #: Per-stage latency decomposition (node side).
-    breakdown: Dict[str, float] = field(default_factory=dict)
-    error: Optional[str] = None
-    pages_copied: int = 0
-    #: Node dispatch attempts the controller made (1 = no retries).
-    attempts: int = 1
-    #: Snapshot replica shipped from a peer before the final attempt's
-    #: deploy: > 0 marks a remote-warm deploy.
-    transferred_mb: float = 0.0
+
+class InvocationResult:
+    """The outcome of one invocation, as the client observes it.
+
+    A client keeps every result of a trial, so a result holds only what
+    it must: ``__slots__`` instead of an instance dict, and the
+    node-side breakdown as a stage-name tuple shared with every result
+    of the same stage sequence plus a tuple of stage times.
+    ``breakdown`` rebuilds the node's dict on each read.
+    """
+
+    __slots__ = (
+        "request_id",
+        "function_key",
+        "path",
+        "success",
+        "sent_at_ms",
+        "finished_at_ms",
+        "node_latency_ms",
+        "_stages",
+        "_stage_ms",
+        "error",
+        "pages_copied",
+        "attempts",
+        "transferred_mb",
+    )
+
+    #: The constructor's keywords, in order: what ``==`` and ``repr`` read.
+    _FIELDS = (
+        "request_id",
+        "function_key",
+        "path",
+        "success",
+        "sent_at_ms",
+        "finished_at_ms",
+        "node_latency_ms",
+        "breakdown",
+        "error",
+        "pages_copied",
+        "attempts",
+        "transferred_mb",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        function_key: str,
+        path: InvocationPath,
+        success: bool,
+        sent_at_ms: float,
+        finished_at_ms: float,
+        node_latency_ms: float = 0.0,
+        breakdown: Optional[Mapping[str, float]] = None,
+        error: Optional[str] = None,
+        pages_copied: int = 0,
+        attempts: int = 1,
+        transferred_mb: float = 0.0,
+    ) -> None:
+        self.request_id = request_id
+        self.function_key = function_key
+        self.path = path
+        self.success = success
+        self.sent_at_ms = sent_at_ms
+        self.finished_at_ms = finished_at_ms
+        #: Latency measured at the compute node ("from the moment the
+        #: invocation request is received by the node to the moment the
+        #: result is returned from the UC", §7).  A remote-warm deploy
+        #: adds the replica transfer before it and the residual remote
+        #: page faults after it.
+        self.node_latency_ms = node_latency_ms
+        if breakdown:
+            stages = tuple(breakdown)
+            self._stages = _STAGE_NAMES.setdefault(stages, stages)
+            self._stage_ms = tuple(breakdown.values())
+        else:
+            self._stages = self._stage_ms = ()
+        self.error = error
+        self.pages_copied = pages_copied
+        #: Node dispatch attempts the controller made (1 = no retries).
+        self.attempts = attempts
+        #: Snapshot replica shipped from a peer before the final
+        #: attempt's deploy: > 0 marks a remote-warm deploy.
+        self.transferred_mb = transferred_mb
+
+    @property
+    def breakdown(self) -> Dict[str, float]:
+        """Per-stage latency decomposition (node side): a new dict on
+        each read, in the order the node charged the stages."""
+        return dict(zip(self._stages, self._stage_ms))
 
     @property
     def latency_ms(self) -> float:
@@ -391,3 +476,20 @@ class InvocationResult:
     def retried(self) -> bool:
         """Whether the controller re-dispatched this request at least once."""
         return self.attempts > 1
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+

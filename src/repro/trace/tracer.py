@@ -208,12 +208,7 @@ class Tracer:
             self._env = self._env_stack.pop()
         else:
             self._env = None
-        if self in _ACTIVE:
-            # Remove the most recent registration of *this* tracer.
-            for index in range(len(_ACTIVE) - 1, -1, -1):
-                if _ACTIVE[index] is self:
-                    del _ACTIVE[index]
-                    break
+        _drop_last(_ACTIVE, self)
 
     # -- clock -----------------------------------------------------------
     def now(self) -> float:
@@ -413,6 +408,18 @@ NULL_TRACER = NullTracer()
 #: pop.  The top is what env-less layers record against.
 _ACTIVE: List[Tracer] = []
 
+#: Tracers installed by :func:`enable` (the CLI ``--trace`` hook): the
+#: fallback of :func:`tracer_for` for an environment without its own.
+_ENABLED: List[Tracer] = []
+
+
+def _drop_last(stack: List[Tracer], tracer: Tracer) -> None:
+    """Remove the most recent registration of ``tracer``, if any."""
+    for index in range(len(stack) - 1, -1, -1):
+        if stack[index] is tracer:
+            del stack[index]
+            return
+
 
 def current() -> Tracer:
     """The active tracer, or :data:`NULL_TRACER` when tracing is off."""
@@ -423,21 +430,23 @@ def tracer_for(env) -> Tracer:
     """The tracer an environment's instrumentation should record to.
 
     Prefers a tracer explicitly attached to ``env``; falls back to the
-    active (e.g. ``--trace``-installed) tracer; else the null tracer.
+    process-wide (``--trace``-installed) tracer; else the null tracer.
+    A tracer attached to another environment never records this one.
     """
     tracer = getattr(env, "tracer", None)
     if tracer is not None:
         return tracer
-    return current()
+    return _ENABLED[-1] if _ENABLED else NULL_TRACER
 
 
 def enable(tracer: Tracer) -> Tracer:
     """Install ``tracer`` process-globally (the CLI ``--trace`` hook)."""
     _ACTIVE.append(tracer)
+    _ENABLED.append(tracer)
     return tracer
 
 
 def disable() -> None:
-    """Remove the most recently enabled/attached tracer."""
-    if _ACTIVE:
-        _ACTIVE.pop()
+    """Remove the most recently enabled tracer."""
+    if _ENABLED:
+        _drop_last(_ACTIVE, _ENABLED.pop())

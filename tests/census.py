@@ -63,7 +63,9 @@ def tracked_census(root) -> Counter:
 
 def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
-    after one NOP invocation on a fresh node."""
+    after one NOP invocation on a fresh node, then that of the client
+    result of a second (hot) invocation through a cluster."""
+    from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
 
@@ -77,3 +79,8 @@ def main() -> None:
     print("idle UC:", dict(sorted(tracked_census(uc).items())))
     snapshot = node.snapshot_cache._entries[fn.key]
     print("function snapshot:", dict(sorted(tracked_census(snapshot).items())))
+    cluster = FaasCluster.with_seuss_node(Environment())
+    cluster.invoke_sync(fn)
+    hot = cluster.invoke_sync(fn)
+    gc.collect()
+    print("hot result:", dict(sorted(tracked_census(hot).items())))

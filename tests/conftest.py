@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.faas.cluster import FaasCluster
 from repro.mem.frames import FrameAllocator, node_allocator
 from repro.seuss.config import AOLevel, SeussConfig
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.unikernel.interpreters import NODEJS
+from repro.workload.functions import unique_nop_set
+from repro.workload.generator import run_trial
 
 
 @pytest.fixture
@@ -46,3 +51,22 @@ def make_seuss_node(ao_level: AOLevel = AOLevel.NETWORK_AND_INTERPRETER, **kwarg
     node = SeussNode(Environment(), SeussConfig(ao_level=ao_level, **kwargs))
     node.initialize_sync()
     return node
+
+
+def oom_trial():
+    """A SEUSS trial whose node runs out of memory after core grants:
+    800 NOP invocations (5 ms each) over 400 functions, 64 workers, on
+    0.6 GB with no idle-UC cache.  Returns ``(cluster, trial)``; about
+    half the invocations fail."""
+    cluster = FaasCluster.with_seuss_node(
+        Environment(),
+        config=SeussConfig(
+            memory_gb=0.6,
+            system_reserved_mb=0,
+            oom_threshold_mb=0,
+            cache_idle_ucs=False,
+        ),
+    )
+    functions = [replace(fn, exec_ms=5.0) for fn in unique_nop_set(400)]
+    trial = run_trial(cluster, functions, invocation_count=800, workers=64, seed=1)
+    return cluster, trial

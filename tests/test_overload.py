@@ -45,6 +45,7 @@ from repro.workload.functions import (
     unique_nop_set,
 )
 from repro.workload.generator import run_trial
+from tests.conftest import oom_trial
 
 
 # -- config ---------------------------------------------------------------
@@ -406,6 +407,21 @@ class TestCoreTimeLaw:
             sum(holding(result.breakdown) for result in trial.results)
         )
         assert node.wasted_ms == 0.0
+
+    def test_failed_invocations_bank_their_core_time_as_waste(self):
+        """Out of memory after the core grant: the core time an error
+        held is waste, so useful plus wasted time covers every result."""
+        cluster, trial = oom_trial()
+        holding = self.HOLDING["seuss"]
+        failed = [result for result in trial.results if not result.success]
+        assert sum(holding(result.breakdown) for result in failed) > 0.0
+        node = cluster.node
+        assert node.wasted_ms == pytest.approx(
+            sum(holding(result.breakdown) for result in failed)
+        )
+        assert node.useful_ms + node.wasted_ms == pytest.approx(
+            sum(holding(result.breakdown) for result in trial.results)
+        )
 
     @pytest.mark.parametrize("node_type", sorted(HOLDING))
     def test_each_ending_adds_its_own_waste(self, node_type):

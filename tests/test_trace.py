@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import trace
+from repro.faas.cluster import FaasCluster
 from repro.faas.records import InvocationPath
 from repro.linuxnode.config import LinuxNodeConfig
 from repro.linuxnode.node import LinuxNode
@@ -112,6 +113,34 @@ class TestAttachment:
             assert tracer_for(env) is tracer
         finally:
             trace.disable()
+        assert trace.current() is NULL_TRACER
+
+    def test_attached_tracer_records_only_its_environment(self):
+        tracer = Tracer()
+        traced = Environment()
+        tracer.attach(traced)
+        try:
+            other = Environment()
+            cluster = FaasCluster.with_seuss_node(other)
+            assert tracer_for(other) is NULL_TRACER
+            assert cluster.invoke_sync(nop_function()).success
+        finally:
+            tracer.detach(traced)
+        assert tracer.spans == []
+        assert tracer.roots("invocation") == []
+
+    def test_disable_removes_the_enabled_tracer_not_an_attached_one(self):
+        enabled, attached = Tracer(), Tracer()
+        env = Environment()
+        trace.enable(enabled)
+        attached.attach(env)
+        try:
+            trace.disable()
+            assert trace.current() is attached
+            assert tracer_for(Environment()) is NULL_TRACER
+            assert tracer_for(env) is attached
+        finally:
+            attached.detach(env)
         assert trace.current() is NULL_TRACER
 
     def test_last_ts_high_water_clock(self):

@@ -14,11 +14,7 @@ from repro import trace
 from repro.experiments import load_all
 from repro.experiments.suite import run_suite
 from repro.trace import Tracer
-from tests.test_zero_perturbation import (
-    INVOCATIONS,
-    assert_replays_default,
-    default_fingerprint,
-)
+from tests.test_zero_perturbation import INVOCATIONS, assert_replays_default
 
 #: A deterministic selection covering the seeded fault-injection paths
 #: (chaos), the microbenchmark paths (table1) and the traced experiment
@@ -96,9 +92,6 @@ def test_traced_suite_json_differs_only_in_trace_fields():
 def test_traced_linux_trial_replays_untraced_schedule():
     """A Linux node records spans too (one ``invocation`` root per
     request); tracing it still leaves the event schedule untouched."""
-    # Fingerprint the untraced run first: an attached tracer is also the
-    # active one, which a cluster built meanwhile would record into.
-    default_fingerprint("linux")
     attached = []
 
     def attach_tracer(env, cluster):
