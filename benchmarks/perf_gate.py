@@ -498,10 +498,10 @@ def bench_e2e_invocations() -> Tuple[int, float]:
     shape): every invocation crosses the controller, shim, bus, node and
     invoker.  At the shim's ~128.6 req/s the 10,000 invocations span
     ~78 s of simulated time, longer than the 60 s request watchdog each
-    one leaves queued, so whatever a finished invocation keeps alive
-    reaches steady state inside the timed region.  The collector stays
-    on (what it walks is part of the cost) and runs once before timing.
-    Ops are invocations.
+    one races, so whatever a finished invocation would keep alive or
+    queued for one watchdog period reaches steady state inside the
+    timed region.  The collector stays on (what it walks is part of the
+    cost) and runs once before timing.  Ops are invocations.
     """
     import gc
 

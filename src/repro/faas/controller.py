@@ -302,7 +302,16 @@ class Controller:
         if queue is not None:
             queue.attach(request, node_process)
         deadline = env.timeout(remaining)
-        yield AnyOf(env, [node_process, deadline])
+        race = AnyOf(env, [node_process, deadline])
+        try:
+            yield race
+        finally:
+            # Once the race is over nothing waits on the watchdog:
+            # withdraw it rather than leave it queued for the full
+            # timeout.  A race still pending (the generator closed
+            # early) is still attached to it, so it stays.
+            if race.triggered:
+                deadline.cancel()
 
         if not node_process.processed:
             # Client gave up.  With cancellation enabled the zombie is

@@ -15,7 +15,11 @@ Pending events live in one binary heap, a plain list driven by
 :mod:`heapq`, of ``(time, priority, insertion id, event)`` entries
 popped in that order.  Bulk producers (trace replay, batched arrival
 injection) use :meth:`Environment.timeout_batch`, whose sorted batch
-holds one heap slot at a time, not one per timeout.
+holds one heap slot at a time, not one per timeout.  A timeout nothing
+waits on any more can be withdrawn (:meth:`Timeout.cancel`): its entry
+is dropped unprocessed when popped, and once withdrawn entries
+outnumber live ones the heap is filtered in place (asyncio's rule for
+cancelled timer handles).
 
 ``step()`` and every ``run()`` mode share one dispatch loop
 (:meth:`Environment._dispatch`), and the hot event constructors
@@ -28,7 +32,7 @@ the event's callbacks.
 from __future__ import annotations
 
 import sys
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import (
     Any,
     Callable,
@@ -80,6 +84,8 @@ Interrupted = Interrupt
 PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
+#: A queued timeout taken back by :meth:`Timeout.cancel`: it never fires.
+WITHDRAWN = "withdrawn"
 
 
 class Event:
@@ -179,6 +185,26 @@ class Timeout(Event):
         now = env._now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now + delay, NORMAL, eid, self))
+
+    def cancel(self) -> bool:
+        """Withdraw the timeout from the queue; it will never fire.
+
+        For a timeout that lost a race and that nothing waits on any
+        more: its queue entry is dropped when popped (no clock advance,
+        no event counted, no ``limit`` spent) and ``peek``/``run`` treat
+        it as gone.  Returns ``False`` if it already fired or was
+        already withdrawn.  Raises :class:`SimulationError` while a
+        callback is attached (a waiting process, a condition, a batch's
+        merge step): withdrawing it would leave that waiter hanging.
+        Waiting on a withdrawn timeout raises ``SimulationError`` too.
+        """
+        if self._state != TRIGGERED:
+            return False
+        if self.callbacks:
+            raise SimulationError(f"cannot cancel {self!r}: a waiter is attached")
+        self._state = WITHDRAWN
+        self.env._withdraw()
+        return True
 
 
 class Initialize(Event):
@@ -297,14 +323,12 @@ class Process(Event):
                 )
             if next_event._state == PROCESSED:
                 # Already over: resume immediately (next loop iteration).
-                immediate = Event(env)
-                immediate._ok = next_event._ok
-                immediate._value = next_event._value
                 if not next_event._ok:
-                    immediate._defused = True
                     next_event._defused = True
-                immediate.callbacks.append(self._resume)
-                env._schedule(immediate, priority=URGENT)
+                self._resume_now(next_event._ok, next_event._value)
+            elif next_event._state is WITHDRAWN:
+                # It will never fire: fail the wait instead of hanging.
+                self._resume_now(False, _withdrawn_error(next_event))
             else:
                 self._target = next_event
                 next_event.callbacks.append(self._resume)
@@ -316,6 +340,15 @@ class Process(Event):
         now = env._now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now, NORMAL, eid, self))
+
+    def _resume_now(self, ok: bool, value: Any) -> None:
+        """Resume with this outcome on the next loop iteration."""
+        immediate = Event(self.env)
+        immediate._ok = ok
+        immediate._value = value
+        immediate._defused = not ok
+        immediate.callbacks.append(self._resume)
+        self.env._schedule(immediate, priority=URGENT)
 
 
 class Condition(Event):
@@ -341,6 +374,8 @@ class Condition(Event):
         for event in events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
+            if event._state is WITHDRAWN:
+                raise _withdrawn_error(event)
         check = self._check
         already_done = []
         for event in events:
@@ -435,6 +470,9 @@ class Environment:
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._events_processed = 0
+        #: Withdrawn timeouts not yet dropped from ``_pending`` (a
+        #: batch's withdrawn tail counts before its predecessor queues it).
+        self._withdrawn = 0
 
     @property
     def now(self) -> float:
@@ -475,6 +513,18 @@ class Environment:
         now = self._now
         eid = self._eid = self._eid + 1
         heappush(self._pending, (now, priority, eid, event))
+
+    def _withdraw(self) -> None:
+        """Count one withdrawn timeout; compact once they outnumber live
+        entries.  The filter runs in place: ``_dispatch`` and every
+        batch merge step hold the list itself."""
+        self._withdrawn += 1
+        pending = self._pending
+        if 2 * self._withdrawn > len(pending):
+            live = [entry for entry in pending if entry[3]._state is not WITHDRAWN]
+            self._withdrawn -= len(pending) - len(live)
+            pending[:] = live
+            heapify(pending)
 
     def timeout_batch(
         self,
@@ -548,9 +598,18 @@ class Environment:
         return timeouts
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next live event, or ``inf`` if none.
+
+        Withdrawn entries at the head of the queue are dropped on the way.
+        """
         pending = self._pending
-        return pending[0][0] if pending else INF
+        while pending:
+            when, _, _, event = pending[0]
+            if event._state is not WITHDRAWN:
+                return when
+            heappop(pending)
+            self._withdrawn -= 1
+        return INF
 
     # -- running ------------------------------------------------------
     def step(self) -> None:
@@ -573,8 +632,8 @@ class Environment:
         """
         budget = _UNBOUNDED if limit is None else limit
         if until is None:
-            if self._dispatch(None, INF, budget) is _BUDGET and len(
-                self._pending
+            if self._dispatch(None, INF, budget) is _BUDGET and (
+                self.peek() != INF
             ):
                 raise self._limit_reached(limit)
             return None
@@ -583,7 +642,7 @@ class Environment:
             if until._state != PROCESSED:
                 why = self._dispatch(until, INF, budget)
                 if until._state != PROCESSED:
-                    if why is _EMPTY or not len(self._pending):
+                    if why is _EMPTY or self.peek() == INF:
                         raise SimulationError(
                             "event queue empty before target event triggered"
                         )
@@ -621,18 +680,24 @@ class Environment:
           untouched and the clock stays where it was;
         * ``_BUDGET``: ``budget`` events were processed.
 
-        The processed count lives in a local and is added to
+        Withdrawn entries are dropped as they are popped, before any of
+        these tests: they spend no budget and never move the clock.  The
+        processed count lives in a local and is added to
         ``events_processed`` on the way out, also when a callback or an
         unhandled failure raises.
         """
         queue = self._pending
         pop = heappop
         done = PROCESSED
+        withdrawn = WITHDRAWN
         processed = 0
         try:
             for processed in range(1, budget + 1):
                 try:
                     when, priority, eid, event = pop(queue)
+                    while event._state is withdrawn:
+                        self._withdrawn -= 1
+                        when, priority, eid, event = pop(queue)
                 except IndexError:
                     processed -= 1
                     return _EMPTY
@@ -663,3 +728,7 @@ _BUDGET = "budget"
 
 #: The event budget of an unlimited run: more events than any run has.
 _UNBOUNDED = sys.maxsize - 1
+
+
+def _withdrawn_error(timeout: Timeout) -> SimulationError:
+    return SimulationError(f"cannot wait on {timeout!r}: it was withdrawn")

@@ -2,8 +2,9 @@
 
 :func:`tracked_census` walks ``gc.get_referents`` from one object and
 counts the GC-tracked objects it reaches that are not shared with the
-rest of the node.  Plain Python only, so it also runs on interpreters
-without pytest::
+rest of the node; :func:`queue_census` counts what a closed loop keeps
+in the engine's queue.  Plain Python only, so it also runs on
+interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
@@ -61,10 +62,36 @@ def tracked_census(root) -> Counter:
     return census
 
 
+def queue_census() -> dict:
+    """Engine-queue entries of a closed loop of the end-to-end
+    benchmark's ``hot_loop`` shape (32 clients over 64 warmed NOPs):
+    all pending entries, and the withdrawn timeouts among them still
+    awaiting compaction.  Read once the loop has run for more than one
+    request-watchdog period, so a watchdog left queued per request
+    would show."""
+    from repro.faas.cluster import FaasCluster
+    from repro.metrics.collector import TrialMetrics
+    from repro.sim import Environment
+    from repro.workload.functions import unique_nop_set
+    from repro.workload.generator import LoadGenerator, TrialConfig
+
+    env = Environment()
+    cluster = FaasCluster.with_seuss_node(env)
+    fns = unique_nop_set(64)
+    for fn in fns:
+        env.run(until=cluster.invoke(fn))
+    # ~9.6k invocations fit in the window at the shim's ~128.6 req/s.
+    loop = LoadGenerator(fns, TrialConfig(invocation_count=12_000, workers=32))
+    env.process(loop.run_process(cluster, TrialMetrics()))
+    env.run(until=env.now + 1.25 * cluster.costs.platform.request_timeout_ms)
+    return {"pending": len(env._pending), "withdrawn": env._withdrawn}
+
+
 def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
     after one NOP invocation on a fresh node, then that of the client
-    result of a second (hot) invocation through a cluster."""
+    result of a second (hot) invocation through a cluster, then the
+    engine-queue census of a closed loop."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -84,3 +111,4 @@ def main() -> None:
     hot = cluster.invoke_sync(fn)
     gc.collect()
     print("hot result:", dict(sorted(tracked_census(hot).items())))
+    print("engine queue:", queue_census())

@@ -7,8 +7,10 @@ must fire exactly as the same delays passed one by one to
 ``timeout()`` would: same objects, same order, same event count.  A
 seeded workload exercises every drive mode (``run`` to exhaustion, to
 an event, to a time, limit slices, ``step``) across batches that tie
-with single timeouts and overlap each other.  Every test is seeded;
-failures reproduce deterministically.
+with single timeouts and overlap each other, and withdraws the queued
+timeouts nothing waits on any more: withdrawing changes nothing but the
+event count.  Every test is seeded; failures reproduce
+deterministically.
 """
 
 import random
@@ -20,7 +22,7 @@ from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
 SEEDS = [1, 7, 42, 1337, 0xF1EE7]
 
 
-def _mixed_workload(env, rng, log, batched=True):
+def _mixed_workload(env, rng, log, batched=True, withdraw=True, spent=None):
     """A seeded engine workout; returns the event that fires last.
 
     Workers contend for a ``Resource`` and hand items through a
@@ -30,20 +32,39 @@ def _mixed_workload(env, rng, log, batched=True):
     queues two overlapping timeout batches whose delays tie with each
     other and with single timeouts made just before and after them —
     through ``timeout_batch`` when ``batched``, else through one
-    ``timeout()`` call per delay.  Nothing is left queued once the root
-    process (the returned event) is processed, so every drive mode ends
-    on the same event.
+    ``timeout()`` call per delay.
+
+    Some timeouts end up with nothing waiting on them: the deadline
+    that loses the root's race, spare singles, and the tail of a spare
+    batch queued with ``callback=None``.  The first of the ``ones``
+    batch, firing while both batches are in flight, lets go of the
+    spares: enough to outnumber the live entries, with the spare tail
+    not yet queued by its predecessor.  Each such timeout still queued
+    is appended to ``spent`` (when given) and, when ``withdraw``,
+    withdrawn as the controller withdraws a spent watchdog; otherwise it
+    stays queued with no callbacks and fires unobserved.  Nothing live
+    is left queued once the root process (the returned event) is
+    processed, so every drive mode ends on the same event.
     """
     cores = Resource(env, capacity=3)
     mailbox = Store(env)
+    spent = [] if spent is None else spent
 
     def batch(delays, value, callback):
         if batched:
             return env.timeout_batch(delays, value, callback)
         timeouts = [env.timeout(delay, value) for delay in delays]
-        for timeout in timeouts:
-            timeout.callbacks.append(callback)
+        if callback is not None:
+            for timeout in timeouts:
+                timeout.callbacks.append(callback)
         return timeouts
+
+    def let_go(timeout):
+        """Nothing waits on ``timeout`` any more."""
+        if not timeout.processed:
+            spent.append(timeout)
+            if withdraw:
+                assert timeout.cancel()
 
     def tick(event):
         log.append((env.now, "tick", event.value))
@@ -58,10 +79,23 @@ def _mixed_workload(env, rng, log, batched=True):
         ones = batch(first, "first", tick)
         after = env.timeout(first[4], value="after")
         twos = batch([0.0] + second, "second", tick)
+        spares = [env.timeout(rng.randrange(0, 120) * 0.5) for _ in range(96)]
+        # Queued after ``ones``, so even its head (tied with ``ones[0]``)
+        # is still queued when ``ones[0]`` lets go of its tail.
+        spare_batch = batch(first[:4], "spare", None)
+
+        def let_go_of_spares(event):
+            queued = len(env._pending)
+            for timeout in [spare_batch[-1]] + spares:
+                let_go(timeout)
+            if withdraw:
+                assert len(env._pending) < queued  # compacted in place
+
         for index, timeout in enumerate(ones):
             timeout.callbacks.append(
                 lambda event, index=index: log.append((env.now, index))
             )
+        ones[0].callbacks.append(let_go_of_spares)
         before.callbacks.append(tick)
         after.callbacks.append(tick)
         yield env.all_of([ones[-1], twos[-1], before, after])
@@ -111,14 +145,21 @@ def _mixed_workload(env, rng, log, batched=True):
             workers.append(env.process(worker(wid)))
             yield env.timeout(rng.expovariate(1.0))
         deadline = env.timeout(rng.uniform(5.0, 60.0))
-        first = yield env.any_of([workers[0], deadline])
+        race = env.any_of([workers[0], deadline])
+        try:
+            first = yield race
+        finally:
+            if race.triggered:
+                let_go(deadline)
         log.append((env.now, "any_of", sorted(map(str, first.values()))))
         try:
             yield env.process(failing())
         except RuntimeError as exc:
             log.append((env.now, "failed", str(exc)))
         sleepy.interrupt("wake up")
-        joined = yield env.all_of(workers + [deadline])
+        joined = yield env.all_of(
+            workers if deadline in spent else workers + [deadline]
+        )
         log.append((env.now, "all_of", len(joined)))
         mailbox.put_nowait(None)
         yield eater
@@ -174,16 +215,20 @@ DRIVES = {
 }
 
 
-def _simulate(seed, drive, batched=True):
+def _simulate(seed, drive, batched=True, withdraw=True, spent=None):
     """One seeded run under ``drive``, with the engine's error paths probed."""
     env = Environment()
     log, errors = [], []
-    done = _mixed_workload(env, random.Random(seed), log, batched)
-    with pytest.raises(SimulationError) as spent:
+    done = _mixed_workload(
+        env, random.Random(seed), log, batched, withdraw, spent
+    )
+    with pytest.raises(SimulationError) as no_budget:
         env.run(until=done, limit=0)
-    errors.append(str(spent.value))
+    errors.append(str(no_budget.value))
     DRIVES[drive](env, done, errors)
-    assert done.processed and len(env._pending) == 0
+    assert done.processed and env.peek() == float("inf")
+    # Every withdrawn entry was dropped and counted out exactly once.
+    assert env._withdrawn == 0 and env._pending == []
     for probe in (lambda: env.run(until=env.event()), env.step):
         with pytest.raises(SimulationError) as empty:
             probe()
@@ -225,6 +270,39 @@ class TestEnvironmentBackendEquivalence:
             ticks = [e[0] for e in batched["log"] if e[1:2] == ("tick",)]
             stops = [float(e.rsplit("t=", 1)[1]) for e in errors[1:-2]]
             assert any(ticks[0] < stop < ticks[-1] for stop in stops)
+
+
+class TestWithdrawnTimeouts:
+    """The workload with its spent timeouts withdrawn against a
+    reference that leaves them queued with no callbacks."""
+
+    @pytest.mark.parametrize("drive", sorted(DRIVES))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_withdrawing_changes_only_the_event_count(self, seed, drive):
+        kept, withdrawn = [], []
+        reference = _simulate(seed, drive, withdraw=False, spent=kept)
+        result = _simulate(seed, drive, spent=withdrawn)
+        for key in ("log", "now", "value"):
+            assert result[key] == reference[key], key
+        assert len(withdrawn) == len(kept) > 10
+        assert not any(timeout.processed for timeout in withdrawn)
+        fired = sum(timeout.processed for timeout in kept)
+        assert fired == len(kept)  # all were due before the root's end
+        assert reference["events"] - result["events"] == fired
+
+    def test_withdrawn_batch_tail_is_counted_until_dropped(self):
+        """A batch's tail withdrawn before its predecessor queues it is
+        counted from the withdrawal and dropped once it is queued."""
+        env = Environment()
+        head, tail = env.timeout_batch([1.0, 2.0])
+        assert tail.cancel()
+        assert env._withdrawn == 1 and len(env._pending) == 1
+        assert env.peek() == 1.0
+        env.step()
+        assert head.processed and len(env._pending) == 1
+        assert env.peek() == float("inf")
+        assert env._withdrawn == 0 and env.now == 1.0
+        assert env.events_processed == 1
 
 
 class TestBatchScheduling:

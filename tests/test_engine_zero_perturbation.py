@@ -10,7 +10,8 @@ Two layers of evidence:
   same way so later policy work cannot silently shift its curves.)
 * ``Environment`` edge-case semantics (``peek`` on an empty queue,
   ``run(until=...)`` with a past deadline, event limits, draining,
-  mid-gap deadlines) keep their exceptions and messages.
+  mid-gap deadlines) keep their exceptions and messages, and a
+  withdrawn timeout (``Timeout.cancel``) is invisible to all of them.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pathlib
 import pytest
 
 from repro.experiments import load_all, registry
-from repro.sim import Environment, SimulationError
+from repro.sim import AnyOf, Environment, SimulationError
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "quick_suite_tables.sha256.json"
@@ -124,3 +125,106 @@ class TestEdgeSemanticsAcrossBackends:
         assert env.run() is None
         assert env.events_processed == 3
         assert env.peek() == float("inf")
+
+    def test_cancel_after_firing_returns_false(self):
+        env = Environment()
+        timeout = env.timeout(1.0)
+        env.run()
+        assert timeout.cancel() is False
+        assert env.events_processed == 1
+
+    def test_cancel_twice_withdraws_once(self):
+        env = Environment()
+        timeout = env.timeout(1.0)
+        assert timeout.cancel() is True
+        assert timeout.cancel() is False
+        assert env.run() is None
+        assert env.events_processed == 0 and env.now == 0.0
+
+    def test_cancel_with_a_waiter_attached_raises(self):
+        env = Environment()
+        waited = env.timeout(1.0)
+        raced = env.timeout(2.0)
+
+        def waiter():
+            yield waited
+
+        env.process(waiter())
+        env.step()  # the process starts and waits on ``waited``
+        AnyOf(env, [raced, env.event()])
+        # A batch member's merge step counts as a waiter, as does a
+        # pre-seeded callback on its tail.
+        first, last = env.timeout_batch([3.0, 4.0], callback=lambda ev: None)
+        middle = env.timeout_batch([3.0, 4.0])[0]
+        for timeout in (waited, raced, first, last, middle):
+            with pytest.raises(SimulationError, match="a waiter is attached"):
+                timeout.cancel()
+        env.run()
+        assert all(
+            t.processed for t in (waited, raced, first, last, middle)
+        )
+
+    def test_waiting_on_a_withdrawn_timeout_raises(self):
+        env = Environment()
+        seen = []
+
+        def waiter(make_wait):
+            timeout = env.timeout(5.0)
+            timeout.cancel()
+            try:
+                yield make_wait(timeout)
+            except SimulationError as exc:
+                seen.append((env.now, str(exc)))
+
+        env.process(waiter(lambda timeout: timeout))
+        env.process(waiter(lambda timeout: env.any_of([timeout])))
+        env.run()
+        assert [now for now, _ in seen] == [0.0, 0.0]
+        assert all("it was withdrawn" in message for _, message in seen)
+        assert env.now == 0.0
+
+    def test_peek_skips_withdrawn_entries(self):
+        env = Environment()
+        early = env.timeout(1.0)
+        env.timeout(2.0)
+        early.cancel()
+        assert env.peek() == 2.0
+        env.step()
+        assert env.now == 2.0 and env.events_processed == 1
+        assert env.peek() == float("inf")
+
+    def test_step_over_only_withdrawn_entries_raises(self):
+        env = Environment()
+        for delay in (1.0, 2.0):
+            env.timeout(delay).cancel()
+        with pytest.raises(SimulationError, match="event queue is empty"):
+            env.step()
+        assert env.now == 0.0 and env.events_processed == 0
+
+    def test_limit_error_only_while_a_live_entry_remains(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.timeout(2.0).cancel()
+        env.run(limit=1)  # the one live event: no error
+        assert env.now == 1.0
+
+        env = Environment()
+        target = env.event()
+        env.timeout(1.0)
+        env.timeout(2.0).cancel()
+        with pytest.raises(
+            SimulationError, match="event queue empty before target event"
+        ):
+            env.run(until=target, limit=1)
+
+        env = Environment()
+        target = env.event()
+        for delay in (1.0, 2.0, 3.0):
+            env.timeout(delay)
+        env.timeout(1.5).cancel()
+        with pytest.raises(SimulationError) as excinfo:
+            env.run(limit=2)
+        assert str(excinfo.value) == "event limit of 2 reached at t=2.0"
+        with pytest.raises(SimulationError) as excinfo:
+            env.run(until=target, limit=0)
+        assert str(excinfo.value) == "event limit of 0 reached at t=2.0"

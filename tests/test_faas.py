@@ -6,6 +6,7 @@ import gc
 
 import pytest
 
+from repro.costs import CostBook, PlatformCostModel
 from repro.errors import ConfigError
 from repro.faas import (
     ExternalHttpServer,
@@ -15,9 +16,11 @@ from repro.faas import (
     InvocationPath,
     MessageBus,
 )
+from repro.metrics.collector import TrialMetrics
 from repro.seuss.config import SeussConfig
-from repro.sim import AnyOf, Environment
-from repro.workload.functions import io_bound_function, nop_function
+from repro.sim import AnyOf, Environment, SimulationError
+from repro.workload.functions import io_bound_function, nop_function, unique_nop_set
+from repro.workload.generator import LoadGenerator, TrialConfig
 
 
 class TestFunctionSpec:
@@ -172,18 +175,18 @@ class TestControllerAndCluster:
 
     def test_finished_invocations_are_freed_before_their_watchdogs(self):
         """Each node attempt races a ``request_timeout_ms`` watchdog
-        with ``AnyOf``.  When the node wins, the watchdog stays queued
-        but holds nothing, so the finished invocation's ``AnyOf`` (and
-        the node process behind it) is freed at once.  The watchdogs
-        still fire on their old schedule."""
+        with ``AnyOf``.  When the node wins, the watchdog is withdrawn,
+        so nothing is left queued: the finished invocation's ``AnyOf``
+        (and the node process behind it) is freed at once, and a drain
+        processes nothing and leaves the clock where the last request
+        finished."""
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         fn = nop_function()
         for _ in range(52):  # two warm-ups, then 50 hot invocations
             result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.HOT
-        timeout_ms = cluster.costs.platform.request_timeout_ms
-        assert env.now < timeout_ms  # every watchdog is still queued
+        assert env.peek() == float("inf")
         gc.collect()
         live = [
             obj
@@ -193,8 +196,38 @@ class TestControllerAndCluster:
         assert live == []
         before = env.events_processed
         env.run()
-        assert env.events_processed - before == 52
-        assert env.now == pytest.approx(result.sent_at_ms + timeout_ms)
+        assert env.events_processed == before
+        assert env.now == result.finished_at_ms
+
+    def test_closed_loop_queue_holds_only_live_entries(self):
+        """A long closed loop leaves no spent watchdog queued: pending
+        entries stay near the live ones (at most as many withdrawn
+        ones again).  The 2 s timeout lets a watchdog that stayed
+        queued fire inside the loop, so kept watchdogs would level off
+        at about 260 entries rather than grow without bound."""
+        costs = CostBook(platform=PlatformCostModel(request_timeout_ms=2_000.0))
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env, costs=costs)
+        fns = unique_nop_set(64)
+        for fn in fns:
+            env.run(until=cluster.invoke(fn))
+        metrics = TrialMetrics()
+        generator = LoadGenerator(
+            fns, TrialConfig(invocation_count=1_500, workers=32)
+        )
+        started = env.now
+        done = env.process(generator.run_process(cluster, metrics))
+        peak = 0
+        while not done.processed:
+            try:
+                env.run(until=done, limit=200)
+            except SimulationError:
+                pass
+            peak = max(peak, len(env._pending))
+        results = metrics.recorder.results
+        assert len(results) == 1_500 and all(r.success for r in results)
+        assert env.now - started > 5 * costs.platform.request_timeout_ms
+        assert peak <= 64
 
     def test_linux_cluster_end_to_end(self):
         env = Environment()
