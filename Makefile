@@ -11,7 +11,12 @@ test:
 # Timing suite + BENCH_<date>.json perf-trajectory artifact (engine
 # microbenchmarks, serial-vs-parallel suite wall-clock, perf-gate scores
 # and one untraced end-to-end benchmark run, which adds about 80 s).
-BENCH_ARTIFACT := BENCH_$(shell date +%Y-%m-%d).json
+# A second run on the same day writes BENCH_<date>b.json, then c, ...:
+# perf_trajectory refuses to overwrite an artifact.
+BENCH_ARTIFACT := $(shell day=$$(date +%Y-%m-%d); name=BENCH_$$day.json; \
+	for suffix in b c d e f g h i j k l m n o p q r s t u v w x y z; do \
+		[ -e $$name ] || break; name=BENCH_$$day$$suffix.json; \
+	done; echo $$name)
 
 bench:
 	pytest benchmarks/ --benchmark-only --benchmark-json=.bench-micro.json

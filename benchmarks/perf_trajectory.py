@@ -20,6 +20,9 @@ Usage::
 
     python -m benchmarks.perf_trajectory --out BENCH_2026-08-06.json \
         [--micro .bench-micro.json] [--profile quick] [--parallel N]
+
+``--out`` must not exist: an artifact is never overwritten (``make
+bench`` picks the next free name, ``BENCH_<date>b.json`` and on).
 """
 
 from __future__ import annotations
@@ -283,7 +286,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Write the perf-trajectory BENCH artifact"
     )
-    parser.add_argument("--out", required=True, help="output JSON path")
+    parser.add_argument(
+        "--out", required=True, help="output JSON path (must not exist)"
+    )
     parser.add_argument(
         "--micro",
         default=None,
@@ -302,6 +307,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="omit the hot-path perf-gate microbenchmarks",
     )
     args = parser.parse_args(argv)
+    if os.path.exists(args.out):
+        parser.error(
+            f"{args.out} exists; a BENCH artifact is never overwritten "
+            f"(pick another --out)"
+        )
 
     suite = measure_suite(args.profile, args.parallel)
     tracing = measure_tracing_overhead()

@@ -194,14 +194,10 @@ class Controller:
         #: attribution; ``None`` on bare controllers (no span
         #: attribute).
         self.shard_id: Optional[int] = None
-
-    @property
-    def pre_node_ms(self) -> float:
-        return self.costs.control_plane_ms * PRE_NODE_FRACTION
-
-    @property
-    def post_node_ms(self) -> float:
-        return self.costs.control_plane_ms * (1.0 - PRE_NODE_FRACTION)
+        #: The control-plane overhead paid before and after the node
+        #: call, fixed by the (frozen) cost model.
+        self.pre_node_ms = costs.control_plane_ms * PRE_NODE_FRACTION
+        self.post_node_ms = costs.control_plane_ms * (1.0 - PRE_NODE_FRACTION)
 
     def _remaining_ms(self, request: InvocationRequest) -> float:
         """Time until the client stops waiting: min(timeout, deadline).
@@ -225,8 +221,9 @@ class Controller:
         circuit is open or the node's admission queue shed the request —
         or ``None`` if the client deadline expired (before dispatch or
         while waiting; the caller distinguishes via ``request``'s clock
-        state).  ``span`` is this attempt's trace span; rejections,
-        sheds, cancellations and node errors are annotated onto it.
+        state).  ``span`` is this attempt's trace span, ``None`` when
+        tracing is off; rejections, sheds, cancellations and node
+        errors are annotated onto it, and counted on its tracer.
         """
         env = self.env
         remaining = self._remaining_ms(request)
@@ -237,17 +234,17 @@ class Controller:
             self.stats.deadline_rejected += 1
             if self.overload is not None:
                 self.overload.stats.deadline_rejected += 1
-            span.annotate(deadline_rejected=True)
-            tracer = tracer_for(env)
-            if tracer.enabled:
-                tracer.counter("overload.deadline_rejected")
+            if span is not None:
+                span.annotate(deadline_rejected=True)
+                tracer_for(env).counter("overload.deadline_rejected")
             return EXPIRED_BEFORE_DISPATCH
 
         try:
             health = self.router.select(fn)
         except CircuitOpenError as exc:
             self.stats.circuit_rejected += 1
-            span.annotate(circuit_rejected=True, error=str(exc))
+            if span is not None:
+                span.annotate(circuit_rejected=True, error=str(exc))
             return NodeInvocation(
                 path=InvocationPath.ERROR,
                 success=False,
@@ -265,7 +262,8 @@ class Controller:
             fetched = yield from self.replicas.fetch(node, fn)
             remaining = self._remaining_ms(request)
             if remaining <= 0:
-                span.annotate(timed_out=True)
+                if span is not None:
+                    span.annotate(timed_out=True)
                 return None
 
         queue = None
@@ -278,10 +276,9 @@ class Controller:
                     f"admission queue full on node (depth {queue.depth}, "
                     f"policy {queue.policy.value})"
                 )
-                span.annotate(shed=True, error=str(error))
-                tracer = tracer_for(env)
-                if tracer.enabled:
-                    tracer.counter("overload.shed")
+                if span is not None:
+                    span.annotate(shed=True, error=str(error))
+                    tracer_for(env).counter("overload.shed")
                 return NodeInvocation(
                     path=InvocationPath.ERROR,
                     success=False,
@@ -317,7 +314,8 @@ class Controller:
             # Client gave up.  With cancellation enabled the zombie is
             # interrupted so it releases its core, UC and memory now;
             # historically the node finishes (or fails) on its own.
-            span.annotate(timed_out=True)
+            if span is not None:
+                span.annotate(timed_out=True)
             if (
                 self.overload is not None
                 and self.overload.config.cancel_expired
@@ -326,10 +324,9 @@ class Controller:
                 )
             ):
                 self.overload.stats.cancelled += 1
-                span.annotate(cancelled=True)
-                tracer = tracer_for(env)
-                if tracer.enabled:
-                    tracer.counter("overload.cancelled")
+                if span is not None:
+                    span.annotate(cancelled=True)
+                    tracer_for(env).counter("overload.cancelled")
             return None
         node_result = node_process.value
         if fetched is not None:
@@ -341,7 +338,8 @@ class Controller:
                 latency_ms=env.now - fetch_started,
                 transferred_mb=fetched.size_mb,
             )
-            span.annotate(transferred_mb=fetched.size_mb)
+            if span is not None:
+                span.annotate(transferred_mb=fetched.size_mb)
         if not node_result.cancelled:
             # Cancelled/shed work says nothing about node health; only
             # real outcomes feed the breaker.
@@ -349,15 +347,16 @@ class Controller:
                 health.record_success()
             else:
                 health.record_failure()
-        span.annotate(
-            success=node_result.success, node_path=node_result.path.value
-        )
-        if node_result.cancelled:
-            span.annotate(cancelled=True)
-        if node_result.error is not None:
-            # Failures here are injected (crashes, corruption) or
-            # synthetic (open circuits); keep the cause on the span.
-            span.annotate(error=node_result.error)
+        if span is not None:
+            span.annotate(
+                success=node_result.success, node_path=node_result.path.value
+            )
+            if node_result.cancelled:
+                span.annotate(cancelled=True)
+            if node_result.error is not None:
+                # Failures here are injected (crashes, corruption) or
+                # synthetic (open circuits); keep the cause on the span.
+                span.annotate(error=node_result.error)
         return node_result
 
     def _should_retry(
@@ -403,6 +402,9 @@ class Controller:
         the :meth:`invoke_batch` coalescing hook: when set, the request
         waits on that pre-created dispatch tick instead of scheduling
         its own ``pre_node_ms`` timeout.
+
+        The tracer is resolved once; with tracing off ``root`` is
+        ``None`` and the request records nothing.
         """
         env = self.env
         request = InvocationRequest(
@@ -416,15 +418,17 @@ class Controller:
         )
         self.stats.received += 1
         tracer = tracer_for(env)
-        root = tracer.span(
-            "request",
-            at=env.now,
-            category="controller",
-            function=fn.key,
-            request_id=request.request_id,
-        )
-        if self.shard_id is not None:
-            root.annotate(shard=self.shard_id)
+        root = None
+        if tracer.enabled:
+            root = tracer.span(
+                "request",
+                at=env.now,
+                category="controller",
+                function=fn.key,
+                request_id=request.request_id,
+            )
+            if self.shard_id is not None:
+                root.annotate(shard=self.shard_id)
 
         try:
             # Namespace throttling happens at the gateway, before any work.
@@ -433,8 +437,8 @@ class Controller:
             if not admitted:
                 self.stats.throttled += 1
                 self.stats.failed += 1
-                root.annotate(throttled=True, error=f"throttled: {reason}")
-                if tracer.enabled:
+                if root is not None:
+                    root.annotate(throttled=True, error=f"throttled: {reason}")
                     if self.quotas.stats.rate_rejections > rate_before:
                         tracer.counter("quota.rate_rejections")
                     else:
@@ -457,18 +461,22 @@ class Controller:
                 # The SEUSS deployment interposes the shim hop here.
                 if self.shim is not None:
                     yield from self.shim.forward()
-                root.done("dispatch", dispatch_started, env.now)
+                if root is not None:
+                    root.done("dispatch", dispatch_started, env.now)
 
                 attempt = 1
                 backoff_spent = 0.0
+                attempt_span = None
                 while True:
-                    attempt_span = root.span(
-                        "attempt", at=env.now, category="attempt", attempt=attempt
-                    )
+                    if root is not None:
+                        attempt_span = root.span(
+                            "attempt", at=env.now, category="attempt", attempt=attempt
+                        )
                     node_result = yield from self._attempt_node(
                         fn, request, attempt_span
                     )
-                    attempt_span.finish(at=env.now)
+                    if attempt_span is not None:
+                        attempt_span.finish(at=env.now)
                     if (
                         node_result is None
                         or node_result is EXPIRED_BEFORE_DISPATCH
@@ -486,7 +494,8 @@ class Controller:
                             self.stats.timed_out += 1
                             error = "request timed out"
                         self.stats.failed += 1
-                        root.annotate(error=error)
+                        if root is not None:
+                            root.annotate(error=error)
                         return self._respond(request, attempt, error=error)
                     if not self._should_retry(node_result, attempt, backoff_spent):
                         if not node_result.success and self.retries.enabled:
@@ -496,15 +505,15 @@ class Controller:
                         # Cluster-wide retry budget spent: eat the failure
                         # rather than amplify overload into a retry storm.
                         self.stats.retry_exhausted += 1
-                        root.annotate(
-                            retry_budget_exhausted=True,
-                            error=str(
-                                RetryBudgetExhaustedError(
-                                    "cluster retry budget exhausted"
-                                )
-                            ),
-                        )
-                        if tracer.enabled:
+                        if root is not None:
+                            root.annotate(
+                                retry_budget_exhausted=True,
+                                error=str(
+                                    RetryBudgetExhaustedError(
+                                        "cluster retry budget exhausted"
+                                    )
+                                ),
+                            )
                             tracer.counter("overload.retry_budget_denied")
                         break
                     backoff = self.retries.backoff_ms(attempt, self._retry_rng)
@@ -517,14 +526,16 @@ class Controller:
                             backoff_ms=backoff,
                         )
                     )
-                    root.done(
-                        "backoff", env.now, env.now + backoff, attempt=attempt
-                    )
+                    if root is not None:
+                        root.done(
+                            "backoff", env.now, env.now + backoff, attempt=attempt
+                        )
                     yield env.timeout(backoff)
                     backoff_spent += backoff
                     attempt += 1
 
-                root.done("respond", env.now, env.now + self.post_node_ms)
+                if root is not None:
+                    root.done("respond", env.now, env.now + self.post_node_ms)
                 yield env.timeout(self.post_node_ms)
             finally:
                 self.quotas.release(fn.owner)
@@ -543,7 +554,8 @@ class Controller:
                 error = str(
                     DeadlineExceededError("response missed the client deadline")
                 )
-                root.annotate(late_response=True, error=error)
+                if root is not None:
+                    root.annotate(late_response=True, error=error)
                 return self._respond(request, attempt, node_result, error)
             if node_result.success:
                 self.stats.succeeded += 1
@@ -551,14 +563,16 @@ class Controller:
                     self.stats.recovered += 1
             else:
                 self.stats.failed += 1
-            root.annotate(
-                success=node_result.success,
-                path=node_result.path.value,
-                attempts=attempt,
-            )
+            if root is not None:
+                root.annotate(
+                    success=node_result.success,
+                    path=node_result.path.value,
+                    attempts=attempt,
+                )
             return self._respond(request, attempt, node_result)
         finally:
-            root.finish(at=env.now)
+            if root is not None:
+                root.finish(at=env.now)
 
     def _respond(
         self,

@@ -64,13 +64,15 @@ class QuotaEnforcer:
 
     def __init__(self, config: QuotaConfig = DISABLED) -> None:
         self.config = config
+        #: ``config.enabled``, read once: the config is frozen.
+        self._enabled = config.enabled
         self._windows: Dict[str, Deque[float]] = {}
         self._running: Dict[str, int] = {}
         self.stats = QuotaStats()
 
     def try_admit(self, namespace: str, now_ms: float) -> Tuple[bool, str]:
         """Admit or reject one invocation; returns (admitted, reason)."""
-        if not self.config.enabled:
+        if not self._enabled:
             self.stats.admitted += 1
             return True, ""
         limit = self.config.concurrent_invocations
@@ -98,7 +100,7 @@ class QuotaEnforcer:
 
     def release(self, namespace: str) -> None:
         """Mark one admitted invocation as finished."""
-        if not self.config.enabled:
+        if not self._enabled:
             return
         current = self._running.get(namespace, 0)
         if current <= 0:

@@ -158,6 +158,9 @@ class InvocationLedger:
     :class:`NodeInvocation`.  Nothing else writes a node's
     ``useful_ms``, ``wasted_ms``, ``zombie_count`` or
     ``cancelled_count``.
+
+    The tracer is resolved once, at construction: with tracing off
+    ``root`` is ``None`` and the ledger records no span.
     """
 
     __slots__ = (
@@ -196,12 +199,17 @@ class InvocationLedger:
         self.started = self._queue_started = now
         self.breakdown: Dict[str, float] = {}
         self.stage_times = {InvocationStage.REQUEST_RECEIVED: now}
-        self.root = tracer_for(env).span(
-            "invocation",
-            at=now,
-            category="invocation",
-            function=self.function_key,
-            runtime=fn.runtime,
+        tracer = tracer_for(env)
+        self.root = (
+            tracer.span(
+                "invocation",
+                at=now,
+                category="invocation",
+                function=self.function_key,
+                runtime=fn.runtime,
+            )
+            if tracer.enabled
+            else None
         )
         self.path = InvocationPath.ERROR  # until the node picks one
         self.pages_copied = 0
@@ -215,8 +223,10 @@ class InvocationLedger:
         """Bill ``ms`` to ``stage``; the caller yields a timeout of the
         returned ``ms`` at once, so the span's edges are known now."""
         self._bill(stage, ms)
-        now = self.env.now
-        self.root.done(stage, now, now + ms)
+        root = self.root
+        if root is not None:
+            now = self.env.now
+            root.done(stage, now, now + ms)
         return ms
 
     def charge_since(self, stage: str, start: float) -> None:
@@ -224,7 +234,8 @@ class InvocationLedger:
         only once it ends (the Linux container creation)."""
         now = self.env.now
         self._bill(stage, now - start)
-        self.root.done(stage, start, now)
+        if self.root is not None:
+            self.root.done(stage, start, now)
 
     def _bill(self, stage: str, ms: float) -> None:
         # A first charge keeps its float (``float`` returns a float
@@ -261,7 +272,8 @@ class InvocationLedger:
 
     def core_granted(self) -> None:
         self._core_acquired_at = now = self.env.now
-        self.root.done(STAGE_QUEUE_WAIT, self._queue_started, now)
+        if self.root is not None:
+            self.root.done(STAGE_QUEUE_WAIT, self._queue_started, now)
 
     def release_core(self) -> None:
         """Hand back the core (or a still-queued request) and bank the
@@ -279,19 +291,22 @@ class InvocationLedger:
         """Completed: count the path, then bank the core time as useful,
         or as waste for a zombie (done after the client's deadline)."""
         node = self.node
+        root = self.root
         now = self.env.now
         node.stats.count(self.path)
-        self.root.annotate(
-            path=self.path.value, success=True, pages_copied=self.pages_copied
-        )
-        if self.pages_prefetched:
-            self.root.annotate(pages_prefetched=self.pages_prefetched)
+        if root is not None:
+            root.annotate(
+                path=self.path.value, success=True, pages_copied=self.pages_copied
+            )
+            if self.pages_prefetched:
+                root.annotate(pages_prefetched=self.pages_prefetched)
         wasted = 0.0
         if self.deadline_ms is not None and now > self.deadline_ms:
             node.zombie_count += 1
             node.wasted_ms += self.busy_ms
             wasted = self.busy_ms
-            self.root.annotate(zombie=True, wasted_ms=wasted)
+            if root is not None:
+                root.annotate(zombie=True, wasted_ms=wasted)
         else:
             node.useful_ms += self.busy_ms
         return self._close(now, wasted_ms=wasted)
@@ -301,12 +316,13 @@ class InvocationLedger:
         error = str(exc.cause) if exc.cause is not None else "cancelled"
         self.node.cancelled_count += 1
         self.node.wasted_ms += self.busy_ms
-        self.root.annotate(
-            path=self.path.value,
-            cancelled=True,
-            error=error,
-            wasted_ms=self.busy_ms,
-        )
+        if self.root is not None:
+            self.root.annotate(
+                path=self.path.value,
+                cancelled=True,
+                error=error,
+                wasted_ms=self.busy_ms,
+            )
         return self._close(
             self.env.now, error=error, cancelled=True, wasted_ms=self.busy_ms
         )
@@ -319,7 +335,8 @@ class InvocationLedger:
         self.node.wasted_ms += self.busy_ms
         self.node.stats.errors += 1
         self.path = InvocationPath.ERROR
-        self.root.annotate(path=self.path.value, error=error)
+        if self.root is not None:
+            self.root.annotate(path=self.path.value, error=error)
         return self._close(self.env.now + stall_ms, error=error)
 
     def _close(
@@ -329,7 +346,8 @@ class InvocationLedger:
         cancelled: bool = False,
         wasted_ms: float = 0.0,
     ) -> NodeInvocation:
-        self.root.finish(at=end)
+        if self.root is not None:
+            self.root.finish(at=end)
         return NodeInvocation(
             path=self.path,
             success=error is None,

@@ -310,7 +310,11 @@ class ShardedControlPlane:
         return len(self.shards)
 
     def shard_for(self, key: str) -> ControlPlaneShard:
-        return self.shards[self.ring.shard_for(key)]
+        shards = self.shards
+        if len(shards) == 1:
+            # One shard owns every key: no ring lookup.
+            return shards[0]
+        return shards[self.ring.shard_for(key)]
 
     def _dispatch(self, fn: FunctionSpec) -> ControlPlaneShard:
         """Hash ``fn`` to its shard and count the dispatch."""

@@ -58,15 +58,13 @@ class LinuxNode:
         self.costs = costs
         self.rng = random.Random(self.config.seed)
         self.allocator: FrameAllocator = node_allocator(
-            self.config.memory_gb, self.config.system_reserved_mb
+            self.config.memory_gb, self.config.system_reserved_mb, env
         )
         self.cores = Resource(env, self.config.cores)
         self.bridge = VirtualBridge(costs.linux, self.rng)
         #: Eviction order of the idle containers over function keys;
         #: tracks exactly the keys of ``_idle``.
-        self.cache_policy = make_policy(
-            self.config.cache_policy, clock=lambda: self.env.now
-        )
+        self.cache_policy = make_policy(self.config.cache_policy, env=env)
         # Idle containers per function, a plain list, oldest first:
         # FIFO within a function (hot pops and eviction both take the
         # oldest from the front).

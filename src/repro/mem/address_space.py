@@ -128,7 +128,7 @@ class AddressSpace:
         # from a snapshot.
         self._page_table_pages = page_table_pages_for(mapped)
         allocator.allocate(self._page_table_pages, PAGE_TABLE_CATEGORY)
-        record_page_table_build(self._page_table_pages)
+        record_page_table_build(allocator.env, self._page_table_pages)
 
     # -- introspection ---------------------------------------------------
     @property
@@ -223,7 +223,7 @@ class AddressSpace:
             # holes, identical to adding each gap individually.
             self._private.add(start, stop)
             self._faults += copied
-            record_page_faults(copied, len(gaps))
+            record_page_faults(self._allocator.env, copied, len(gaps))
         self._dirty.add(start, stop)
         if self._recorded is not None:
             self._recorded.add(start, stop)
@@ -287,7 +287,7 @@ class AddressSpace:
         self._allocator.allocate(pages, PRIVATE_CATEGORY)
         self._private.update(need)
         self._prefetched += pages
-        record_page_prefetch(pages)
+        record_page_prefetch(self._allocator.env, pages)
         return BatchResolveResult(
             pages_requested=wanted.page_count,
             pages_resolved=pages,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 from repro.units import pages_to_mb
 
 #: Allocation category for frames owned by a :class:`SharedFrameTable`.
@@ -269,7 +269,7 @@ class SharedFrameTable:
         self._allocator.allocate(pages, to_category)
         self.release(content_id)
         self.stats.unmerged_pages += pages
-        tracer = _active_tracer()
+        tracer = tracer_for(self._allocator.env)
         if tracer.enabled:
             tracer.counter("dedup.unmerge", pages)
         return pages
@@ -356,7 +356,7 @@ class PageScanner:
             return 0
         self.allocator.free(to_merge, self.category)
         self.stats.merged_pages += to_merge
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.counter("dedup.merged_pages", to_merge)
         return to_merge
@@ -378,7 +378,7 @@ class PageScanner:
         self.allocator.allocate(broken, self.category)
         self.stats.merged_pages -= broken
         self.stats.unmerged_pages += broken
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.counter("dedup.unmerge", broken)
         return broken
@@ -423,7 +423,7 @@ class PageScanner:
                 # extra delay, matching ksmd's background niceness).
                 cost_ms = scanned / self.scan_rate_pages_per_s * 1000.0
                 self.stats.scan_ms += cost_ms
-                tracer = _active_tracer()
+                tracer = tracer_for(self.env)
                 if tracer.enabled:
                     tracer.counter("dedup.scan_ms", cost_ms)
             self.merge(per_interval)
@@ -553,7 +553,7 @@ class DedupDomain:
         self.stats.merged_pages += merged
         self.stats.shared_allocated_pages += allocated
         if merged:
-            tracer = _active_tracer()
+            tracer = tracer_for(self.allocator.env)
             if tracer.enabled:
                 tracer.counter("dedup.merged_pages", merged)
         return chunk_ids, shared, allocated

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import OutOfMemoryError
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 from repro.units import pages_to_mb
 
 
@@ -55,12 +55,17 @@ ReclaimHook = Callable[[int], int]
 
 
 class FrameAllocator:
-    """Counts physical 4 KiB frames on a simulated node."""
+    """Counts physical 4 KiB frames on a simulated node.
 
-    def __init__(self, total_pages: int) -> None:
+    ``env`` is the node's environment: the allocator, and the snapshots,
+    address spaces and frame tables built over it, record into that
+    environment's tracer (``None``: the active tracer)."""
+
+    def __init__(self, total_pages: int, env=None) -> None:
         if total_pages <= 0:
             raise ValueError(f"total_pages must be positive, got {total_pages}")
         self.total_pages = total_pages
+        self.env = env
         self._allocated = 0
         self._peak = 0
         self._by_category: Dict[str, int] = {}
@@ -107,7 +112,7 @@ class FrameAllocator:
         # Pressure observability lives here (not on the allocate/free
         # hot path): reclaim is rare, so traces can afford an instant
         # event plus per-category gauges attributing the stall.
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         free_before = self.free_pages
         if tracer.enabled:
             tracer.event(
@@ -188,16 +193,17 @@ class FrameAllocator:
 
 
 def node_allocator(
-    memory_gb: float, reserved_mb: float = 512.0
+    memory_gb: float, reserved_mb: float = 512.0, env=None
 ) -> FrameAllocator:
     """Build an allocator for a compute node of ``memory_gb`` GiB.
 
     ``reserved_mb`` models the host kernel / system services footprint
-    and is allocated up front under the ``"system"`` category.
+    and is allocated up front under the ``"system"`` category; ``env``
+    is the node's environment.
     """
     from repro.units import gb_to_pages, mb_to_pages
 
-    allocator = FrameAllocator(gb_to_pages(memory_gb))
+    allocator = FrameAllocator(gb_to_pages(memory_gb), env)
     reserved = mb_to_pages(reserved_mb)
     if reserved:
         allocator.allocate(reserved, category="system")

@@ -6,14 +6,15 @@ address spaces therefore carry a small paging-structure overhead in
 addition to their data pages; this module centralizes that arithmetic.
 
 It is also the memory substrate's funnel into :mod:`repro.trace`: COW
-fault servicing and page-table construction report here, and the hooks
-forward them as counter events to the active tracer.  With tracing off
-the hooks hit the null tracer — one no-op call, no recording.
+fault servicing and page-table construction report here, with the
+environment of the node whose memory it is, and the hooks forward them
+as counter events to that environment's tracer.  With tracing off a
+hook records nothing.
 """
 
 from __future__ import annotations
 
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 
 #: One 4 KiB page-table page holds 512 PTEs (maps 2 MiB).
 PTES_PER_PAGE = 512
@@ -39,22 +40,22 @@ def page_table_pages_for(mapped_pages: int) -> int:
     return PAGE_TABLE_ROOT_PAGES + leaves
 
 
-def record_page_faults(pages_copied: int, extents: int) -> None:
+def record_page_faults(env, pages_copied: int, extents: int) -> None:
     """Trace hook: ``extents`` COW faults copied ``pages_copied`` pages."""
-    tracer = _active_tracer()
+    tracer = tracer_for(env)
     if tracer.enabled and pages_copied:
         tracer.counter(COUNTER_PAGES_COPIED, pages_copied)
         tracer.counter(COUNTER_COW_FAULTS, extents)
 
 
-def record_page_table_build(pages: int) -> None:
+def record_page_table_build(env, pages: int) -> None:
     """Trace hook: ``pages`` pages of paging structures were built."""
-    tracer = _active_tracer()
+    tracer = tracer_for(env)
     if tracer.enabled and pages:
         tracer.counter(COUNTER_PAGE_TABLE_PAGES, pages)
 
 
-def record_page_prefetch(pages: int) -> None:
+def record_page_prefetch(env, pages: int) -> None:
     """Trace hook: one batched resolution installed ``pages`` pages.
 
     Prefetched pages are deliberately *not* folded into
@@ -62,7 +63,7 @@ def record_page_prefetch(pages: int) -> None:
     demand faults", so lazy-vs-prefetch comparisons read directly off
     the two counters.
     """
-    tracer = _active_tracer()
+    tracer = tracer_for(env)
     if tracer.enabled and pages:
         tracer.counter(COUNTER_PAGES_PREFETCHED, pages)
         tracer.counter(COUNTER_PREFETCH_BATCHES, 1)

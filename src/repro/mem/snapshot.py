@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from repro.errors import SnapshotCorruptionError, SnapshotError
 from repro.mem.frames import FrameAllocator
 from repro.mem.intervals import IntervalSet
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 from repro.units import pages_to_mb
 
 #: Allocation category used for snapshot-owned frames.
@@ -160,7 +160,7 @@ class Snapshot:
             + newly_shared
             + self._page_table_pages
         )
-        tracer = _active_tracer()
+        tracer = tracer_for(self._allocator.env)
         if tracer.enabled:
             tracer.event(
                 "snapshot.capture",
@@ -375,7 +375,7 @@ class Snapshot:
         if self._chunk_ids:
             freed += self._dedup.release_chunks(self._chunk_ids)
         self._deleted = True
-        tracer = _active_tracer()
+        tracer = tracer_for(self._allocator.env)
         if tracer.enabled:
             tracer.event("snapshot.delete", snapshot=self.name)
             tracer.counter("mem.snapshot_pages_held", -freed)

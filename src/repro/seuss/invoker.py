@@ -11,8 +11,8 @@ Every stage charge also records a child span on the invocation's root
 span (:mod:`repro.trace`), so a traced run yields the §7 latency
 decomposition as a machine-checkable span tree: stage spans tile the
 root exactly (queue waits included), which the ``latency`` experiment
-asserts.  With tracing disabled the recording calls hit the null
-tracer and the invocation is byte-identical to an untraced one.
+asserts.  With tracing disabled the ledger's root is ``None``, nothing
+is recorded, and the invocation is byte-identical to a traced one.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def invoke_on_node(
                     fn_snapshot.verify()
                 except SnapshotCorruptionError:
                     node.snapshot_cache.quarantine(fn.key)
-                    root.event(
-                        "fault.snapshot_quarantined", at=env.now, key=fn.key
-                    )
+                    if root is not None:
+                        root.event(
+                            "fault.snapshot_quarantined", at=env.now, key=fn.key
+                        )
                     fn_snapshot = None
             path = (
                 InvocationPath.WARM
@@ -234,11 +235,12 @@ def invoke_on_node(
                         # A bad capture: the damage surfaces at the next
                         # restore's checksum validation, not now.
                         snapshot.corrupt()
-                        root.event(
-                            "fault.snapshot_corrupted_on_capture",
-                            at=env.now,
-                            key=fn.key,
-                        )
+                        if root is not None:
+                            root.event(
+                                "fault.snapshot_corrupted_on_capture",
+                                at=env.now,
+                                key=fn.key,
+                            )
                     if not node.snapshot_cache.put(fn.key, snapshot):
                         # Lost the insertion race to a concurrent cold start;
                         # reap this duplicate when its UC is destroyed.
@@ -293,11 +295,12 @@ def invoke_on_node(
             if injector is not None and injector.core_runs_slow():
                 # Degraded-core fault: the body runs, just slower.
                 exec_ms *= injector.plan.slow_core_factor
-                root.event(
-                    "fault.slow_core",
-                    at=env.now,
-                    factor=injector.plan.slow_core_factor,
-                )
+                if root is not None:
+                    root.event(
+                        "fault.slow_core",
+                        at=env.now,
+                        factor=injector.plan.slow_core_factor,
+                    )
             yield env.timeout(ledger.charge(STAGE_EXEC, exec_ms))
             if manifest is not None and path is InvocationPath.WARM:
                 # Faults taken after the deploy charge (args/exec pages

@@ -68,7 +68,7 @@ class SeussNode:
         self.config = config or SeussConfig()
         self.costs = costs
         self.allocator: FrameAllocator = node_allocator(
-            self.config.memory_gb, self.config.system_reserved_mb
+            self.config.memory_gb, self.config.system_reserved_mb, env
         )
         self.allocator.pressure_threshold_pages = mb_to_pages(
             self.config.oom_threshold_mb
@@ -76,19 +76,16 @@ class SeussNode:
         self.cores = Resource(env, self.config.cores)
         #: The caches' eviction orders (one policy per cache so their key
         #: spaces stay disjoint).
-        self.cache_policy = make_policy(
-            self.config.cache_policy, clock=lambda: self.env.now
-        )
-        self.uc_policy = make_policy(
-            self.config.cache_policy, clock=lambda: self.env.now
-        )
+        self.cache_policy = make_policy(self.config.cache_policy, env=env)
+        self.uc_policy = make_policy(self.config.cache_policy, env=env)
         self.uc_cache = IdleUCCache(
-            self.config.idle_ucs_per_function, policy=self.uc_policy
+            self.config.idle_ucs_per_function, policy=self.uc_policy, env=env
         )
         self.snapshot_cache = SnapshotCache(
             self.config.snapshot_cache_budget_mb,
             drop_idle=self.uc_cache.drop_function,
             policy=self.cache_policy,
+            env=env,
         )
         # The trivial OOM daemon: reclaim idle UCs under pressure (§6).
         self.allocator.add_reclaim_hook(self.uc_cache.reclaim_pages)

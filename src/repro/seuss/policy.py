@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 
 #: Canonical selectable policy names (config validation uses this).
 POLICY_NAMES = ("lru", "lifo", "hybrid", "greedy_dual")
@@ -62,12 +62,22 @@ class CachePolicy:
     :meth:`prewarm_gap_ms` windows for TTL-style expiry and pre-warming
     (consumed by the keep-alive replay lab; the node caches are purely
     pressure-driven and only use the ordering hooks).
+
+    ``env`` is the owning node's environment: its clock is the policy's
+    unless ``clock`` is given, and its tracer records the policy's
+    counters.  Without one the clock reads 0 and counters go to the
+    active tracer.
     """
 
     name = "base"
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock or (lambda: 0.0)
+    def __init__(
+        self, clock: Optional[Callable[[], float]] = None, env=None
+    ) -> None:
+        if clock is None:
+            clock = (lambda: env.now) if env is not None else (lambda: 0.0)
+        self._clock = clock
+        self.env = env
         self.stats = PolicyStats()
 
     def now_ms(self) -> float:
@@ -133,8 +143,10 @@ class LRUPolicy(CachePolicy):
 
     name = "lru"
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        super().__init__(clock)
+    def __init__(
+        self, clock: Optional[Callable[[], float]] = None, env=None
+    ) -> None:
+        super().__init__(clock, env)
         self._order: "OrderedDict[str, None]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -220,8 +232,9 @@ class HybridHistogramPolicy(CachePolicy):
         prewarm_percentile: float = 0.05,
         default_keep_alive_ms: float = 600_000.0,
         min_observations: int = 4,
+        env=None,
     ) -> None:
-        super().__init__(clock)
+        super().__init__(clock, env)
         if bucket_ms <= 0 or bucket_count < 1:
             raise ConfigError("histogram shape must be positive")
         if not 0.0 < prewarm_percentile <= keep_percentile <= 1.0:
@@ -362,7 +375,7 @@ class HybridHistogramPolicy(CachePolicy):
                 self.stats.expired_hits += 1
             else:
                 self.stats.keepalive_hits += 1
-                tracer = _active_tracer()
+                tracer = tracer_for(self.env)
                 if tracer.enabled:
                     tracer.counter("policy.keepalive_hits")
             self.observe_idle(key, idle)
@@ -410,8 +423,9 @@ class GreedyDualPolicy(CachePolicy):
         self,
         clock: Optional[Callable[[], float]] = None,
         default_cost_ms: float = 100.0,
+        env=None,
     ) -> None:
-        super().__init__(clock)
+        super().__init__(clock, env)
         self.default_cost_ms = default_cost_ms
         self.clock_value = 0.0
         self._freq: Dict[str, int] = {}

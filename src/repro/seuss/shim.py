@@ -38,11 +38,9 @@ class ShimProcess:
         #: The single TCP connection between the shim and the VM.
         self.connection = Resource(env, capacity=1)
         self.stats = ShimStats()
-
-    @property
-    def propagation_ms(self) -> float:
-        """Per-request delay not spent holding the connection."""
-        return max(0.0, self.costs.shim_rtt_ms - self.costs.shim_service_ms)
+        #: Per-request delay not spent holding the connection, fixed by
+        #: the (frozen) cost model.
+        self.propagation_ms = max(0.0, costs.shim_rtt_ms - costs.shim_service_ms)
 
     def forward(self) -> Generator:
         """Sim process: push one request through the shim hop."""

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional
 
 from repro.mem.snapshot import Snapshot
 from repro.seuss.policy import CachePolicy, LRUPolicy
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 from repro.units import mb_to_pages, pages_to_mb
 
 
@@ -45,7 +45,11 @@ class SnapshotCache:
         budget_mb: float,
         drop_idle: Optional[Callable[[str], int]] = None,
         policy: Optional[CachePolicy] = None,
+        env=None,
     ) -> None:
+        #: The node's environment, whose tracer records this cache
+        #: (``None``: the active tracer).
+        self.env = env
         self._budget_pages = mb_to_pages(budget_mb)
         self._entries: Dict[str, Snapshot] = {}
         self._held_pages = 0
@@ -82,13 +86,13 @@ class SnapshotCache:
         snapshot = self._entries.get(key)
         if snapshot is None:
             self.stats.misses += 1
-            tracer = _active_tracer()
+            tracer = tracer_for(self.env)
             if tracer.enabled:
                 tracer.event("snapshot_cache.miss", key=key)
             return None
         self._policy.on_hit(key)
         self.stats.hits += 1
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("snapshot_cache.hit", key=key)
         return snapshot
@@ -111,7 +115,7 @@ class SnapshotCache:
         self._entries[key] = snapshot
         self._held_pages += footprint
         self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("snapshot_cache.insert", key=key, pages=footprint)
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
@@ -147,7 +151,7 @@ class SnapshotCache:
         footprint = snapshot.delete()
         self._held_pages -= footprint
         self.stats.evictions += 1
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("snapshot_cache.evict", key=key, pages=footprint)
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
@@ -188,7 +192,7 @@ class SnapshotCache:
             )
         self._held_pages -= released
         self.stats.quarantined += 1
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("snapshot_cache.quarantine", key=key)
         self._drop_idle(key)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.seuss.policy import CachePolicy, LRUPolicy
-from repro.trace import current as _active_tracer
+from repro.trace import tracer_for
 from repro.unikernel.context import UCState, UnikernelContext
 
 
@@ -43,7 +43,11 @@ class IdleUCCache:
         self,
         per_function_limit: int = 512,
         policy: Optional[CachePolicy] = None,
+        env=None,
     ) -> None:
+        #: The node's environment, whose tracer records this cache
+        #: (``None``: the active tracer).
+        self.env = env
         self._per_function_limit = per_function_limit
         self._idle: Dict[str, List[UnikernelContext]] = {}
         self._count = 0
@@ -70,7 +74,7 @@ class IdleUCCache:
         bucket.append(uc)
         self._count += 1
         self._policy.on_insert(key)
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("uc_cache.cached", key=key)
             tracer.gauge("uc_cache.idle_ucs", self._count)
@@ -96,7 +100,7 @@ class IdleUCCache:
         else:
             self._policy.on_hit(key)
         self.stats.hot_hits += 1
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("uc_cache.hot_hit", key=key)
             tracer.gauge("uc_cache.idle_ucs", self._count)
@@ -120,7 +124,7 @@ class IdleUCCache:
                 self._policy.on_remove(key)
             freed += uc.destroy()
             self.stats.reclaimed += 1
-            tracer = _active_tracer()
+            tracer = tracer_for(self.env)
             if tracer.enabled:
                 tracer.event("uc_cache.reclaimed", key=key)
                 tracer.gauge("uc_cache.idle_ucs", self._count)
@@ -140,7 +144,7 @@ class IdleUCCache:
             dropped += 1
         self._count -= dropped
         self.stats.dropped += dropped
-        tracer = _active_tracer()
+        tracer = tracer_for(self.env)
         if tracer.enabled:
             tracer.event("uc_cache.dropped", key=key, count=dropped)
             tracer.gauge("uc_cache.idle_ucs", self._count)

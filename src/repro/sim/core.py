@@ -141,7 +141,7 @@ class Event:
         self._value = value
         self._state = TRIGGERED
         env = self.env
-        now = env._now
+        now = env.now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now, NORMAL, eid, self))
         return self
@@ -182,7 +182,7 @@ class Timeout(Event):
         self._state = TRIGGERED
         self._defused = False
         self.delay = delay
-        now = env._now
+        now = env.now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now + delay, NORMAL, eid, self))
 
@@ -219,7 +219,7 @@ class Initialize(Event):
         self._ok = True
         self._state = TRIGGERED
         self._defused = False
-        now = env._now
+        now = env.now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now, URGENT, eid, self))
 
@@ -337,7 +337,7 @@ class Process(Event):
         env._active_process = None
         self._resume = None
         self._state = TRIGGERED
-        now = env._now
+        now = env.now
         eid = env._eid = env._eid + 1
         heappush(env._pending, (now, NORMAL, eid, self))
 
@@ -465,7 +465,13 @@ class Environment:
     """The simulation clock and event queue."""
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in milliseconds.  A plain attribute,
+        #: read on every step of every process; only the engine writes
+        #: it (``_dispatch`` and ``run(until=t)``).
+        self.now = float(initial_time)
+        #: The tracer attached to this environment (:mod:`repro.trace`
+        #: sets and clears it); ``None`` when none is.
+        self.tracer = None
         self._pending: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -473,11 +479,6 @@ class Environment:
         #: Withdrawn timeouts not yet dropped from ``_pending`` (a
         #: batch's withdrawn tail counts before its predecessor queues it).
         self._withdrawn = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -510,7 +511,7 @@ class Environment:
         interrupt, resuming on an already-processed event)."""
         if event._state == PENDING:
             event._state = TRIGGERED
-        now = self._now
+        now = self.now
         eid = self._eid = self._eid + 1
         heappush(self._pending, (now, priority, eid, event))
 
@@ -552,7 +553,7 @@ class Environment:
         same effect as appending it to every returned timeout, without
         a second pass over a million-element batch.
         """
-        now = self._now
+        now = self.now
         eid = self._eid
         timeouts: List[Timeout] = []
         entries: List[Tuple[float, int, int, Event]] = []
@@ -653,17 +654,17 @@ class Environment:
             return until._value
 
         deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(f"until={deadline} is in the past (now={self._now})")
+        if deadline < self.now:
+            raise ValueError(f"until={deadline} is in the past (now={self.now})")
         if self._dispatch(None, deadline, budget) is _BUDGET and (
             self.peek() <= deadline
         ):
             raise self._limit_reached(limit)
-        self._now = deadline
+        self.now = deadline
         return None
 
     def _limit_reached(self, limit: Optional[int]) -> SimulationError:
-        return SimulationError(f"event limit of {limit} reached at t={self._now}")
+        return SimulationError(f"event limit of {limit} reached at t={self.now}")
 
     def _dispatch(
         self, stop: Optional[Event], deadline: float, budget: int
@@ -705,7 +706,7 @@ class Environment:
                     heappush(queue, (when, priority, eid, event))
                     processed -= 1
                     return _DEADLINE
-                self._now = when
+                self.now = when
                 callbacks = event.callbacks
                 event.callbacks = []
                 event._state = done

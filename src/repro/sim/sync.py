@@ -54,7 +54,7 @@ class Request(Event):
         if len(users) < resource.capacity:
             users.append(self)
             self._state = TRIGGERED
-            now = env._now
+            now = env.now
             eid = env._eid = env._eid + 1
             heappush(env._pending, (now, NORMAL, eid, self))
         else:

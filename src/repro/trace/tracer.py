@@ -10,16 +10,22 @@ lock down).
 Attachment model
 ----------------
 
-Instrumentation sites resolve their tracer through :func:`tracer_for`:
+Instrumentation sites resolve their tracer through :func:`tracer_for`,
+passing the environment of the node they belong to:
 
 * :meth:`Tracer.attach` binds a tracer to one
-  :class:`~repro.sim.Environment` (``env.tracer``) and makes it the
-  *active* tracer, so env-less layers (the memory substrate, the
-  caches) can reach it through :func:`current`;
+  :class:`~repro.sim.Environment` (``env.tracer``), so it records that
+  environment's nodes, their caches and memory included, and no other;
 * :func:`enable` installs a tracer process-globally (the CLI's
-  ``--trace`` flag), capturing every environment built afterwards;
-* with neither, every call lands on the :data:`NULL_TRACER`, whose
-  methods are no-ops — tracing disabled costs one method dispatch.
+  ``--trace`` flag), capturing every environment;
+* with neither, the site gets the :data:`NULL_TRACER`, whose
+  ``enabled`` is ``False``.  Sites test ``enabled`` (the controller and
+  the invocation ledger once per request, the caches once per record)
+  and build no span or record when it is off.
+
+An object built without an environment (a bare allocator or cache, the
+keep-alive lab's policies) passes ``None`` and records into
+:func:`current`, the most recently attached or enabled tracer.
 
 Spans carry explicit parents rather than an ambient stack: simulation
 processes interleave at yield points, so "the enclosing span" is a
@@ -202,8 +208,8 @@ class Tracer:
 
     def detach(self, env) -> None:
         """Undo :meth:`attach`; recorded data stays on the tracer."""
-        if getattr(env, "tracer", None) is self:
-            del env.tracer
+        if env.tracer is self:
+            env.tracer = None
         if self._env_stack:
             self._env = self._env_stack.pop()
         else:
@@ -369,7 +375,10 @@ class _NullSpan(Span):
 
 
 class NullTracer(Tracer):
-    """The default tracer: records nothing, costs one dispatch per call."""
+    """The default tracer: ``enabled`` is ``False`` and it records nothing.
+
+    Instrumentation tests ``enabled`` before it builds a record, so an
+    untraced run calls none of these no-ops on its invocation path."""
 
     enabled = False
 
@@ -432,8 +441,12 @@ def tracer_for(env) -> Tracer:
     Prefers a tracer explicitly attached to ``env``; falls back to the
     process-wide (``--trace``-installed) tracer; else the null tracer.
     A tracer attached to another environment never records this one.
+    ``env=None``, for an object built without an environment, resolves
+    to :func:`current`.
     """
-    tracer = getattr(env, "tracer", None)
+    if env is None:
+        return _ACTIVE[-1] if _ACTIVE else NULL_TRACER
+    tracer = env.tracer
     if tracer is not None:
         return tracer
     return _ENABLED[-1] if _ENABLED else NULL_TRACER

@@ -318,6 +318,10 @@ _NOTHING = WriteResult(0, 0, 0)
 
 
 def _merge(a: WriteResult, b: WriteResult) -> WriteResult:
+    if a is _NOTHING:
+        # The first-use probe wrote nothing (a warm extent): ``b`` is
+        # the sum, and it is frozen, so it can be returned as is.
+        return b
     return WriteResult(
         pages_written=a.pages_written + b.pages_written,
         pages_copied=a.pages_copied + b.pages_copied,

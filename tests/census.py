@@ -1,19 +1,26 @@
-"""What one retained object costs the cyclic collector.
+"""What one retained object costs the cyclic collector, and what one
+hot invocation costs the host.
 
 :func:`tracked_census` walks ``gc.get_referents`` from one object and
 counts the GC-tracked objects it reaches that are not shared with the
 rest of the node; :func:`queue_census` counts what a closed loop keeps
-in the engine's queue.  Plain Python only, so it also runs on
-interpreters without pytest::
+in the engine's queue; :func:`call_census` counts the calls a hot
+invocation makes, by layer, and :func:`null_tracer_census` the calls an
+untraced one makes into the disabled tracer.  Plain Python only, so it
+also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
 
 from __future__ import annotations
 
+import cProfile
 import gc
+import os
+import pstats
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from enum import Enum
 from types import ModuleType
 
@@ -21,6 +28,7 @@ from repro.mem.frames import FrameAllocator
 from repro.mem.snapshot import Snapshot
 from repro.net.proxy import NetworkProxy
 from repro.seuss.node import SeussNode
+from repro.trace.tracer import NullTracer, _NullSpan
 from repro.unikernel.interpreters import RuntimeSpec
 from repro.unikernel.layout import MemoryLayout
 
@@ -62,13 +70,10 @@ def tracked_census(root) -> Counter:
     return census
 
 
-def queue_census() -> dict:
-    """Engine-queue entries of a closed loop of the end-to-end
-    benchmark's ``hot_loop`` shape (32 clients over 64 warmed NOPs):
-    all pending entries, and the withdrawn timeouts among them still
-    awaiting compaction.  Read once the loop has run for more than one
-    request-watchdog period, so a watchdog left queued per request
-    would show."""
+def hot_loop(invocations: int):
+    """A closed loop of the end-to-end benchmark's ``hot_loop`` shape
+    (32 clients over 64 warmed NOPs) on a fresh SEUSS cluster: returns
+    the environment, the cluster and the loop's (not yet run) process."""
     from repro.faas.cluster import FaasCluster
     from repro.metrics.collector import TrialMetrics
     from repro.sim import Environment
@@ -80,18 +85,108 @@ def queue_census() -> dict:
     fns = unique_nop_set(64)
     for fn in fns:
         env.run(until=cluster.invoke(fn))
+    loop = LoadGenerator(fns, TrialConfig(invocation_count=invocations, workers=32))
+    return env, cluster, env.process(loop.run_process(cluster, TrialMetrics()))
+
+
+def queue_census() -> dict:
+    """Engine-queue entries of a :func:`hot_loop`: all pending entries,
+    and the withdrawn timeouts among them still awaiting compaction.
+    Read once the loop has run for more than one request-watchdog
+    period, so a watchdog left queued per request would show."""
     # ~9.6k invocations fit in the window at the shim's ~128.6 req/s.
-    loop = LoadGenerator(fns, TrialConfig(invocation_count=12_000, workers=32))
-    env.process(loop.run_process(cluster, TrialMetrics()))
+    env, cluster, _ = hot_loop(12_000)
     env.run(until=env.now + 1.25 * cluster.costs.platform.request_timeout_ms)
     return {"pending": len(env._pending), "withdrawn": env._withdrawn}
+
+
+def _layer(filename: str) -> str:
+    """The ``repro`` layer a profiled function lives in; ``builtins``
+    for C functions, ``other`` for the standard library."""
+    if filename == "~":
+        return "builtins"
+    parts = filename.replace(os.sep, "/").split("/")
+    if "repro" not in parts[:-1]:
+        return "other"
+    layer = parts[parts.index("repro") + 1]
+    return layer[:-3] if layer.endswith(".py") else layer
+
+
+def call_census(invocations: int = 4_000) -> dict:
+    """Calls per invocation of a :func:`hot_loop` of ``invocations``
+    requests, counted by :mod:`cProfile` (every call it sees, Python
+    functions and builtins alike), in total and by layer."""
+    env, _, process = hot_loop(invocations)
+    profile = cProfile.Profile()
+    profile.enable()
+    env.run(until=process)
+    profile.disable()
+    by_layer: Counter = Counter()
+    for (filename, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        by_layer[_layer(filename)] += calls
+    return {
+        "total": round(sum(by_layer.values()) / invocations, 1),
+        "by_layer": {
+            layer: round(calls / invocations, 1)
+            for layer, calls in by_layer.most_common()
+        },
+    }
+
+
+@contextmanager
+def null_tracer_calls():
+    """Count the calls into :class:`NullTracer` and its shared null span
+    while the block runs, by ``Class.method``."""
+    calls: Counter = Counter()
+
+    def counting(method, name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    patched = [
+        (cls, name, method)
+        for cls in (NullTracer, _NullSpan)
+        for name, method in vars(cls).items()
+        if callable(method) and not name.startswith("__")
+    ]
+    for cls, name, method in patched:
+        setattr(cls, name, counting(method, f"{cls.__name__}.{name}"))
+    try:
+        yield calls
+    finally:
+        for cls, name, method in patched:
+            setattr(cls, name, method)
+
+
+def null_tracer_census(backend: str) -> Counter:
+    """Null-tracer calls of one untraced hot ``cluster.invoke`` on a
+    cluster of ``backend`` (``"seuss"`` or ``"linux"``)."""
+    from repro.faas.cluster import FaasCluster
+    from repro.faas.records import InvocationPath
+    from repro.sim import Environment
+    from repro.workload.functions import nop_function
+
+    env = Environment()
+    build = getattr(FaasCluster, f"with_{backend}_node")
+    cluster = build(env)
+    fn = nop_function()
+    cluster.invoke_sync(fn)
+    cluster.invoke_sync(fn)
+    with null_tracer_calls() as calls:
+        result = cluster.invoke_sync(fn)
+    assert result.path is InvocationPath.HOT, result
+    return calls
 
 
 def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
     after one NOP invocation on a fresh node, then that of the client
     result of a second (hot) invocation through a cluster, then the
-    engine-queue census of a closed loop."""
+    engine-queue census of a closed loop, the calls per hot invocation
+    and the null-tracer calls of an untraced hot invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -112,3 +207,11 @@ def main() -> None:
     gc.collect()
     print("hot result:", dict(sorted(tracked_census(hot).items())))
     print("engine queue:", queue_census())
+    print("calls per hot invocation:", call_census())
+    print(
+        "null-tracer calls per hot invocation:",
+        {
+            backend: sum(null_tracer_census(backend).values())
+            for backend in ("seuss", "linux")
+        },
+    )

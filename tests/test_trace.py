@@ -11,6 +11,7 @@ from repro.faas.cluster import FaasCluster
 from repro.faas.records import InvocationPath
 from repro.linuxnode.config import LinuxNodeConfig
 from repro.linuxnode.node import LinuxNode
+from repro.mem.frames import FrameAllocator
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.trace import NULL_TRACER, NullTracer, Tracer, tracer_for
@@ -128,6 +129,36 @@ class TestAttachment:
             tracer.detach(traced)
         assert tracer.spans == []
         assert tracer.roots("invocation") == []
+
+    def test_attached_tracer_records_no_cache_or_memory_of_another_environment(self):
+        """The caches, policies and memory of a node record into their
+        node's environment's tracer, not into the one most recently
+        attached elsewhere (it used to collect 5 events and 28 counter
+        samples from this invocation)."""
+        tracer = Tracer()
+        traced = Environment()
+        tracer.attach(traced)
+        try:
+            cluster = FaasCluster.with_seuss_node(Environment())
+            assert cluster.invoke_sync(nop_function()).success
+        finally:
+            tracer.detach(traced)
+        assert tracer.spans == []
+        assert tracer.events == []
+        assert tracer.counters == []
+
+    def test_env_less_objects_record_into_the_active_tracer(self):
+        """An allocator built without an environment still records
+        into whichever tracer is attached."""
+        allocator = FrameAllocator(64)
+        allocator.pressure_threshold_pages = 8
+        env = Environment()
+        tracer = Tracer().attach(env)
+        try:
+            allocator.allocate(60)
+        finally:
+            tracer.detach(env)
+        assert [event.name for event in tracer.events] == ["mem.pressure"]
 
     def test_disable_removes_the_enabled_tracer_not_an_attached_one(self):
         enabled, attached = Tracer(), Tracer()

@@ -1,9 +1,10 @@
-"""Tracing must not perturb simulation results.
+"""Tracing must not perturb simulation results, and costs nothing off.
 
 The tracer is a pure observer: it never schedules events, draws random
 numbers, or advances the clock.  These tests lock that down by running
 the same seeded experiments with tracing off and globally on and
-asserting the rendered tables are byte-identical.
+asserting the rendered tables are byte-identical.  With tracing off, a
+hot invocation makes no call into the disabled tracer at all.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import pytest
 from repro import trace
 from repro.experiments import load_all
 from repro.experiments.suite import run_suite
-from repro.trace import Tracer
+from repro.trace import NULL_TRACER, Tracer
+from tests.census import null_tracer_calls, null_tracer_census
 from tests.test_zero_perturbation import INVOCATIONS, assert_replays_default
 
 #: A deterministic selection covering the seeded fault-injection paths
@@ -104,3 +106,25 @@ def test_traced_linux_trial_replays_untraced_schedule():
             tracer.detach(env)
     ((tracer, _),) = attached
     assert len(tracer.roots("invocation")) == INVOCATIONS
+
+
+def test_null_tracer_call_counter_sees_calls():
+    """The counter below reads 0 only because no call was made."""
+    with null_tracer_calls() as calls:
+        NULL_TRACER.span("probe").annotate(probe=True)
+        NULL_TRACER.counter("probe")
+    assert calls == {
+        "NullTracer.span": 1,
+        "_NullSpan.annotate": 1,
+        "NullTracer.counter": 1,
+    }
+    assert NULL_TRACER.span("probe") is NULL_TRACER.span("other")
+
+
+@pytest.mark.parametrize("backend", ["seuss", "linux"])
+def test_untraced_hot_invocation_makes_no_null_tracer_call(backend):
+    """Free when off: the controller and the invocation ledger test
+    ``enabled`` once and then build no span, so an untraced hot
+    ``cluster.invoke`` calls no ``span``, ``done``, ``annotate`` or
+    ``finish`` (nor any other null-tracer method)."""
+    assert null_tracer_census(backend) == {}
