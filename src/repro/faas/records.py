@@ -35,6 +35,11 @@ class InvocationStage(Enum):
     EXECUTED = "executed"
     RESULT_RETURNED = "result_returned"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==``; ``Enum.__hash__`` would make each stamp
+    # in ``stage_times`` one more Python-level call.
+    __hash__ = object.__hash__
+
 
 class InvocationPath(Enum):
     """Which cache level served the invocation (§4, Figure 2)."""

@@ -11,6 +11,13 @@ Dirty tracking mirrors the x86 dirty-bit scheme the prototype uses:
 ``capture_snapshot`` collects exactly the pages written since the last
 capture (or since creation) and clears the dirty set, like SEUSS OS
 walking and clearing dirty PTEs.
+
+The simulator's own page sets are copy-on-write too.  A space's private
+and dirty sets start as the canonical empty set, stay shared canonical
+sets until a write changes one (:meth:`IntervalSet.cow_add` copies it
+to a list-backed set first), and return to canonical sets when the UC
+is parked idle (:meth:`AddressSpace.intern_page_sets`), so idle UCs of
+one shape keep one copy of each set between them.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Optional
 
 from repro.errors import SnapshotError
 from repro.mem.frames import FrameAllocator
-from repro.mem.intervals import IntervalSet
+from repro.mem.intervals import EMPTY, IntervalSet
 from repro.mem.paging import (
     page_table_pages_for,
     record_page_faults,
@@ -98,6 +105,20 @@ class FaultResolution:
 class AddressSpace:
     """One unikernel context's paged memory."""
 
+    __slots__ = (
+        "name",
+        "_allocator",
+        "_base",
+        "_dedup",
+        "_private",
+        "_dirty",
+        "_destroyed",
+        "_faults",
+        "_prefetched",
+        "_recorded",
+        "_page_table_pages",
+    )
+
     def __init__(
         self,
         allocator: FrameAllocator,
@@ -109,8 +130,8 @@ class AddressSpace:
         self._allocator = allocator
         self._base = base
         self._dedup = dedup
-        self._private = IntervalSet()
-        self._dirty = IntervalSet()
+        self._private = EMPTY
+        self._dirty = EMPTY
         self._destroyed = False
         self._faults = 0
         self._prefetched = 0
@@ -221,10 +242,12 @@ class AddressSpace:
             # One splice covers every gap at once: adding the full write
             # range leaves already-private pages untouched and fills the
             # holes, identical to adding each gap individually.
-            self._private.add(start, stop)
+            self._private = self._private.cow_add(start, stop)
             self._faults += copied
             record_page_faults(self._allocator.env, copied, len(gaps))
-        self._dirty.add(start, stop)
+        # A rewrite of dirty pages (every write of a hot invocation)
+        # leaves a shared dirty set as it is.
+        self._dirty = self._dirty.cow_add(start, stop)
         if self._recorded is not None:
             self._recorded.add(start, stop)
         return WriteResult(
@@ -285,7 +308,10 @@ class AddressSpace:
                 self._base.stack_pages_view()
             ).page_count
         self._allocator.allocate(pages, PRIVATE_CATEGORY)
-        self._private.update(need)
+        private = self._private
+        if private.frozen:
+            private = self._private = private.copy()
+        private.update(need)
         self._prefetched += pages
         record_page_prefetch(self._allocator.env, pages)
         return BatchResolveResult(
@@ -394,8 +420,22 @@ class AddressSpace:
             self._base.release()
         self._base = snapshot
         self._base.retain()
-        self._dirty.clear()
+        self._dirty = EMPTY
         return snapshot
+
+    def intern_page_sets(self) -> None:
+        """Share the private and dirty sets: each list-backed one is
+        swapped for the canonical frozen set of its content.
+
+        Called when the UC is parked idle, so idle UCs of one shape
+        hold one copy of each set.  A frozen set was interned already
+        and is left as it is: a hot invocation, whose writes changed
+        neither set, pays two tests.
+        """
+        if not self._private.frozen:
+            self._private = self._private.interned()
+        if not self._dirty.frozen:
+            self._dirty = self._dirty.interned()
 
     def destroy(self) -> int:
         """Tear down the space, freeing private frames and page tables.
@@ -411,8 +451,8 @@ class AddressSpace:
         if self._base is not None:
             self._base.release()
             self._base = None
-        self._private.clear()
-        self._dirty.clear()
+        self._private = EMPTY
+        self._dirty = EMPTY
         self._destroyed = True
         return freed
 

@@ -21,22 +21,33 @@ Complexity guarantees (n, m = extent counts of the two operands):
 * ``page_count`` / ``len`` — O(1), maintained incrementally by every
   mutation.
 
-A set is stored either as two lists (mutable: a UC's private and dirty
-pages) or, after :meth:`IntervalSet.frozen_copy`, as two tuples of ints
-(read-only: a snapshot's pages and its stack union).  CPython stops
-tracking an all-int tuple at its first collection, so a frozen set costs
-the cyclic collector nothing after that.  Every read runs unchanged on
-either storage; every mutator of a frozen set raises :class:`TypeError`.
+A set is stored either as two lists (mutable: a UC's page sets while
+an invocation writes them) or as two tuples of ints (frozen, read-only).
+CPython stops tracking an all-int tuple at its first collection, so a
+frozen set costs the cyclic collector nothing after that.  Every read
+runs unchanged on either storage; every mutator of a frozen set raises
+:class:`TypeError`.
+
+Equal content is stored once: :meth:`IntervalSet.interned` returns the
+*canonical* frozen set of its content, which every snapshot and idle UC
+with that content shares (a node's thousands of NOP snapshots hold one
+page set between them).  Writers copy a shared set before changing it
+(:meth:`IntervalSet.cow_add`), so sharing is copy-on-write.  The table
+of canonical sets is bounded: when it fills it is cleared, which loses
+sharing with the sets already handed out but never changes a result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Interval = Tuple[int, int]
 
 _FROZEN = "a frozen IntervalSet cannot be mutated"
+
+#: Entries either table below may hold before both are cleared.
+_TABLE_LIMIT = 4096
 
 
 class IntervalSet:
@@ -78,18 +89,91 @@ class IntervalSet:
             list(self._starts), list(self._stops), self._count
         )
 
-    def frozen_copy(self) -> "IntervalSet":
-        """A read-only copy stored as tuples (this set, if already frozen)."""
-        if self.frozen:
-            return self
-        return IntervalSet._from_lists(
-            tuple(self._starts), tuple(self._stops), self._count
-        )
-
     @property
     def frozen(self) -> bool:
         """Whether the set is tuple-backed and rejects mutation."""
         return self._starts.__class__ is tuple
+
+    # -- sharing -----------------------------------------------------------
+    def interned(self) -> "IntervalSet":
+        """The canonical frozen set with this set's content.
+
+        Every set of equal content interns to the same object (this set
+        itself, if it is frozen and the first of its content), so the
+        holders of equal page sets keep one copy between them.
+        """
+        starts = self._starts
+        if not starts:
+            return EMPTY
+        if starts.__class__ is tuple:
+            stops = self._stops
+        else:
+            starts, stops = tuple(starts), tuple(self._stops)
+        key = (starts, stops)
+        canonical = _CANONICAL.get(key)
+        if canonical is None:
+            if len(_CANONICAL) >= _TABLE_LIMIT:
+                clear_interned()
+            canonical = (
+                self
+                if starts is self._starts
+                else IntervalSet._from_lists(starts, stops, self._count)
+            )
+            _CANONICAL[key] = canonical
+        return canonical
+
+    @property
+    def canonical(self) -> bool:
+        """Whether this is the set :meth:`interned` returns for its
+        content (shared, so never to be changed in place)."""
+        starts = self._starts
+        if starts.__class__ is not tuple:
+            return False
+        if not starts:
+            return self is EMPTY
+        return _CANONICAL.get((starts, self._stops)) is self
+
+    def interned_union(self, other: "IntervalSet") -> "IntervalSet":
+        """The canonical union of two frozen sets, built once per pair.
+
+        A node's snapshots stack equal pages on one parent, so their
+        stack unions come from a handful of distinct pairs.  The memo
+        entry holds both operands, so the ids in its key stay theirs;
+        a list-backed operand could change, so it is never memoised.
+        """
+        if not (self.frozen and other.frozen):
+            return self.union(other).interned()
+        key = (id(self), id(other))
+        entry = _UNIONS.get(key)
+        if entry is None:
+            if len(_UNIONS) >= _TABLE_LIMIT:
+                clear_interned()
+            entry = (self, other, self.union(other).interned())
+            _UNIONS[key] = entry
+        return entry[2]
+
+    def cow_add(self, start: int, stop: int) -> "IntervalSet":
+        """:meth:`add` on a set that may be shared; returns the set that
+        holds the result.
+
+        A list-backed set is changed in place and returned.  A frozen
+        one is returned as it is when it already holds ``[start,
+        stop)``, else a list-backed copy holding the union is returned:
+        a shared set is copied on its first changing write, never
+        changed.
+        """
+        if self._starts.__class__ is not tuple:
+            self.add(start, stop)
+            return self
+        if start < stop:
+            idx = bisect_right(self._starts, start) - 1
+            if idx >= 0 and stop <= self._stops[idx]:
+                return self
+        elif stop == start:
+            return self
+        out = self.copy()
+        out.add(start, stop)
+        return out
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -364,6 +448,31 @@ class IntervalSet:
             else:
                 return False
         return True
+
+
+#: The canonical empty set: what :meth:`IntervalSet.interned` returns
+#: for no pages, whatever the table holds.
+EMPTY = IntervalSet._from_lists((), (), 0)
+
+#: The canonical set of each distinct non-empty content, keyed by its
+#: ``(starts, stops)`` tuples.
+_CANONICAL: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], IntervalSet] = {}
+
+#: Canonical unions by the ids of their frozen operands, each entry
+#: ``(left, right, union)``.
+_UNIONS: Dict[Tuple[int, int], Tuple[IntervalSet, IntervalSet, IntervalSet]] = {}
+
+
+def clear_interned() -> None:
+    """Empty both tables.  The sets already handed out stay frozen and
+    valid; sets interned later just stop sharing with them."""
+    _CANONICAL.clear()
+    _UNIONS.clear()
+
+
+def interned_count() -> int:
+    """Distinct non-empty contents the table holds a canonical set of."""
+    return len(_CANONICAL)
 
 
 def _merge_union(

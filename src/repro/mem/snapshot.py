@@ -65,15 +65,17 @@ class Snapshot:
     """An immutable page-level diff with a parent lineage.
 
     Both of its page sets, its own pages and the memoised stack union,
-    are frozen, so the collector tracks four objects per snapshot: the
-    snapshot, its :class:`CpuState` and the two sets, whose tuples of
-    ints it stops tracking at its first pass.
+    are canonical frozen sets (:meth:`IntervalSet.interned`), shared
+    with every snapshot of equal content, and its CPU state is kept in
+    its own slots, so the collector tracks one object per snapshot.
     """
 
     __slots__ = (
         "name",
         "parent",
-        "cpu",
+        "_ip",
+        "_sp",
+        "_trigger",
         "_pages",
         "_allocator",
         "_refs",
@@ -102,8 +104,11 @@ class Snapshot:
     ) -> None:
         self.name = name
         self.parent = parent
-        self.cpu = cpu or CpuState()
-        self._pages = pages.frozen_copy()
+        cpu = cpu or CpuState()
+        self._ip = cpu.instruction_pointer
+        self._sp = cpu.stack_pointer
+        self._trigger = cpu.trigger_label
+        self._pages = pages.interned()
         self._allocator = allocator
         self._refs = 0
         self._deleted = False
@@ -111,10 +116,10 @@ class Snapshot:
         # Content checksum recorded at capture and validated on restore
         # (the snapshot-integrity path).  A corrupting fault flips
         # ``_corrupted``, standing in for bit rot in the stored frames.
-        self._checksum = content_checksum(name, self._pages, self.cpu)
+        self._checksum = content_checksum(name, self._pages, cpu)
         self._corrupted = False
-        # ``_pages`` is frozen, so the stack's page union is built once,
-        # at first use (and rebuilt only after delete() cuts the
+        # ``_pages`` is frozen, so the stack's page union is looked up
+        # once, at first use (and again only after delete() cuts the
         # lineage), and the checksum is recomputed once, at the first
         # verify().
         self._stack_cache: Optional[IntervalSet] = None
@@ -172,6 +177,11 @@ class Snapshot:
             tracer.counter("mem.snapshot_pages_held", self._charged_pages)
 
     # -- introspection ---------------------------------------------------
+    @property
+    def cpu(self) -> CpuState:
+        """The register state captured with the pages."""
+        return CpuState(self._ip, self._sp, self._trigger)
+
     @property
     def pages(self) -> IntervalSet:
         """The pages this snapshot owns (a mutable *copy*; snapshots are
@@ -239,20 +249,21 @@ class Snapshot:
         return chain
 
     def stack_pages_view(self) -> IntervalSet:
-        """Shared memoised union of the stack's pages, frozen.
+        """Shared memoised union of the stack's pages, canonical.
 
         The overlap-query fast path: readers that only need membership
         or overlap counts borrow this instance instead of materialising
         a fresh union per query.  Its mutators raise ``TypeError``; a
-        base snapshot's view is its own page set.
+        base snapshot's view is its own page set, and snapshots with
+        equal pages on one parent share one view, built once.
         """
         union = self._stack_cache
         if union is None:
             if self.parent is None:
                 union = self._pages
             else:
-                union = (
-                    self.parent.stack_pages_view().union(self._pages).frozen_copy()
+                union = self.parent.stack_pages_view().interned_union(
+                    self._pages
                 )
             self._stack_cache = union
         return union

@@ -356,7 +356,10 @@ def invoke_on_node(
 
         # -- cache the idle UC for hot reuse --------------------------------
         cached = node.config.cache_idle_ucs and node.uc_cache.put(fn.key, uc)
-        if not cached:
+        if cached:
+            # Idle UCs of one shape share one copy of each page set.
+            uc.space.intern_page_sets()
+        else:
             uc.destroy()
         return ledger.finish()
     except Interrupted as exc:

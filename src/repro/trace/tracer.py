@@ -191,8 +191,9 @@ class Tracer:
         self._counter_totals: Dict[str, float] = {}
         self._next_span = itertools.count(1)
         self._next_track = itertools.count(GLOBAL_TRACK + 1)
-        self._env = None
-        self._env_stack: List[Any] = []
+        #: The environments this tracer is attached to, in attach order
+        #: (one entry per :meth:`attach` not yet undone).
+        self._envs: List[Any] = []
         #: High-water timestamp; the clock of last resort for env-less
         #: recording sites (keeps exported traces monotonic).
         self._last_ts = 0.0
@@ -200,27 +201,35 @@ class Tracer:
     # -- attachment ------------------------------------------------------
     def attach(self, env) -> "Tracer":
         """Bind to ``env`` (``env.tracer``) and become the active tracer."""
-        self._env_stack.append(self._env)
-        self._env = env
+        self._envs.append(env)
         env.tracer = self
         _ACTIVE.append(self)
         return self
 
     def detach(self, env) -> None:
-        """Undo :meth:`attach`; recorded data stays on the tracer."""
-        if env.tracer is self:
-            env.tracer = None
-        if self._env_stack:
-            self._env = self._env_stack.pop()
-        else:
-            self._env = None
+        """Undo :meth:`attach`; recorded data stays on the tracer.
+
+        ``env`` falls back to the most recently attached tracer still
+        attached to it (``None`` when there is none).
+        """
+        _drop_last(self._envs, env)
         _drop_last(_ACTIVE, self)
+        if env.tracer is self:
+            env.tracer = next(
+                (
+                    tracer
+                    for tracer in reversed(_ACTIVE)
+                    if any(attached is env for attached in tracer._envs)
+                ),
+                None,
+            )
 
     # -- clock -----------------------------------------------------------
     def now(self) -> float:
-        """The attached environment's clock, else the high-water stamp."""
-        if self._env is not None:
-            return self._env.now
+        """The clock of the environment this tracer was last attached
+        to and still is, else the high-water stamp."""
+        if self._envs:
+            return self._envs[-1].now
         return self._last_ts
 
     def _stamp(self, at: Optional[float]) -> float:
@@ -422,10 +431,10 @@ _ACTIVE: List[Tracer] = []
 _ENABLED: List[Tracer] = []
 
 
-def _drop_last(stack: List[Tracer], tracer: Tracer) -> None:
-    """Remove the most recent registration of ``tracer``, if any."""
+def _drop_last(stack: List[Any], item: Any) -> None:
+    """Remove the most recent registration of ``item``, if any."""
     for index in range(len(stack) - 1, -1, -1):
-        if stack[index] is tracer:
+        if stack[index] is item:
             del stack[index]
             return
 

@@ -3,11 +3,12 @@ hot invocation costs the host.
 
 :func:`tracked_census` walks ``gc.get_referents`` from one object and
 counts the GC-tracked objects it reaches that are not shared with the
-rest of the node; :func:`queue_census` counts what a closed loop keeps
-in the engine's queue; :func:`call_census` counts the calls a hot
-invocation makes, by layer, and :func:`null_tracer_census` the calls an
-untraced one makes into the disabled tracer.  Plain Python only, so it
-also runs on interpreters without pytest::
+rest of the node; :func:`retained_bytes` measures the memory a cold
+invocation leaves behind; :func:`queue_census` counts what a closed
+loop keeps in the engine's queue; :func:`call_census` counts the calls
+a hot invocation makes, by layer, and :func:`null_tracer_census` the
+calls an untraced one makes into the disabled tracer.  Plain Python
+only, so it also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
@@ -19,12 +20,14 @@ import gc
 import os
 import pstats
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
 from types import ModuleType
 
 from repro.mem.frames import FrameAllocator
+from repro.mem.intervals import IntervalSet, interned_count
 from repro.mem.snapshot import Snapshot
 from repro.net.proxy import NetworkProxy
 from repro.seuss.node import SeussNode
@@ -33,7 +36,8 @@ from repro.unikernel.interpreters import RuntimeSpec
 from repro.unikernel.layout import MemoryLayout
 
 #: What every UC and snapshot of a node shares; the census walk stops
-#: there, so a snapshot is counted only as the root, not as a parent.
+#: there (and at canonical page sets), so a snapshot is counted only as
+#: the root, not as a parent.
 SHARED = (
     Snapshot,
     FrameAllocator,
@@ -47,11 +51,18 @@ SHARED = (
 )
 
 
+def _shared(obj) -> bool:
+    return isinstance(obj, SHARED) or (
+        obj.__class__ is IntervalSet and obj.canonical
+    )
+
+
 def tracked_census(root) -> Counter:
     """GC-tracked objects reachable from ``root`` but not shared, by
     type name.  Dicts are walked through but not counted, so the result
     does not depend on how the interpreter lays out instance dicts;
-    module namespaces (a function's globals) are shared."""
+    module namespaces (a function's globals) and canonical page sets
+    (:meth:`IntervalSet.interned`) are shared."""
     seen = {id(root)} | {
         id(vars(module))
         for module in list(sys.modules.values())
@@ -64,10 +75,36 @@ def tracked_census(root) -> Counter:
         if gc.is_tracked(obj) and type(obj) is not dict:
             census[type(obj).__name__] += 1
         for ref in gc.get_referents(obj):
-            if id(ref) not in seen and not isinstance(ref, SHARED):
+            if id(ref) not in seen and not _shared(ref):
                 seen.add(id(ref))
                 pending.append(ref)
     return census
+
+
+def retained_bytes(invocations: int = 2_000) -> float:
+    """Bytes one cold NOP invocation leaves retained on a node (its
+    function snapshot, its idle UC and the node's books of both):
+    the growth of :mod:`tracemalloc`'s traced memory over
+    ``invocations`` cold NOPs of distinct functions, per invocation.
+    The functions are built, and one is invoked, before tracing starts."""
+    from repro.sim import Environment
+    from repro.workload.functions import unique_nop_set
+
+    node = SeussNode(Environment())
+    node.initialize_sync()
+    first, *fns = unique_nop_set(invocations + 1)
+    node.invoke_sync(first)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for fn in fns:
+            node.invoke_sync(fn)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return grown / invocations
 
 
 def hot_loop(invocations: int):
@@ -185,8 +222,10 @@ def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
     after one NOP invocation on a fresh node, then that of the client
     result of a second (hot) invocation through a cluster, then the
-    engine-queue census of a closed loop, the calls per hot invocation
-    and the null-tracer calls of an untraced hot invocation."""
+    bytes a cold invocation retains and the canonical page sets held
+    after it, the engine-queue census of a closed loop, the calls per
+    hot invocation and the null-tracer calls of an untraced hot
+    invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -206,6 +245,8 @@ def main() -> None:
     hot = cluster.invoke_sync(fn)
     gc.collect()
     print("hot result:", dict(sorted(tracked_census(hot).items())))
+    print("retained bytes per cold NOP invocation:", round(retained_bytes()))
+    print("canonical page sets:", interned_count())
     print("engine queue:", queue_census())
     print("calls per hot invocation:", call_census())
     print(

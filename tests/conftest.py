@@ -8,12 +8,21 @@ import pytest
 
 from repro.faas.cluster import FaasCluster
 from repro.mem.frames import FrameAllocator, node_allocator
+from repro.mem.intervals import clear_interned
 from repro.seuss.config import AOLevel, SeussConfig
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
 from repro.unikernel.interpreters import NODEJS
 from repro.workload.functions import unique_nop_set
 from repro.workload.generator import run_trial
+
+
+@pytest.fixture(autouse=True)
+def fresh_page_set_table():
+    """Start every test from an empty table of canonical page sets, so
+    what a test asserts about sharing never depends on the tests before
+    it (a clear mid-test only loses sharing, never a result)."""
+    clear_interned()
 
 
 @pytest.fixture

@@ -4,18 +4,21 @@ The safety net for the linear-merge rewrite of the bulk interval ops:
 thousands of mixed ``add``/``discard``/``update``/``difference_update``/
 ``union``/``intersection``/``difference`` operations are replayed
 against a plain Python set of page numbers, asserting identical pages,
-cached counts, and canonical extents after every step.  Seeds are fixed
+cached counts, and canonical extents after every step.  Interning runs
+the same way, interleaved with copy-on-write writes and mutation of
+copies, checking that no canonical set ever changes.  Seeds are fixed
 so failures replay exactly (stdlib ``random`` only — no hypothesis
 shrinking needed for the gate).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from repro.mem.intervals import IntervalSet
+from repro.mem.intervals import IntervalSet, clear_interned
 
 SEEDS = [0, 1, 7, 42, 1337, 0xC0FFEE]
 
@@ -146,13 +149,13 @@ def test_relations_match_set_model(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_frozen_copy_reads_match_list_backed(seed):
     """Every read gives the same answer on a frozen (tuple-backed) copy,
-    with the frozen copy as either operand, and what a read builds is
-    list-backed."""
+    the interned one, with the frozen copy as either operand, and what a
+    read builds is list-backed."""
     rng = random.Random(seed)
     for _case in range(300):
         left, _ = random_operand(rng)
         right, _ = random_operand(rng)
-        frozen_left, frozen_right = left.frozen_copy(), right.frozen_copy()
+        frozen_left, frozen_right = left.interned(), right.interned()
         assert frozen_left.frozen and not left.frozen
         assert frozen_left == left and left == frozen_left
         assert frozen_left.intervals() == left.intervals()
@@ -188,7 +191,77 @@ def test_interval_set_is_unhashable():
     with pytest.raises(TypeError):
         hash(IntervalSet())
     with pytest.raises(TypeError):
-        hash(IntervalSet([(0, 1)]).frozen_copy())
+        hash(IntervalSet([(0, 1)]).interned())
     with pytest.raises(TypeError):
         {IntervalSet([(0, 1)])}
 
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interning_interleaved_with_mutation_of_copies(seed):
+    """Sets that intern, write copy-on-write (``cow_add``), copy and
+    mutate, union through the memo and clear the table, in random
+    order: each holder keeps its model's pages, equal interned content
+    is one object until the table is cleared, and no canonical set ever
+    changes content or thaws."""
+    rng = random.Random(seed)
+    holders = [[IntervalSet(), set()] for _ in range(4)]
+    #: Every canonical set handed out, with the extents it had then.
+    handed_out: dict = {}
+    operations = ("intern", "cow_add", "mutate_copy", "union", "clear_table")
+    weights = (25, 35, 25, 12, 3)
+    for _step in range(OPS_PER_SEED):
+        holder = rng.choice(holders)
+        op = rng.choices(operations, weights)[0]
+        if op == "intern":
+            canonical = holder[0].interned()
+            assert canonical.frozen and canonical.canonical
+            assert canonical == holder[0]
+            assert canonical.interned() is canonical
+            holder[0] = canonical
+        elif op == "cow_add":
+            start, stop = random_interval(rng)
+            before = holder[0]
+            holder[0] = before.cow_add(start, stop)
+            holder[1].update(range(start, stop))
+            if before.frozen:
+                changed = set(range(start, stop)) - set(before.pages())
+                assert (holder[0] is before) == (not changed)
+            else:
+                assert holder[0] is before
+        elif op == "mutate_copy":
+            mutable = holder[0].copy()
+            other, other_model = random_operand(rng)
+            if rng.random() < 0.5:
+                mutable.update(other)
+                holder[1] |= other_model
+            else:
+                mutable.difference_update(other)
+                holder[1] -= other_model
+            holder[0] = mutable
+        elif op == "union":
+            partner = rng.choice(holders)
+            left, right = holder[0].interned(), partner[0].interned()
+            union = left.interned_union(right)
+            assert union.canonical and union == left.union(right)
+            assert left.interned_union(right) is union
+            holder[0] = union
+            holder[1] = holder[1] | partner[1]
+        else:
+            clear_interned()
+        check_equivalent(holder[0], holder[1])
+        if holder[0].canonical:
+            handed_out.setdefault(id(holder[0]), (holder[0], holder[0].intervals()))
+        # Equal content interns to one object while the table lasts.
+        interned = [h[0].interned() for h in holders]
+        for a, b in itertools.combinations(interned, 2):
+            assert (a is b) == (a == b)
+        # A canonical set its holder has since dropped is never changed.
+        if handed_out:
+            canonical, extents = rng.choice(list(handed_out.values()))
+            assert canonical.frozen and canonical.intervals() == extents
+    for canonical, extents in handed_out.values():
+        assert canonical.frozen and canonical.intervals() == extents
+        with pytest.raises(TypeError):
+            canonical.add(0, SPAN)
+        assert canonical.intervals() == extents

@@ -205,6 +205,28 @@ class TestStageTimeline:
         assert S.CODE_IMPORTED in hot.stage_times
         assert S.RESULT_RETURNED in hot.stage_times
 
+    def test_stage_stamps_make_no_python_level_hash_call(self, seuss_node):
+        """Stage keys hash by identity, in C: stamping a stage costs no
+        Python-level ``__hash__`` (``Enum.__hash__`` cost 5 per hot
+        invocation)."""
+        import cProfile
+        import pstats
+
+        fn = nop_function(owner="stages-hash")
+        seuss_node.invoke_sync(fn)
+        profile = cProfile.Profile()
+        profile.enable()
+        hot = seuss_node.invoke_sync(fn)
+        profile.disable()
+        assert hot.path is InvocationPath.HOT
+        assert len(hot.stage_times) == 5
+        hashes = [
+            (filename, name)
+            for filename, _, name in pstats.Stats(profile).stats
+            if name == "__hash__"
+        ]
+        assert hashes == []
+
     def test_stage_span_matches_latency(self, seuss_node):
         from repro.faas.records import InvocationStage as S
 

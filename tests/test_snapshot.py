@@ -143,16 +143,17 @@ class TestCensus:
     def test_cached_function_snapshot_is_itself_its_cpu_state_and_two_page_sets(
         self, seuss_node
     ):
-        """Its page sets are tuples of ints, which the collector stops
-        tracking at its first pass; the walk stops at the parent."""
+        """The snapshot is the one object it retains: its CPU state is in
+        its own slots and both page sets are canonical, shared with every
+        snapshot of equal content; the walk stops at the parent."""
         fn = nop_function()
         seuss_node.invoke_sync(fn)
         snapshot = seuss_node.snapshot_cache.get(fn.key)
         assert snapshot.parent is not None
+        assert snapshot._pages.canonical
+        assert snapshot.stack_pages_view().canonical
         gc.collect()
-        assert tracked_census(snapshot) == Counter(
-            Snapshot=1, CpuState=1, IntervalSet=2
-        )
+        assert tracked_census(snapshot) == Counter(Snapshot=1)
 
 
 class TestLifetime:

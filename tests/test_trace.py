@@ -174,6 +174,49 @@ class TestAttachment:
             attached.detach(env)
         assert trace.current() is NULL_TRACER
 
+    def test_detach_restores_the_tracer_attached_before(self, env):
+        """Detaching the later of two tracers on one environment hands
+        the environment back to the earlier one (it used to leave the
+        environment with none while ``current()`` still named it)."""
+        first, second = Tracer(), Tracer()
+        first.attach(env)
+        second.attach(env)
+        try:
+            second.detach(env)
+            assert tracer_for(env) is first
+            assert trace.current() is first
+            env.run(until=3.0)
+            assert first.span("resumed").start_ms == 3.0
+        finally:
+            first.detach(env)
+        assert tracer_for(env) is NULL_TRACER
+        assert trace.current() is NULL_TRACER
+
+    def test_detach_out_of_order_falls_back_to_no_detached_tracer(self, env):
+        first, second = Tracer(), Tracer()
+        first.attach(env)
+        second.attach(env)
+        first.detach(env)
+        assert tracer_for(env) is second
+        second.detach(env)
+        assert tracer_for(env) is NULL_TRACER
+        assert trace.current() is NULL_TRACER
+
+    def test_detach_keeps_a_tracer_attached_to_two_environments(self):
+        tracer, other = Tracer(), Tracer()
+        a, b = Environment(), Environment(initial_time=7.0)
+        tracer.attach(a)
+        other.attach(b)
+        tracer.attach(b)
+        tracer.detach(a)
+        after_a = (tracer_for(a), tracer_for(b), tracer.now())
+        tracer.detach(b)
+        after_b = tracer_for(b)
+        other.detach(b)
+        assert after_a == (NULL_TRACER, tracer, 7.0)
+        assert after_b is other
+        assert trace.current() is NULL_TRACER
+
     def test_last_ts_high_water_clock(self):
         tracer = Tracer()
         tracer.event("late", at=12.0)
