@@ -77,5 +77,5 @@ examples:
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .hypothesis \
 		.bench-micro.json trace-latency.json trace-figure5.json \
-		perf-gate.json experiments-quick.json
+		trace-distributed.json perf-gate.json experiments-quick.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -329,7 +329,9 @@ def bench_cache_churn() -> Tuple[int, float]:
     class StubSnapshot:
         """A stand-in snapshot exposing only what the cache calls."""
 
-        charged_pages = 256
+        footprint_pages = 256
+        shared_pages = 0
+        _chunk_ids = ()
 
         def __init__(self):
             self.refcount = 0
@@ -341,7 +343,7 @@ def bench_cache_churn() -> Tuple[int, float]:
             self.refcount -= 1
 
         def delete(self):
-            return self.charged_pages
+            return self.footprint_pages
 
     class StubUC:
         """A stand-in idle UC exposing only what the cache calls."""
@@ -359,7 +361,7 @@ def bench_cache_churn() -> Tuple[int, float]:
     refused = 0
     started = time.perf_counter()
     for _ in range(rounds):
-        snapshots = SnapshotCache(pages_to_mb(8 * StubSnapshot.charged_pages))
+        snapshots = SnapshotCache(pages_to_mb(8 * StubSnapshot.footprint_pages))
         pinned = StubSnapshot()
         pinned.retain()
         snapshots.put("fn-0", pinned)  # a rarely used function

@@ -7,9 +7,12 @@ node deploys from the installed replica, skipping import and compile
 just like a local warm start.
 
 A cluster built with ``FaasCluster(replication=strategy)`` owns one
-:class:`ReplicaFetcher`, shared by every control-plane shard.  Holders
-are read from each node's own snapshot cache, so evictions, crashes
-and quarantines need no replica registry kept in step.
+:class:`ReplicaFetcher` and sets it as ``node.replicas`` on every node
+it serves; the node's own invocation
+(:func:`repro.seuss.invoker.invoke_on_node`) fetches a replica when
+its idle-UC and snapshot lookups both miss.  Holders are read from
+each node's own snapshot cache, so evictions, crashes and quarantines
+need no replica registry kept in step.
 """
 
 from __future__ import annotations
@@ -34,29 +37,34 @@ class ReplicaFetcher:
         self.strategy = strategy
         #: Peer load signal: the least-loaded holder serves the replica.
         self.load_of = load_of
-        self.nodes = [_snapshot_node(node) for node in nodes]
+        self.nodes = []
+        for node in nodes:
+            self._serve(node)
         #: One NIC per node, indexed like :attr:`nodes`.
         self.interconnect = ClusterInterconnect(env, len(self.nodes))
 
     def add_node(self, node) -> None:
-        self.nodes.append(_snapshot_node(node))
+        self._serve(node)
         self.interconnect.add_node()
+
+    def _serve(self, node) -> None:
+        if not hasattr(node, "install_snapshot"):
+            raise ConfigError(f"replication needs SEUSS nodes, got {node!r}")
+        node.replicas = self
+        self.nodes.append(node)
 
     def fetch(self, node, fn) -> Generator:
         """Sim process: install a peer's replica of ``fn`` on ``node``.
 
-        Returns the :class:`~repro.distributed.transfer.TransferPlan`
-        once the replica is installed, or ``None`` when none was:
-        ``node`` already holds the function's snapshot or an idle UC
-        for it, no live peer holds the snapshot, ``node`` went down, or
-        it has no memory left for the replica.
+        ``node``'s invocation calls it once its idle-UC and snapshot
+        lookups both missed.  Returns the
+        :class:`~repro.distributed.transfer.TransferPlan` once the
+        replica is installed, or ``None`` when none was: no live peer
+        holds the snapshot, ``node`` went down, or it has no memory
+        left for the replica.
         """
         key = fn.key
-        if (
-            node.crashed
-            or key in node.snapshot_cache
-            or node.uc_cache.function_count(key)
-        ):
+        if node.crashed:
             return None
         holders = [
             (self.load_of(peer), index)
@@ -92,12 +100,6 @@ class ReplicaFetcher:
         if manifest is not None:
             node.working_sets.install(key, manifest)
         return plan
-
-
-def _snapshot_node(node):
-    if not hasattr(node, "install_snapshot"):
-        raise ConfigError(f"replication needs SEUSS nodes, got {node!r}")
-    return node
 
 
 def _resident_fraction(node, fn, page_count: int) -> float:

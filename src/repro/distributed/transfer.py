@@ -72,7 +72,10 @@ class TransferPlan:
 
     size_mb: float
     strategy: TransferStrategy
+    #: Time before the destination can start deploying.
     upfront_ms: float
+    #: MB on the wire by then.
+    upfront_mb: float
     background_ms: float
     residual_penalty_ms: float
     #: Diff content already resident at the destination (its dedup
@@ -84,11 +87,6 @@ class TransferPlan:
     def shipped_mb(self) -> float:
         """Bytes that actually crossed the wire."""
         return self.size_mb - self.resident_mb
-
-    @property
-    def deploy_delay_ms(self) -> float:
-        """Time before the destination can start deploying."""
-        return self.upfront_ms
 
     @property
     def total_wire_ms(self) -> float:
@@ -164,7 +162,9 @@ class ClusterInterconnect:
 
         Returns once the *upfront* portion has landed (deployment may
         start); the background remainder streams without blocking the
-        caller but keeps both NICs busy.
+        caller but keeps both NICs busy.  Interrupted at any point before
+        that (a cancelled deploy), it gives back both NIC claims, queued
+        or held, and counts nothing.
         """
         if src == dst:
             raise ConfigError("source and destination nodes are the same")
@@ -176,8 +176,8 @@ class ClusterInterconnect:
         )
         src_nic = self._nics[src].request()
         dst_nic = self._nics[dst].request()
-        yield self.env.all_of([src_nic, dst_nic])
         try:
+            yield self.env.all_of([src_nic, dst_nic])
             yield self.env.timeout(plan.upfront_ms)
             if plan.background_ms > 0:
                 # Stream the remainder; NICs stay held meanwhile.
@@ -250,6 +250,7 @@ def transfer_plan(
         size_mb=size_mb,
         strategy=strategy,
         upfront_ms=upfront,
+        upfront_mb=shipped_mb * fraction,
         background_ms=background,
         residual_penalty_ms=residual,
         resident_mb=size_mb - shipped_mb,

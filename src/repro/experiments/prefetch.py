@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.distributed.transfer import (
-    ClusterInterconnect,
-    TransferStrategy,
-    transfer_plan,
-)
+from repro.distributed.transfer import TransferStrategy, transfer_plan
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
 from repro.experiments.extensions import replicated_cluster
 from repro.faas.records import InvocationPath, NodeInvocation
@@ -135,10 +131,7 @@ def measure_remote_warm(strategy: TransferStrategy, prefetch: bool):
     assert remote.transferred_mb > 0
     manifest = home.working_sets.get(fn.key)
     plan = transfer_plan(remote.transferred_mb, strategy, manifest=manifest)
-    upfront_mb = (
-        plan.upfront_ms - ClusterInterconnect.DEFAULT_LATENCY_MS
-    ) / ClusterInterconnect.DEFAULT_MS_PER_MB
-    return remote, upfront_mb, manifest
+    return remote, plan.upfront_mb, manifest
 
 
 def run_prefetch(functions: int = 12) -> ExperimentResult:

@@ -26,7 +26,7 @@ added latency.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
 from repro.costs import PlatformCostModel
@@ -164,7 +164,6 @@ class Controller:
         retries: Optional[RetryPolicy] = None,
         router: Optional[NodeRouter] = None,
         overload: Optional[OverloadControl] = None,
-        replicas=None,
     ) -> None:
         self.env = env
         self.node = node
@@ -181,10 +180,6 @@ class Controller:
         #: The overload control plane (deadlines, admission queues,
         #: retry budget); ``None`` keeps the historical control flow.
         self.overload = overload
-        #: The cluster's shared
-        #: :class:`~repro.distributed.replicas.ReplicaFetcher`;
-        #: ``None`` never ships a snapshot replica.
-        self.replicas = replicas
         self._retry_rng = random.Random(self.retries.seed)
         self.stats = ControllerStats()
         #: Audit log of scheduled retries (empty unless retries fire).
@@ -254,18 +249,6 @@ class Controller:
             )
         node = health.node
 
-        fetched = None
-        if self.replicas is not None:
-            # Remote-warm: a non-holder first receives a peer's replica;
-            # the watchdog then gets only the time left after it.
-            fetch_started = env.now
-            fetched = yield from self.replicas.fetch(node, fn)
-            remaining = self._remaining_ms(request)
-            if remaining <= 0:
-                if span is not None:
-                    span.annotate(timed_out=True)
-                return None
-
         queue = None
         if self.overload is not None:
             queue = self.overload.queue_for(node)
@@ -329,17 +312,6 @@ class Controller:
                     tracer_for(env).counter("overload.cancelled")
             return None
         node_result = node_process.value
-        if fetched is not None:
-            if node_result.success and fetched.residual_penalty_ms:
-                # Late pages fault across the wire on first execution.
-                yield env.timeout(fetched.residual_penalty_ms)
-            node_result = replace(
-                node_result,
-                latency_ms=env.now - fetch_started,
-                transferred_mb=fetched.size_mb,
-            )
-            if span is not None:
-                span.annotate(transferred_mb=fetched.size_mb)
         if not node_result.cancelled:
             # Cancelled/shed work says nothing about node health; only
             # real outcomes feed the breaker.

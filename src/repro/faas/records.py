@@ -143,7 +143,7 @@ class NodeInvocation:
     #: or the full service time of a zombie that completed past its
     #: deadline).  Always 0.0 with overload control off.
     wasted_ms: float = 0.0
-    #: Size of the snapshot replica shipped from a peer before this
+    #: Size of the snapshot replica shipped from a peer for this
     #: deploy (a remote-warm deploy); 0.0 when none was.
     transferred_mb: float = 0.0
 
@@ -181,6 +181,7 @@ class InvocationLedger:
         "path",
         "pages_copied",
         "pages_prefetched",
+        "transferred_mb",
         "busy_ms",
         "_core",
         "_queue_started",
@@ -219,6 +220,8 @@ class InvocationLedger:
         self.path = InvocationPath.ERROR  # until the node picks one
         self.pages_copied = 0
         self.pages_prefetched = 0
+        #: Size of a peer's replica shipped before the deploy.
+        self.transferred_mb = 0.0
         #: Core time held so far (queue and I/O waits hold none).
         self.busy_ms = 0.0
         self._core = None
@@ -365,6 +368,7 @@ class InvocationLedger:
             stage_times=self.stage_times,
             cancelled=cancelled,
             wasted_ms=wasted_ms,
+            transferred_mb=self.transferred_mb,
         )
 
 
@@ -467,8 +471,8 @@ class InvocationResult:
         #: Latency measured at the compute node ("from the moment the
         #: invocation request is received by the node to the moment the
         #: result is returned from the UC", §7).  A remote-warm deploy
-        #: adds the replica transfer before it and the residual remote
-        #: page faults after it.
+        #: includes the replica transfer and the residual remote page
+        #: faults, each a stage of the breakdown.
         self.node_latency_ms = node_latency_ms
         if breakdown:
             stages = tuple(breakdown)
@@ -480,7 +484,7 @@ class InvocationResult:
         self.pages_copied = pages_copied
         #: Node dispatch attempts the controller made (1 = no retries).
         self.attempts = attempts
-        #: Snapshot replica shipped from a peer before the final
+        #: Snapshot replica shipped from a peer for the final
         #: attempt's deploy: > 0 marks a remote-warm deploy.
         self.transferred_mb = transferred_mb
 

@@ -188,16 +188,11 @@ class SnapshotAffinityPolicy(RoutingPolicy):
     def __init__(
         self,
         load_of: Optional[Callable] = None,
-        transfer_strategy=None,
         queue_cost_ms: float = DEFAULT_QUEUE_COST_MS,
     ) -> None:
         if queue_cost_ms <= 0:
             raise ConfigError("queue_cost_ms must be positive")
         self.load_of = load_of
-        #: Transfer strategy assumed for the acquisition-cost estimate
-        #: (the cluster's ``replication`` strategy when it ships
-        #: replicas); ``None`` resolves to RECORDED (manifest-sized).
-        self.transfer_strategy = transfer_strategy
         self.queue_cost_ms = queue_cost_ms
         #: Set by :meth:`rank` when the last decision demoted loaded
         #: holders; consumed by :meth:`note_selected` to count spills.
@@ -208,28 +203,32 @@ class SnapshotAffinityPolicy(RoutingPolicy):
         """Estimated cost of deploying ``fn_key`` on a non-holder.
 
         Priced with the cluster-transfer cost model: latency + upfront
-        wire time for the strategy's working set (measured manifest
-        when recorded) + the residual remote-fault penalty.
+        wire time for the working set of the strategy the holder's
+        cluster ships (``node.replicas``; RECORDED, manifest-sized, when
+        it ships none) + the residual remote-fault penalty.
         """
-        strategy = self.transfer_strategy or TransferStrategy.RECORDED
         for holder in holders:
             node = candidate_node(holder)
             cache = getattr(node, "snapshot_cache", None)
             snapshot = cache.get(fn_key) if cache is not None else None
             if snapshot is None:
                 continue
-            working_sets = getattr(node, "working_sets", None)
-            manifest = (
-                working_sets.get(fn_key) if working_sets is not None else None
+            replicas = node.replicas
+            strategy = (
+                replicas.strategy
+                if replicas is not None
+                else TransferStrategy.RECORDED
             )
             plan = transfer_plan(
-                snapshot.size_mb, strategy, manifest=manifest
+                snapshot.size_mb,
+                strategy,
+                manifest=node.working_sets.get(fn_key),
             )
-            return plan.deploy_delay_ms + plan.residual_penalty_ms
-        # Holders with only a UC / manifest but no snapshot to ship:
-        # treat acquisition as one strategy-default transfer of nothing
-        # measured — cheap, so spilling engages readily.
-        return transfer_plan(0.0, strategy).deploy_delay_ms
+            return plan.upfront_ms + plan.residual_penalty_ms
+        # Holders with only a UC / manifest but no snapshot to ship: a
+        # transfer of nothing costs the link latency alone, whatever
+        # the strategy — cheap, so spilling engages readily.
+        return transfer_plan(0.0, TransferStrategy.RECORDED).upfront_ms
 
     # -- ranking -----------------------------------------------------------
     def rank(self, candidates: Sequence, fn=None) -> Sequence:
@@ -290,7 +289,6 @@ POLICY_NAMES = ("round_robin", "least_loaded", "snapshot_affinity")
 def make_policy(
     name: str,
     load_of: Optional[Callable] = None,
-    transfer_strategy=None,
     queue_cost_ms: float = DEFAULT_QUEUE_COST_MS,
 ) -> RoutingPolicy:
     """Build a routing policy from its wire name."""
@@ -302,9 +300,7 @@ def make_policy(
         return LeastLoadedPolicy(load_of)
     if name == "snapshot_affinity":
         return SnapshotAffinityPolicy(
-            load_of=load_of,
-            transfer_strategy=transfer_strategy,
-            queue_cost_ms=queue_cost_ms,
+            load_of=load_of, queue_cost_ms=queue_cost_ms
         )
     raise ConfigError(
         f"unknown routing policy {name!r}; known: {list(POLICY_NAMES)}"

@@ -195,9 +195,10 @@ class ShardedControlPlane:
     TCP connection per controller shard on SEUSS deployments — the
     per-shard serialization Table 3 measures stays, but shards no
     longer share one connection.  ``replication`` (a transfer
-    strategy) gives every shard one shared
-    :class:`~repro.distributed.replicas.ReplicaFetcher` for remote-warm
-    deploys, and snapshot-affinity routing prices spills with it.
+    strategy) builds one :class:`~repro.distributed.replicas.ReplicaFetcher`
+    that serves every node: each node's own invocation fetches a peer's
+    replica (remote-warm), and snapshot-affinity routing prices spills
+    with the fetcher's strategy.
     """
 
     def __init__(
@@ -212,7 +213,6 @@ class ShardedControlPlane:
         breaker: Optional[BreakerPolicy] = None,
         overload: Optional[OverloadConfig] = None,
         injector=None,
-        hash_replicas: int = DEFAULT_HASH_REPLICAS,
         replication: Optional[TransferStrategy] = None,
     ) -> None:
         if shards < 1:
@@ -231,14 +231,14 @@ class ShardedControlPlane:
             if replication is not None
             else None
         )
-        self.ring = ConsistentHashRing(range(shards), replicas=hash_replicas)
+        self.ring = ConsistentHashRing(range(shards))
         self.shards: List[ControlPlaneShard] = []
         for shard_id in range(shards):
             shard_overload = (
                 OverloadControl(env, overload) if overload is not None else None
             )
             router = NodeRouter(env=env)
-            policy = self._build_policy(routing, shard_overload, replication)
+            policy = self._build_policy(routing, shard_overload)
             if policy is not None:
                 router.policy = policy
             controller = Controller(
@@ -250,7 +250,6 @@ class ShardedControlPlane:
                 retries=retries,
                 router=router,
                 overload=shard_overload,
-                replicas=self.replicas,
             )
             controller.shard_id = shard_id
             shard = ControlPlaneShard(shard_id, controller, router, shard_overload)
@@ -260,10 +259,7 @@ class ShardedControlPlane:
 
     # -- wiring ------------------------------------------------------------
     def _build_policy(
-        self,
-        routing,
-        shard_overload: Optional[OverloadControl],
-        replication: Optional[TransferStrategy],
+        self, routing, shard_overload: Optional[OverloadControl]
     ) -> Optional[RoutingPolicy]:
         """Resolve the routing knob into one shard's policy instance.
 
@@ -272,8 +268,7 @@ class ShardedControlPlane:
         occupancy.  Bounded queues are backpressure: under the default
         ``round_robin`` name they install least-loaded routing on queue
         depth, so bursts drain toward the least-congested node instead
-        of rotating blindly.  Snapshot affinity prices a spill with the
-        ``replication`` strategy the cluster actually ships.
+        of rotating blindly.
         """
         if shard_overload is not None and shard_overload.config.queue_depth is not None:
             load_of = lambda health: shard_overload.depth_of(health.node)  # noqa: E731
@@ -284,9 +279,7 @@ class ShardedControlPlane:
         if isinstance(routing, str):
             if routing == "round_robin":
                 return None  # keep the router's fast-path default
-            return make_policy(
-                routing, load_of=load_of, transfer_strategy=replication
-            )
+            return make_policy(routing, load_of=load_of)
         return routing(load_of)
 
     def _attach(self, shard: ControlPlaneShard, node) -> None:

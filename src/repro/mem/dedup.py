@@ -471,15 +471,6 @@ class DedupConfig:
             raise ConfigError("scan_rate_pages_per_s must be positive")
 
 
-@dataclass
-class DedupDomainStats:
-    """Capture-time accounting for one domain."""
-
-    snapshots_deduped: int = 0
-    merged_pages: int = 0  # capture-time allocations avoided
-    shared_allocated_pages: int = 0  # first-holder chunk allocations
-
-
 class DedupDomain:
     """One node's dedup subsystem: policy + frame table + scanner.
 
@@ -499,7 +490,6 @@ class DedupDomain:
         self.config = config or DedupConfig()
         self.allocator = allocator
         self.table = SharedFrameTable(allocator)
-        self.stats = DedupDomainStats()
         self.scanner: Optional[PageScanner] = None
         if self.config.scanner:
             if env is None:
@@ -549,9 +539,6 @@ class DedupDomain:
             shared += pages
             chunk_ids.append(content_id)
         merged = shared - allocated
-        self.stats.snapshots_deduped += 1
-        self.stats.merged_pages += merged
-        self.stats.shared_allocated_pages += allocated
         if merged:
             tracer = tracer_for(self.allocator.env)
             if tracer.enabled:
@@ -610,8 +597,9 @@ class DedupDomain:
     # -- reporting -------------------------------------------------------
     @property
     def merged_pages(self) -> int:
-        """Total pages deduplicated (capture-time + retroactive)."""
-        merged = self.stats.merged_pages + self.table.stats.merged_pages
+        """Total pages deduplicated: the frame table's merges (capture
+        time) plus the scanner's (retroactive)."""
+        merged = self.table.stats.merged_pages
         if self.scanner is not None:
             merged += self.scanner.stats.merged_pages
         return merged

@@ -89,7 +89,6 @@ class Snapshot:
         "_chunk_ids",
         "_shared_pages",
         "_page_table_pages",
-        "_charged_pages",
     )
 
     def __init__(
@@ -156,15 +155,6 @@ class Snapshot:
 
         self._page_table_pages = page_table_pages_for(self.stack_page_count())
         allocator.allocate(self._page_table_pages, SNAPSHOT_CATEGORY)
-        # Frames this snapshot actually claimed from the pool — equals
-        # footprint_pages without dedup, less for later holders whose
-        # duplicate chunks merged into already-resident frames.
-        self._charged_pages = (
-            self._pages.page_count
-            - self._shared_pages
-            + newly_shared
-            + self._page_table_pages
-        )
         tracer = tracer_for(self._allocator.env)
         if tracer.enabled:
             tracer.event(
@@ -174,7 +164,12 @@ class Snapshot:
                 page_table_pages=self._page_table_pages,
                 depth=self.depth,
             )
-            tracer.counter("mem.snapshot_pages_held", self._charged_pages)
+            # Frames the capture claimed from the pool: duplicate chunks
+            # that merged into already-resident frames claimed none.
+            tracer.counter(
+                "mem.snapshot_pages_held",
+                self.footprint_pages - self._shared_pages + newly_shared,
+            )
 
     # -- introspection ---------------------------------------------------
     @property
@@ -209,16 +204,6 @@ class Snapshot:
     @property
     def footprint_mb(self) -> float:
         return pages_to_mb(self.footprint_pages)
-
-    @property
-    def charged_pages(self) -> int:
-        """Frames this snapshot newly claimed at capture.
-
-        Equal to :attr:`footprint_pages` unless a dedup domain merged
-        part of the capture into already-shared frames; cache budget
-        accounting charges this so shared frames count once.
-        """
-        return self._charged_pages
 
     @property
     def shared_pages(self) -> int:

@@ -83,9 +83,9 @@ def audit_node(node) -> List[str]:
 
     # -- snapshot cache ---------------------------------------------------
     cache = node.snapshot_cache
-    # The cache charges what a capture claimed and uncharges what an
-    # eviction freed, so a chunk shared by several entries is held once,
-    # whichever entry claimed it.
+    # Recompute the cache's charging law from its entries alone: each
+    # entry's private pages, plus each shared chunk once, whichever
+    # entries hold it.
     held = 0
     chunk_ids = set()
     for key, snapshot in cache._entries.items():

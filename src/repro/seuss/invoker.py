@@ -7,6 +7,13 @@ cost while performing the real memory mechanics against the page
 substrate.  The per-stage breakdown it returns is what the Table 1 / 2
 experiments report.
 
+It is the one place that picks where a deploy's memory comes from, in
+this order: an idle UC (hot), the local function snapshot (warm), a
+peer's replica shipped over the cluster interconnect (remote-warm, on a
+node whose cluster replicates, §9), else the runtime snapshot (cold).
+A remote-warm deploy charges the transfer as ``replica_fetch`` and the
+late pages it faults across the wire as ``remote_faults``.
+
 Every stage charge also records a child span on the invocation's root
 span (:mod:`repro.trace`), so a traced run yields the §7 latency
 decomposition as a machine-checkable span tree: stage spans tile the
@@ -45,6 +52,8 @@ STAGE_ARGS = "arg_import"
 STAGE_EXEC = "execute"
 STAGE_IO_WAIT = "io_wait"
 STAGE_RESULT = "result_return"
+STAGE_REPLICA_FETCH = "replica_fetch"
+STAGE_REMOTE_FAULTS = "remote_faults"
 
 
 def invoke_on_node(
@@ -87,6 +96,8 @@ def invoke_on_node(
     #: A captured-but-not-yet-cached function snapshot (cold path); on
     #: cancellation it is orphaned so the UC teardown reaps its pages.
     captured = None
+    #: The transfer that shipped a peer's replica (remote-warm only).
+    shipped = None
 
     try:
         # -- path selection -------------------------------------------
@@ -97,6 +108,16 @@ def invoke_on_node(
             fn_snapshot = None
         else:
             fn_snapshot = node.snapshot_cache.get(fn.key)
+            if fn_snapshot is None and node.replicas is not None:
+                fetch_started = env.now
+                shipped = yield from node.replicas.fetch(node, fn)
+                if node.crashed:
+                    # Went down mid-transfer: answer as a dead node does.
+                    return ledger.fail("node crashed")
+                if shipped is not None:
+                    ledger.charge_since(STAGE_REPLICA_FETCH, fetch_started)
+                    ledger.transferred_mb = shipped.size_mb
+                    fn_snapshot = node.snapshot_cache.get(fn.key)
             if fn_snapshot is not None:
                 if injector is not None and injector.snapshot_corrupts_on_restore():
                     fn_snapshot.corrupt()
@@ -361,6 +382,12 @@ def invoke_on_node(
             uc.space.intern_page_sets()
         else:
             uc.destroy()
+        uc = None  # parked or gone: a cancel from here on must not destroy it
+        if shipped is not None and shipped.residual_penalty_ms:
+            # Late pages of the replica fault across the wire.
+            yield env.timeout(
+                ledger.charge(STAGE_REMOTE_FAULTS, shipped.residual_penalty_ms)
+            )
         return ledger.finish()
     except Interrupted as exc:
         # Cancelled mid-flight (controller deadline watchdog, a shed

@@ -123,6 +123,10 @@ class SeussNode:
         #: Optional :class:`repro.faults.FaultInjector`; installed by the
         #: cluster when a fault plan is active, ``None`` otherwise.
         self.fault_injector = None
+        #: The cluster's :class:`~repro.distributed.replicas.ReplicaFetcher`
+        #: when it replicates snapshots (set by the fetcher); ``None``
+        #: never ships a replica here.
+        self.replicas = None
         self.crashed = False
         self.crash_count = 0
         self.restart_count = 0

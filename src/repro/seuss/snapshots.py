@@ -11,6 +11,12 @@ concern in our prototype by only deleting function-specific snapshots
 that have no active UCs" (§6).  A snapshot whose refcount shows live
 dependents is skipped; the cache asks its ``drop_idle`` callback to
 destroy idle UCs first, which releases their references.
+
+The budget is charged by one law, the one
+:func:`repro.seuss.audit.audit_node` checks: each entry's private pages
+(its footprint less the pages it routes through a dedup frame table),
+plus each shared chunk once while any entry holds it.  Without page
+dedup an entry is charged its footprint.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ class SnapshotCache:
         self._budget_pages = mb_to_pages(budget_mb)
         self._entries: Dict[str, Snapshot] = {}
         self._held_pages = 0
+        #: Shared dedup chunk id -> how many entries hold it.
+        self._chunk_holders: Dict[str, int] = {}
         self._policy: CachePolicy = policy or LRUPolicy()
         #: Callback that destroys all idle UCs of a function (returns
         #: how many were destroyed), releasing snapshot references so
@@ -106,25 +114,51 @@ class SnapshotCache:
         """
         if key in self._entries:
             return False
-        # Charge what the capture actually claimed from the pool:
-        # equals footprint_pages without dedup; with dedup, frames
-        # shared with already-cached snapshots count once.
-        footprint = snapshot.charged_pages
-        self._make_room(footprint)
+        # Charged before the room is made, so evicting an entry that
+        # shares chunks with it leaves those chunks charged.
+        charged = self._charge(snapshot)
+        self._make_room()
         snapshot.retain()
         self._entries[key] = snapshot
-        self._held_pages += footprint
-        self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
+        self._policy.on_insert(key, size_mb=pages_to_mb(charged))
         tracer = tracer_for(self.env)
         if tracer.enabled:
-            tracer.event("snapshot_cache.insert", key=key, pages=footprint)
+            tracer.event("snapshot_cache.insert", key=key, pages=charged)
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
         return True
 
-    def _make_room(self, needed_pages: int) -> None:
+    def _charge(self, snapshot: Snapshot) -> int:
+        """Add an entry to the held pages: its private pages, plus each
+        shared chunk no entry held yet.  Returns the pages charged."""
+        pages = snapshot.footprint_pages - snapshot.shared_pages
+        holders = self._chunk_holders
+        for chunk in snapshot._chunk_ids:
+            count = holders.get(chunk, 0)
+            if not count:
+                pages += snapshot._dedup.table.chunk_pages(chunk)
+            holders[chunk] = count + 1
+        self._held_pages += pages
+        return pages
+
+    def _uncharge(self, snapshot: Snapshot) -> int:
+        """Take a leaving entry off the held pages: its private pages,
+        plus each shared chunk no other entry holds.  Returns the pages
+        uncharged."""
+        pages = snapshot.footprint_pages - snapshot.shared_pages
+        holders = self._chunk_holders
+        for chunk in snapshot._chunk_ids:
+            count = holders.pop(chunk) - 1
+            if count:
+                holders[chunk] = count
+            else:
+                pages += snapshot._dedup.table.chunk_pages(chunk)
+        self._held_pages -= pages
+        return pages
+
+    def _make_room(self) -> None:
         attempts = len(self._entries)
         while (
-            self._held_pages + needed_pages > self._budget_pages
+            self._held_pages > self._budget_pages
             and self._entries
             and attempts > 0
         ):
@@ -145,15 +179,13 @@ class SnapshotCache:
             return False  # a live invocation still depends on it
         del self._entries[key]
         self._policy.on_remove(key)
+        uncharged = self._uncharge(snapshot)
         snapshot.release()
-        # Deduped snapshots only free shared frames at refcount zero;
-        # uncharge exactly what physically returned to the pool.
-        footprint = snapshot.delete()
-        self._held_pages -= footprint
+        snapshot.delete()
         self.stats.evictions += 1
         tracer = tracer_for(self.env)
         if tracer.enabled:
-            tracer.event("snapshot_cache.evict", key=key, pages=footprint)
+            tracer.event("snapshot_cache.evict", key=key, pages=uncharged)
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
         return True
 
@@ -175,22 +207,7 @@ class SnapshotCache:
         # Quarantine is not an eviction decision; keep policy eviction
         # counts clean.
         self._policy.on_remove(key, evicted=False)
-        # Uncharge what leaves with the entry: its private pages plus
-        # each shared chunk no remaining entry holds.  A chunk another
-        # entry still holds stays charged until that entry leaves.
-        released = snapshot.footprint_pages - snapshot.shared_pages
-        if snapshot._chunk_ids:
-            held = {
-                cid
-                for entry in self._entries.values()
-                for cid in entry._chunk_ids
-            }
-            table = snapshot._dedup.table
-            released += sum(
-                table.chunk_pages(cid)
-                for cid in set(snapshot._chunk_ids) - held
-            )
-        self._held_pages -= released
+        self._uncharge(snapshot)
         self.stats.quarantined += 1
         tracer = tracer_for(self.env)
         if tracer.enabled:

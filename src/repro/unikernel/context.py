@@ -26,6 +26,7 @@ separate.
 from __future__ import annotations
 
 import itertools
+import zlib
 from enum import Enum
 from typing import Dict, Optional
 
@@ -286,8 +287,10 @@ class UnikernelContext:
         """
         if self.destroyed:
             raise SnapshotError(f"{self.name}: destroyed")
+        # A digest, not ``hash``: str hashes are salted per process, and
+        # the checksum covers the instruction pointer.
         cpu = CpuState(
-            instruction_pointer=hash((name, trigger_label)) & 0xFFFF_FFFF,
+            instruction_pointer=zlib.crc32(f"{name}\0{trigger_label}".encode()),
             trigger_label=trigger_label or name,
         )
         return self.space.capture_snapshot(

@@ -62,6 +62,51 @@ class TestAudit:
         assert len(cache) == 0
         assert cache._held_pages == 0
 
+    @pytest.mark.parametrize("scope", ["tenant", "global"])
+    def test_dedup_chunks_of_a_quarantined_dependent_leave_with_the_last_entry(
+        self, scope
+    ):
+        """A quarantined snapshot that a live dependent still maps keeps
+        its chunks in the frame table, but they left the cache with it:
+        evicting the entry that shared them uncharges them, although no
+        frame returns to the pool."""
+        node = make_seuss_node(page_dedup=True, dedup_scope=scope)
+        first, second = (nop_function(name, owner="o") for name in "ab")
+        for fn in (first, second):
+            node.invoke_sync(fn)
+        cache = node.snapshot_cache
+        retained = cache.get(first.key)
+        retained.retain()  # a live dependent
+        assert cache.quarantine(first.key)
+        assert audit_node(node) == []
+        assert cache.evict_key(second.key)
+        assert len(cache) == 0
+        assert cache._held_pages == 0
+        assert audit_node(node) == []
+        retained.release()  # the dependent drops: the orphan is reaped
+        assert retained.deleted
+
+    @pytest.mark.parametrize("scope", ["tenant", "global"])
+    def test_dedup_capture_merged_into_a_quarantined_chunk_is_charged_it(
+        self, scope
+    ):
+        """A cold start whose capture merges into chunks only a
+        quarantined snapshot holds claims no frame for them, yet its
+        entry is the only one holding them: the cache charges them."""
+        node = make_seuss_node(page_dedup=True, dedup_scope=scope)
+        first, second = (nop_function(name, owner="o") for name in "ab")
+        node.invoke_sync(first)
+        cache = node.snapshot_cache
+        retained = cache.get(first.key)
+        retained.retain()  # a live dependent
+        assert cache.quarantine(first.key)
+        node.invoke_sync(second)
+        snapshot = cache.get(second.key)
+        assert snapshot.shared_pages > 0
+        assert cache._held_pages == snapshot.footprint_pages
+        assert audit_node(node) == []
+        retained.release()
+
     def test_allocator_imbalance_detected(self, seuss_node):
         seuss_node.allocator._by_category["phantom"] = 123
         issues = audit_allocator(seuss_node.allocator)

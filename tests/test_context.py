@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.mem.frames import FrameAllocator
@@ -207,3 +210,26 @@ class TestIdentity:
         assert snapshot.size_mb == pytest.approx(
             PYTHON.base_image_pages / 256, abs=0.01
         )
+
+    def test_snapshot_checksum_is_the_same_in_every_process(self):
+        """The captured instruction pointer, and so the checksum, is a
+        digest of the snapshot's name and trigger, not a salted hash."""
+        script = (
+            "from repro.seuss.node import SeussNode;"
+            "from repro.sim import Environment;"
+            "from repro.workload.functions import nop_function;"
+            "node = SeussNode(Environment()); node.initialize_sync();"
+            "fn = nop_function(); node.invoke_sync(fn);"
+            "print(node.snapshot_cache.get(fn.key).checksum)"
+        )
+        outputs = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed},
+                check=True,
+            )
+            outputs.add(proc.stdout.strip())
+        assert len(outputs) == 1

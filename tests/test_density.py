@@ -14,6 +14,11 @@ from repro.experiments.density import (
     _functions_per_gb,
     run_density_trial,
 )
+from repro.faas.cluster import FaasCluster
+from repro.metrics.resilience import ResilienceReport
+from repro.seuss.config import SeussConfig
+from repro.sim import Environment
+from repro.workload.functions import nop_function
 
 pytestmark = pytest.mark.density
 
@@ -43,6 +48,21 @@ class TestCaptureDedupDensity:
         # no CPU bill.
         assert node.dedup.scanner is None
         assert node.dedup.scan_ms == 0.0
+
+
+    def test_capture_merges_are_counted_once(self):
+        """Capture-time merges are the frame table's merges: with no
+        scanner and no eviction, every merged page is a held saving."""
+        cluster = FaasCluster.with_seuss_node(
+            Environment(), config=SeussConfig(page_dedup=True)
+        )
+        for name in "abc":
+            assert cluster.invoke_sync(nop_function(name, owner="o")).success
+        dedup = cluster.node.dedup
+        assert dedup.saved_pages > 0
+        assert dedup.merged_pages == dedup.saved_pages
+        report = ResilienceReport.from_cluster(cluster)
+        assert report.dedup_merged_pages == report.dedup_saved_pages
 
 
 class TestRetroScannerCost:

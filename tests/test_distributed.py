@@ -16,13 +16,16 @@ from repro.distributed.transfer import (
 from repro.errors import ConfigError
 from repro.experiments.extensions import replicated_cluster
 from repro.faas.controller import RESILIENT_RETRIES
+from repro.faas.overload import OverloadConfig
 from repro.faas.records import InvocationPath
 from repro.faults import FaultPlan
 from repro.mem.intervals import IntervalSet
 from repro.mem.workingset import WorkingSetManifest
 from repro.seuss.audit import audit_node
 from repro.seuss.config import SeussConfig
-from repro.sim import Environment
+from repro.sim import Environment, Interrupted
+from repro.trace import Tracer
+from repro.trace.analysis import coverage_residual
 from repro.workload.functions import (
     cpu_bound_function,
     io_bound_function,
@@ -182,6 +185,28 @@ class TestInterconnect:
         assert fabric.stats.transfers == 1
         assert fabric.stats.mb_moved == 2.0
 
+    def test_interrupt_while_queued_releases_both_claims(self, env):
+        fabric = ClusterInterconnect(env, nodes=3)
+
+        def mover(dst):
+            try:
+                yield from fabric.transfer(0, dst, 10.0, TransferStrategy.FULL_COPY)
+            except Interrupted:
+                pass
+
+        env.process(mover(1))
+        queued = env.process(mover(2))  # waits for node 0's NIC
+
+        def canceller():
+            yield env.timeout(1.0)
+            queued.interrupt("deploy cancelled")
+
+        env.process(canceller())
+        env.run()
+        assert fabric.stats.transfers == 1
+        for nic in fabric._nics:
+            assert not nic.users and not nic.queue
+
 
 def _holders(cluster, fn) -> int:
     return sum(fn.key in node.snapshot_cache for node in cluster.nodes)
@@ -215,6 +240,29 @@ class TestCluster:
         assert fn.key in cluster.nodes[1].snapshot_cache
         assert remote.node_latency_ms < cold.node_latency_ms
         assert _holders(cluster, fn) == 2
+
+    def test_remote_warm_stages_cover_the_node_latency(self):
+        cluster = replicated_cluster(TransferStrategy.ON_DEMAND)
+        tracer = Tracer().attach(cluster.env)
+        try:
+            fn = nop_function(owner="tiled")
+            cluster.invoke_sync(fn)
+            cluster.nodes[0].uc_cache.drop_function(fn.key)
+            remote = cluster.invoke_sync(fn)
+        finally:
+            tracer.detach(cluster.env)
+        assert remote.path is InvocationPath.WARM
+        assert remote.transferred_mb > 0
+        breakdown = remote.breakdown
+        assert sum(breakdown.values()) == pytest.approx(remote.node_latency_ms)
+        assert breakdown["replica_fetch"] > 0
+        assert breakdown["remote_faults"] == (
+            TransferStrategy.ON_DEMAND.residual_fault_penalty_ms
+        )
+        root = tracer.roots("invocation")[-1]
+        assert root.attrs["path"] == "warm"
+        assert root.duration_ms == pytest.approx(remote.node_latency_ms)
+        assert coverage_residual(tracer, root) == pytest.approx(0.0, abs=1e-9)
 
     def test_affinity_policy_avoids_transfers(self):
         cluster = replicated_cluster(
@@ -279,7 +327,10 @@ class TestCluster:
     def test_transfer_spends_the_request_timeout(self):
         # The node attempt starts 150.8 ms after the send (control
         # plane share plus the shim hop), leaving 0.7 ms: less than the
-        # 1.8 ms a FULL_COPY replica takes to land.
+        # 1.8 ms a FULL_COPY replica takes to land.  The fetch is part
+        # of the peer's invocation, so the watchdog fires mid-transfer
+        # and the peer finishes the deploy in the background, like any
+        # node stage after a timeout.
         costs = replace(
             DEFAULT_COSTS,
             platform=replace(DEFAULT_COSTS.platform, request_timeout_ms=151.5),
@@ -294,7 +345,32 @@ class TestCluster:
         cluster.env.run(until=cluster.env.now + 50.0)
         assert result.error == "request timed out"
         assert fn.key in peer.snapshot_cache
-        assert peer.stats.total == 0  # no watchdog time left to invoke
+        assert peer.stats.warm == 1
+        assert peer.stats.total == 1
+
+    def test_cancelled_deploy_ships_nothing(self):
+        # With cancellation on, the watchdog interrupts the peer's
+        # invocation 0.7 ms into the 1.8 ms transfer: nothing is counted
+        # or installed, and both NICs are free again.
+        cluster = replicated_cluster(
+            TransferStrategy.FULL_COPY,
+            overload=OverloadConfig(deadline_ms=151.5, cancel_expired=True),
+        )
+        home, peer = cluster.nodes
+        fn = nop_function(owner="cancelled")
+        home.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        cluster.invoke_sync(nop_function(owner="spacer"))  # home's turn
+        result = cluster.invoke_sync(fn)
+        cluster.env.run(until=cluster.env.now + 50.0)
+        assert result.error == "request timed out"
+        fabric = _fabric(cluster)
+        assert fabric.stats.transfers == 0
+        assert fn.key not in peer.snapshot_cache
+        for nic in fabric._nics:
+            assert not nic.users and not nic.queue
+        assert peer.cancelled_count == 1
+        assert audit_node(peer) == []
 
     def test_replica_without_room_is_not_installed(self):
         cluster = replicated_cluster(TransferStrategy.FULL_COPY)
@@ -337,6 +413,25 @@ class TestCrashedNodes:
         assert _fabric(cluster).stats.transfers == 0
         # The down node's caches stay empty: they rebuild cold.
         assert fn.key not in peer.snapshot_cache
+
+    def test_destination_crashing_mid_transfer_answers_node_crashed(self):
+        cluster = replicated_cluster(TransferStrategy.FULL_COPY)
+        env = cluster.env
+        home, peer = cluster.nodes
+        fn = nop_function(owner="down-mid")
+        cluster.invoke_sync(fn)
+        home.uc_cache.drop_function(fn.key)
+        process = cluster.invoke(fn)
+        # The peer's attempt starts 150.8 ms after the send; its 1.8 ms
+        # transfer is still in flight 0.7 ms later.
+        env.run(until=env.now + 151.5)
+        peer.crash()
+        result = env.run(until=process)
+        assert not result.success
+        assert result.error == "node crashed"
+        assert result.transferred_mb == 0.0
+        assert fn.key not in peer.snapshot_cache
+        assert len(peer.uc_cache) == 0
 
     def test_no_replica_ships_from_a_crashed_holder(self):
         cluster = replicated_cluster(TransferStrategy.FULL_COPY)

@@ -171,15 +171,24 @@ class TestDistributedDedupRegression:
         full_copy = transfer_plan(snapshot.size_mb, TransferStrategy.FULL_COPY)
         for shard in cluster.control_plane.shards:
             policy = shard.router.policy
-            assert policy.transfer_strategy is TransferStrategy.FULL_COPY
             assert policy._acquisition_cost_ms([holder], fn.key) == (
-                full_copy.deploy_delay_ms
+                full_copy.upfront_ms
             )
         # Without replication the spill price stays RECORDED's.
         plain = FaasCluster.with_seuss_node(
             Environment(), routing="snapshot_affinity"
         )
-        assert plain.control_plane.shards[0].router.policy.transfer_strategy is None
+        plain.invoke_sync(fn)
+        holder = plain.control_plane.shards[0].router.healths[0]
+        assert holder.node.replicas is None
+        recorded = transfer_plan(snapshot.size_mb, TransferStrategy.RECORDED)
+        policy = plain.control_plane.shards[0].router.policy
+        assert policy._acquisition_cost_ms([holder], fn.key) == (
+            recorded.upfront_ms + recorded.residual_penalty_ms
+        )
+        assert recorded.upfront_ms + recorded.residual_penalty_ms != (
+            full_copy.upfront_ms
+        )
 
 
 # -- snapshot affinity policy ------------------------------------------------
