@@ -281,11 +281,16 @@ def bench_routing_decision() -> Tuple[int, float]:
     from repro.sim import Environment
     from repro.workload.functions import nop_function
 
+    class Cache(dict):
+        """A snapshot cache reduced to the read that prices a spill."""
+
+        peek = dict.get
+
     class Holder:
         """A stand-in node exposing only the snapshot-cache probe."""
 
         def __init__(self):
-            self.snapshot_cache = {}
+            self.snapshot_cache = Cache()
 
     env = Environment()
     rng = random.Random(12)

@@ -77,7 +77,7 @@ class ReplicaFetcher:
             return None
         source_id = min(holders)[1]
         source = self.nodes[source_id]
-        snapshot = source.snapshot_cache.get(key)
+        snapshot = source.snapshot_cache.peek(key)
         pages = snapshot.pages
         # The working-set manifest travels with the diff (it is tiny
         # next to it): RECORDED sizes its upfront set from it, and the

@@ -210,7 +210,7 @@ class SnapshotAffinityPolicy(RoutingPolicy):
         for holder in holders:
             node = candidate_node(holder)
             cache = getattr(node, "snapshot_cache", None)
-            snapshot = cache.get(fn_key) if cache is not None else None
+            snapshot = cache.peek(fn_key) if cache is not None else None
             if snapshot is None:
                 continue
             replicas = node.replicas

@@ -13,11 +13,17 @@ capture (or since creation) and clears the dirty set, like SEUSS OS
 walking and clearing dirty PTEs.
 
 The simulator's own page sets are copy-on-write too.  A space's private
-and dirty sets start as the canonical empty set, stay shared canonical
-sets until a write changes one (:meth:`IntervalSet.cow_add` copies it
-to a list-backed set first), and return to canonical sets when the UC
-is parked idle (:meth:`AddressSpace.intern_page_sets`), so idle UCs of
-one shape keep one copy of each set between them.
+and dirty sets start as the canonical empty set and stay frozen while
+each write into them is one seen before: a write into a frozen set is
+a memoised transition (:meth:`IntervalSet.cow_write`) that hands out
+the canonical set holding the union.  A new write is computed once and
+leaves a list-backed copy, which later writes splice in place until
+the UC is parked idle and the sets are interned again
+(:meth:`AddressSpace.intern_page_sets`).  Reads of a frozen private
+set are memoised the same way, so a repeated deploy of one shape writes
+and probes its memory by table lookups, and idle UCs of one shape keep
+one copy of each set between them.  A memoised write allocates exactly
+what a computed one would, at the same point.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Optional
 
 from repro.errors import SnapshotError
 from repro.mem.frames import FrameAllocator
-from repro.mem.intervals import EMPTY, IntervalSet
+from repro.mem.intervals import EMPTY, IntervalSet, make_room, memo_table
 from repro.mem.paging import (
     page_table_pages_for,
     record_page_faults,
@@ -233,25 +239,44 @@ class AddressSpace:
         if npages == 0:
             return WriteResult(0, 0, 0)
         stop = start + npages
-        gaps = self._private.missing_in_range(start, stop)
-        copied = 0
-        if gaps:
+        private, dirty = self._private, self._dirty
+        # The dirty set's transition is looked up first: while both are
+        # one shared set (until a capture), a new write then leaves the
+        # list-backed copy to the dirty set and the canonical union to
+        # the private set, whose reads are memoised too.  A rewrite of
+        # dirty pages (every write of a hot invocation) leaves a frozen
+        # dirty set as it is.
+        dirtied = dirty.cow_write(start, stop)[0] if dirty.frozen else None
+        if private.frozen:
+            written, copied, extents = private.cow_write(start, stop)
+        else:
+            written = private
+            gaps = private.missing_in_range(start, stop)
+            copied = 0
             for s, e in gaps:
                 copied += e - s
+            extents = len(gaps)
+        if copied:
+            # Allocate before installing, so running out of memory
+            # leaves both sets as they were.
             self._allocator.allocate(copied, PRIVATE_CATEGORY)
-            # One splice covers every gap at once: adding the full write
-            # range leaves already-private pages untouched and fills the
-            # holes, identical to adding each gap individually.
-            self._private = self._private.cow_add(start, stop)
+            if written is private:
+                # List-backed: one splice covers every gap at once
+                # (adding the full range leaves private pages as they
+                # are and fills the holes).
+                private.add(start, stop)
+            else:
+                self._private = written
             self._faults += copied
-            record_page_faults(self._allocator.env, copied, len(gaps))
-        # A rewrite of dirty pages (every write of a hot invocation)
-        # leaves a shared dirty set as it is.
-        self._dirty = self._dirty.cow_add(start, stop)
+            record_page_faults(self._allocator.env, copied, extents)
+        if dirtied is None:
+            dirty.add(start, stop)
+        else:
+            self._dirty = dirtied
         if self._recorded is not None:
             self._recorded.add(start, stop)
         return WriteResult(
-            pages_written=npages, pages_copied=copied, extents_copied=len(gaps)
+            pages_written=npages, pages_copied=copied, extents_copied=extents
         )
 
     # -- working-set recording and batched resolution --------------------
@@ -332,23 +357,19 @@ class AddressSpace:
         self._check_live()
         if npages < 0:
             raise ValueError(f"negative page count {npages}")
-        stop = start + npages
-        private = self._private.overlap_size(start, stop)
-        from_stack = 0
-        if self._base is not None and private < npages:
-            # Fast path: answer "in the stack but not private" directly
-            # against the memoised stack union — no temporary
-            # IntervalSet is materialised per read.
-            stack = self._base.stack_pages_view()
-            for s, e in self._private.missing_in_range(start, stop):
-                from_stack += stack.overlap_size(s, e)
-        unmapped = npages - private - from_stack
-        return ReadResult(
-            pages_read=npages,
-            pages_private=private,
-            pages_from_stack=from_stack,
-            pages_unmapped=unmapped,
-        )
+        private = self._private
+        stack = None if self._base is None else self._base.stack_pages_view()
+        if not private.frozen:
+            return _resolve_read(private, stack, start, npages)
+        # Both sets are frozen: the answer is a memoised transition,
+        # shared by every space that reads the same range of them.
+        key = (id(private), None if stack is None else id(stack), start, npages)
+        entry = _READS.get(key)
+        if entry is None:
+            make_room(_READS)
+            entry = (private, stack, _resolve_read(private, stack, start, npages))
+            _READS[key] = entry
+        return entry[2]
 
     def classify_fault(self, page: int, write: bool) -> str:
         """The §6 fault taxonomy for one access, without performing it.
@@ -461,3 +482,29 @@ class AddressSpace:
             f"AddressSpace({self.name!r}, private={self.private_pages}p, "
             f"dirty={self.dirty_pages}p, base={self._base and self._base.name})"
         )
+
+
+#: Reads of frozen private sets by ``(id(private), id(stack) or None,
+#: start, npages)``, each entry ``(private, stack, ReadResult)``.
+_READS = memo_table("reads")
+
+
+def _resolve_read(
+    private: IntervalSet, stack: Optional[IntervalSet], start: int, npages: int
+) -> ReadResult:
+    """Where a read of ``npages`` at ``start`` resolves, given the
+    private set and the stack union (``None`` without a base)."""
+    stop = start + npages
+    owned = private.overlap_size(start, stop)
+    from_stack = 0
+    if stack is not None and owned < npages:
+        # Answer "in the stack but not private" directly against the
+        # memoised stack union: no temporary IntervalSet per read.
+        for s, e in private.missing_in_range(start, stop):
+            from_stack += stack.overlap_size(s, e)
+    return ReadResult(
+        pages_read=npages,
+        pages_private=owned,
+        pages_from_stack=from_stack,
+        pages_unmapped=npages - owned - from_stack,
+    )

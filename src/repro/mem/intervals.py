@@ -32,9 +32,17 @@ Equal content is stored once: :meth:`IntervalSet.interned` returns the
 *canonical* frozen set of its content, which every snapshot and idle UC
 with that content shares (a node's thousands of NOP snapshots hold one
 page set between them).  Writers copy a shared set before changing it
-(:meth:`IntervalSet.cow_add`), so sharing is copy-on-write.  The table
-of canonical sets is bounded: when it fills it is cleared, which loses
-sharing with the sets already handed out but never changes a result.
+(:meth:`IntervalSet.cow_add`), so sharing is copy-on-write.
+
+Transitions of frozen sets are memoised by identity: a frozen set never
+changes, so what a write into it makes (:meth:`IntervalSet.cow_write`)
+or what its union with another frozen set is
+(:meth:`IntervalSet.interned_union`) is computed once per distinct
+operand and looked up after that.  Every memo entry holds the sets
+whose ids key it, so a keyed id cannot be reused while the entry lives.
+The canonical table and the memo tables are bounded together: when one
+fills, all are cleared, which loses sharing with the sets already
+handed out but never changes a result.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ Interval = Tuple[int, int]
 
 _FROZEN = "a frozen IntervalSet cannot be mutated"
 
-#: Entries either table below may hold before both are cleared.
+#: Entries any table below may hold before all are cleared.
 _TABLE_LIMIT = 4096
 
 
@@ -146,8 +154,7 @@ class IntervalSet:
         key = (id(self), id(other))
         entry = _UNIONS.get(key)
         if entry is None:
-            if len(_UNIONS) >= _TABLE_LIMIT:
-                clear_interned()
+            make_room(_UNIONS)
             entry = (self, other, self.union(other).interned())
             _UNIONS[key] = entry
         return entry[2]
@@ -157,23 +164,50 @@ class IntervalSet:
         holds the result.
 
         A list-backed set is changed in place and returned.  A frozen
-        one is returned as it is when it already holds ``[start,
-        stop)``, else a list-backed copy holding the union is returned:
-        a shared set is copied on its first changing write, never
-        changed.
+        one is never changed: it is returned as it is when it already
+        holds ``[start, stop)``, else the set :meth:`cow_write` makes
+        (a list-backed copy, or the canonical union once the same write
+        into the same set was made before).
         """
         if self._starts.__class__ is not tuple:
             self.add(start, stop)
             return self
-        if start < stop:
-            idx = bisect_right(self._starts, start) - 1
-            if idx >= 0 and stop <= self._stops[idx]:
-                return self
-        elif stop == start:
-            return self
+        return self.cow_write(start, stop)[0]
+
+    def cow_write(self, start: int, stop: int) -> Tuple["IntervalSet", int, int]:
+        """What writing ``[start, stop)`` into this frozen set makes:
+        the set holding the union, and the pages and extents the write
+        fills (those missing before it).  Nothing is changed.
+
+        Memoised by ``(id(self), start, stop)``.  The first such write
+        computes the gaps, stores the canonical union and hands the
+        writer a list-backed copy, so a writer that goes on writing
+        splices in place; every later one is a table lookup that hands
+        out the canonical union.  A write that fills nothing returns
+        this set.  A list-backed set could change under its id, so it
+        is refused.
+        """
+        key = (id(self), start, stop)
+        entry = _WRITES.get(key)
+        if entry is not None:
+            return entry[1]
+        if self._starts.__class__ is not tuple:
+            raise TypeError("only a frozen IntervalSet's writes are memoised")
+        if stop < start:
+            raise ValueError(f"empty or inverted interval [{start}, {stop})")
+        make_room(_WRITES)
+        gaps = self.missing_in_range(start, stop)
+        if not gaps:
+            made = (self, 0, 0)
+            _WRITES[key] = (self, made)
+            return made
         out = self.copy()
         out.add(start, stop)
-        return out
+        pages = 0
+        for s, e in gaps:
+            pages += e - s
+        _WRITES[key] = (self, (out.interned(), pages, len(gaps)))
+        return out, pages, len(gaps)
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -462,17 +496,49 @@ _CANONICAL: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], IntervalSet] = {}
 #: ``(left, right, union)``.
 _UNIONS: Dict[Tuple[int, int], Tuple[IntervalSet, IntervalSet, IntervalSet]] = {}
 
+#: Write transitions by ``(id(operand), start, stop)``, each entry
+#: ``(operand, (union, pages, extents))`` (see :meth:`IntervalSet.cow_write`).
+_WRITES: Dict[
+    Tuple[int, int, int], Tuple[IntervalSet, Tuple[IntervalSet, int, int]]
+] = {}
+
+#: Every memo table keyed by the ids of frozen sets, by name.
+_MEMOS: Dict[str, dict] = {"unions": _UNIONS, "writes": _WRITES}
+
+
+def memo_table(name: str) -> dict:
+    """A new memo table keyed by the ids of frozen sets, emptied with
+    the others.  Each entry must hold the sets whose ids key it, and
+    :func:`make_room` must run before an entry is computed."""
+    table: dict = {}
+    _MEMOS[name] = table
+    return table
+
+
+def make_room(table: dict) -> None:
+    """Clear every table when ``table`` is full.  Called before a new
+    entry is computed, so a canonical set the entry holds was interned
+    after the clear and is still canonical once the entry is stored."""
+    if len(table) >= _TABLE_LIMIT:
+        clear_interned()
+
 
 def clear_interned() -> None:
-    """Empty both tables.  The sets already handed out stay frozen and
-    valid; sets interned later just stop sharing with them."""
+    """Empty the canonical table and every memo table.  The sets already
+    handed out stay frozen and valid; sets interned later just stop
+    sharing with them."""
     _CANONICAL.clear()
-    _UNIONS.clear()
+    for table in _MEMOS.values():
+        table.clear()
 
 
-def interned_count() -> int:
-    """Distinct non-empty contents the table holds a canonical set of."""
-    return len(_CANONICAL)
+def table_sizes() -> Dict[str, int]:
+    """Entries in the canonical table (distinct non-empty contents) and
+    in each memo table, by name."""
+    sizes = {"canonical": len(_CANONICAL)}
+    for name, table in _MEMOS.items():
+        sizes[name] = len(table)
+    return sizes
 
 
 def _merge_union(

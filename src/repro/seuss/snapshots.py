@@ -89,8 +89,16 @@ class SnapshotCache:
             raise ValueError("snapshot footprint must be positive")
         return self._budget_pages // snapshot_footprint_pages
 
+    def peek(self, key: str) -> Optional[Snapshot]:
+        """The snapshot cached under ``key``, or ``None``, read without
+        a deploy: no hit or miss is counted, the policy is not told and
+        nothing is traced.  For pricing and shipping a snapshot."""
+        return self._entries.get(key)
+
     # -- cache operations ---------------------------------------------------
     def get(self, key: str) -> Optional[Snapshot]:
+        """The snapshot to deploy ``key`` from: counts a hit (and tells
+        the policy) or a miss."""
         snapshot = self._entries.get(key)
         if snapshot is None:
             self.stats.misses += 1

@@ -6,9 +6,10 @@ counts the GC-tracked objects it reaches that are not shared with the
 rest of the node; :func:`retained_bytes` measures the memory a cold
 invocation leaves behind; :func:`queue_census` counts what a closed
 loop keeps in the engine's queue; :func:`call_census` counts the calls
-a hot invocation makes, by layer, and :func:`null_tracer_census` the
-calls an untraced one makes into the disabled tracer.  Plain Python
-only, so it also runs on interpreters without pytest::
+a hot invocation makes, by layer, :func:`deploy_call_census` those of a
+cold and of a warm one, and :func:`null_tracer_census` the calls an
+untraced one makes into the disabled tracer.  Plain Python only, so it
+also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
@@ -27,7 +28,7 @@ from enum import Enum
 from types import ModuleType
 
 from repro.mem.frames import FrameAllocator
-from repro.mem.intervals import IntervalSet, interned_count
+from repro.mem.intervals import IntervalSet, table_sizes
 from repro.mem.snapshot import Snapshot
 from repro.net.proxy import NetworkProxy
 from repro.seuss.node import SeussNode
@@ -149,14 +150,13 @@ def _layer(filename: str) -> str:
     return layer[:-3] if layer.endswith(".py") else layer
 
 
-def call_census(invocations: int = 4_000) -> dict:
-    """Calls per invocation of a :func:`hot_loop` of ``invocations``
-    requests, counted by :mod:`cProfile` (every call it sees, Python
-    functions and builtins alike), in total and by layer."""
-    env, _, process = hot_loop(invocations)
+def _calls_per_invocation(run, invocations: int) -> dict:
+    """Calls :mod:`cProfile` sees while ``run()`` serves ``invocations``
+    invocations (Python functions and builtins alike), per invocation,
+    in total and by layer."""
     profile = cProfile.Profile()
     profile.enable()
-    env.run(until=process)
+    run()
     profile.disable()
     by_layer: Counter = Counter()
     for (filename, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items():
@@ -168,6 +168,43 @@ def call_census(invocations: int = 4_000) -> dict:
             for layer, calls in by_layer.most_common()
         },
     }
+
+
+def call_census(invocations: int = 4_000) -> dict:
+    """Calls per invocation of a :func:`hot_loop` of ``invocations``
+    requests, in total and by layer."""
+    env, _, process = hot_loop(invocations)
+    return _calls_per_invocation(lambda: env.run(until=process), invocations)
+
+
+def deploy_call_census(invocations: int = 200) -> dict:
+    """Calls per cold and per warm NOP invocation on one node, in total
+    and by layer: ``invocations`` cold NOPs of distinct functions, then
+    a warm one of each (its idle UC dropped), profiled after as many of
+    each have run unprofiled."""
+    from repro.sim import Environment
+    from repro.workload.functions import unique_nop_set
+
+    node = SeussNode(Environment())
+    node.initialize_sync()
+    fns = unique_nop_set(2 * invocations)
+    warmup, profiled = fns[:invocations], fns[invocations:]
+
+    def invoke(batch):
+        for fn in batch:
+            node.invoke_sync(fn)
+
+    def drop_idle(batch):
+        for fn in batch:
+            node.uc_cache.drop_function(fn.key)
+
+    invoke(warmup)
+    drop_idle(warmup)
+    invoke(warmup)
+    census = {"cold": _calls_per_invocation(lambda: invoke(profiled), invocations)}
+    drop_idle(profiled)
+    census["warm"] = _calls_per_invocation(lambda: invoke(profiled), invocations)
+    return census
 
 
 @contextmanager
@@ -222,10 +259,10 @@ def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
     after one NOP invocation on a fresh node, then that of the client
     result of a second (hot) invocation through a cluster, then the
-    bytes a cold invocation retains and the canonical page sets held
-    after it, the engine-queue census of a closed loop, the calls per
-    hot invocation and the null-tracer calls of an untraced hot
-    invocation."""
+    bytes a cold invocation retains and the entries of the canonical
+    and transition tables after it, the engine-queue census of a closed
+    loop, the calls per hot, cold and warm invocation and the
+    null-tracer calls of an untraced hot invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -246,9 +283,10 @@ def main() -> None:
     gc.collect()
     print("hot result:", dict(sorted(tracked_census(hot).items())))
     print("retained bytes per cold NOP invocation:", round(retained_bytes()))
-    print("canonical page sets:", interned_count())
+    print("page-set tables:", table_sizes())
     print("engine queue:", queue_census())
     print("calls per hot invocation:", call_census())
+    print("calls per deploy:", deploy_call_census())
     print(
         "null-tracer calls per hot invocation:",
         {

@@ -241,6 +241,16 @@ class TestCluster:
         assert remote.node_latency_ms < cold.node_latency_ms
         assert _holders(cluster, fn) == 2
 
+    def test_remote_warm_fetch_counts_no_hit_at_the_source(self, cluster):
+        fn = nop_function(owner="shipped")
+        cluster.invoke_sync(fn)
+        source = cluster.nodes[0]
+        source.uc_cache.drop_function(fn.key)
+        hits = source.snapshot_cache.stats.hits
+        remote = cluster.invoke_sync(fn)
+        assert remote.path is InvocationPath.WARM and remote.transferred_mb > 0
+        assert source.snapshot_cache.stats.hits == hits
+
     def test_remote_warm_stages_cover_the_node_latency(self):
         cluster = replicated_cluster(TransferStrategy.ON_DEMAND)
         tracer = Tracer().attach(cluster.env)

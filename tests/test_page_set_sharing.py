@@ -134,7 +134,7 @@ class TestAddressSpaceTransitions:
         private = space._private
         snapshot = space.capture_snapshot("s")
         assert space._dirty is EMPTY
-        assert space._private is private and not private.frozen
+        assert space._private is private and private.canonical
         assert snapshot._pages.canonical
         assert snapshot._pages == IntervalSet([(0, 10)])
 

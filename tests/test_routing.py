@@ -235,6 +235,25 @@ class TestSnapshotAffinityPolicy:
         assert stats.spills == 1
         assert stats.locality_misses == 1
 
+    def test_pricing_a_spill_counts_no_snapshot_hit(self):
+        env = Environment()
+        healths = self._seuss_healths(env, 2)
+        holder = healths[0].node
+        priced, later = nop_function("priced"), nop_function("later")
+        env.run(until=holder.invoke(priced))
+        env.run(until=holder.invoke(later))
+        cache = holder.snapshot_cache
+        hits, order = cache.stats.hits, list(cache._policy._order)
+        loads = {id(healths[0]): 10_000, id(healths[1]): 0}
+        policy = SnapshotAffinityPolicy(load_of=lambda h: loads[id(h)])
+        for _ in range(5):
+            assert policy.rank(healths, priced)[0] is healths[1]
+        # Pricing read the snapshot without deploying it: no hit, and
+        # the LRU victim is still the snapshot nobody deployed since.
+        assert cache.stats.hits == hits
+        assert list(cache._policy._order) == order
+        assert cache._policy.victim() == priced.key
+
     def test_loaded_holder_below_breakeven_still_preferred(self):
         env = Environment()
         healths = self._seuss_healths(env, 2)
