@@ -49,7 +49,7 @@ from repro.faas.records import (
     NodeInvocation,
 )
 from repro.seuss.shim import ShimProcess
-from repro.sim import AnyOf, Environment
+from repro.sim import Environment
 from repro.trace import tracer_for
 
 #: Fractions of the control-plane overhead paid before/after node work
@@ -281,19 +281,13 @@ class Controller:
             node_process = node.invoke(fn)
         if queue is not None:
             queue.attach(request, node_process)
-        deadline = env.timeout(remaining)
-        race = AnyOf(env, [node_process, deadline])
-        try:
-            yield race
-        finally:
-            # Once the race is over nothing waits on the watchdog:
-            # withdraw it rather than leave it queued for the full
-            # timeout.  A race still pending (the generator closed
-            # early) is still attached to it, so it stays.
-            if race.triggered:
-                deadline.cancel()
+        # Wait for the node under the client's watchdog; the loser is
+        # let go, so a finished invocation leaves nothing queued.
+        yield from env.race(node_process, remaining)
 
-        if not node_process.processed:
+        # An answer the node queued before the watchdog fired, at its
+        # very instant, counts as in time.
+        if not node_process.triggered:
             # Client gave up.  With cancellation enabled the zombie is
             # interrupted so it releases its core, UC and memory now;
             # historically the node finishes (or fails) on its own.
@@ -360,10 +354,7 @@ class Controller:
             return []
         env = self.env
         shared = env.timeout(self.pre_node_ms)
-        return [
-            env.process(self.invoke(fn, _shared_dispatch=shared))
-            for fn in fns
-        ]
+        return [env.start(self.invoke(fn, _shared_dispatch=shared)) for fn in fns]
 
     def invoke(
         self, fn: FunctionSpec, _shared_dispatch: Optional[object] = None
@@ -428,7 +419,11 @@ class Controller:
                     yield _shared_dispatch
                 else:
                     yield env.timeout(self.pre_node_ms)
-                yield self.bus.consume("invoke")
+                try:
+                    self.bus.take_nowait("invoke")
+                except IndexError:
+                    # A fault delayed the publish: wait for delivery.
+                    yield self.bus.consume("invoke")
 
                 # The SEUSS deployment interposes the shim hop here.
                 if self.shim is not None:

@@ -123,3 +123,13 @@ class MessageBus:
         event = self._topic(topic).get()
         self.stats[topic].consumed += 1
         return event
+
+    def take_nowait(self, topic: str) -> Any:
+        """Take the next message on ``topic`` without an engine event.
+
+        Raises ``IndexError`` when the topic holds none (a publish that
+        a fault delayed); :meth:`consume` then waits for one.
+        """
+        message = self._topic(topic).get_nowait()
+        self.stats[topic].consumed += 1
+        return message

@@ -237,6 +237,13 @@ class InvocationLedger:
             root.done(stage, now, now + ms)
         return ms
 
+    def charge_at(self, stage: str, start: float, ms: float) -> None:
+        """Bill ``ms`` to ``stage``, which began at ``start``: a stage
+        that shared one timeout with the stage before it."""
+        self._bill(stage, ms)
+        if self.root is not None:
+            self.root.done(stage, start, start + ms)
+
     def charge_since(self, stage: str, start: float) -> None:
         """Bill the time since ``start``: a stage whose cost is known
         only once it ends (the Linux container creation)."""
@@ -255,18 +262,23 @@ class InvocationLedger:
         else:
             breakdown[stage] = float(ms)
 
-    def reached(self, stage: InvocationStage) -> None:
-        self.stage_times[stage] = self.env.now
+    def reached(self, stage: InvocationStage, at: Optional[float] = None) -> None:
+        """Stamp ``stage`` as completed now, or at ``at``."""
+        self.stage_times[stage] = self.env.now if at is None else at
+
+    def deadline_due(self, at: float) -> bool:
+        """Whether :meth:`check_deadline` would cancel at time ``at``."""
+        return (
+            self.cancel_expired
+            and self.deadline_ms is not None
+            and at >= self.deadline_ms
+        )
 
     def check_deadline(self) -> None:
         """With cancellation on, start no stage for a client that already
         gave up (the controller's watchdog usually cancels first; this
         catches exact-boundary races)."""
-        if (
-            self.cancel_expired
-            and self.deadline_ms is not None
-            and self.env.now >= self.deadline_ms
-        ):
+        if self.deadline_due(self.env.now):
             raise Interrupted(
                 DeadlineExceededError("deadline passed at stage boundary")
             )

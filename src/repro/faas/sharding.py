@@ -323,7 +323,7 @@ class ShardedControlPlane:
 
     def invoke(self, fn: FunctionSpec) -> Process:
         """Start one client invocation on the owning shard."""
-        return self.env.process(self._dispatch(fn).controller.invoke(fn))
+        return self.env.start(self._dispatch(fn).controller.invoke(fn))
 
     def invoke_batch(self, fns: Iterable[FunctionSpec]) -> List[Process]:
         """Start a same-tick volley; returns processes in input order.

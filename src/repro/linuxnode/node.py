@@ -268,7 +268,7 @@ class LinuxNode:
         deadline, and whether expired work is aborted (and cancellable)
         rather than finishing as a zombie.  Both default off.
         """
-        return self.env.process(
+        return self.env.start(
             self._invoke(
                 fn, deadline_ms=deadline_ms, cancel_expired=cancel_expired
             )

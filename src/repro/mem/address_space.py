@@ -236,6 +236,10 @@ class AddressSpace:
         self._check_live()
         if npages < 0:
             raise ValueError(f"negative page count {npages}")
+        if start < 0:
+            # Before the memo lookup and the allocation, so a rejected
+            # write leaves the allocator as it was on every path.
+            raise ValueError(f"negative page number {start}")
         if npages == 0:
             return WriteResult(0, 0, 0)
         stop = start + npages

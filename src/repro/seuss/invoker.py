@@ -98,6 +98,8 @@ def invoke_on_node(
     captured = None
     #: The transfer that shipped a peer's replica (remote-warm only).
     shipped = None
+    #: The execute/result_return boundary while one timeout ends both.
+    merged_boundary = None
 
     try:
         # -- path selection -------------------------------------------
@@ -322,12 +324,15 @@ def invoke_on_node(
                         at=env.now,
                         factor=injector.plan.slow_core_factor,
                     )
-            yield env.timeout(ledger.charge(STAGE_EXEC, exec_ms))
+            boundary = env.now + ledger.charge(STAGE_EXEC, exec_ms)
+            tail_faults = 0
             if manifest is not None and path is InvocationPath.WARM:
                 # Faults taken after the deploy charge (args/exec pages
                 # the manifest missed) fall back to the lazy per-MB
                 # rate, so imperfect recordings cannot under-bill.
                 tail_faults = recorder.faults_taken - deploy_fault_mark
+            if tail_faults or fn.io_wait_ms > 0 or ledger.deadline_due(boundary):
+                yield env.timeout(exec_ms)
                 if tail_faults:
                     per_mb = (
                         costs.warm_fault_per_mb_warmed_ms
@@ -337,16 +342,26 @@ def invoke_on_node(
                     yield env.timeout(
                         ledger.charge(STAGE_FAULTS, per_mb * pages_to_mb(tail_faults))
                     )
-            if fn.io_wait_ms > 0:
-                # Blocked on external I/O: the poll-based UC releases its
-                # core while waiting.
-                ledger.release_core()
-                yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
-                yield ledger.request_core()
-                ledger.core_granted()
-            ledger.check_deadline()
-            ledger.reached(InvocationStage.EXECUTED)
-            yield env.timeout(ledger.charge(STAGE_RESULT, costs.result_return_ms))
+                if fn.io_wait_ms > 0:
+                    # Blocked on external I/O: the poll-based UC releases
+                    # its core while waiting.
+                    ledger.release_core()
+                    yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
+                    yield ledger.request_core()
+                    ledger.core_granted()
+                ledger.check_deadline()
+                ledger.reached(InvocationStage.EXECUTED)
+                yield env.timeout(ledger.charge(STAGE_RESULT, costs.result_return_ms))
+            else:
+                # Nothing another process can see happens at the
+                # boundary, so one timeout ends both stages, at the
+                # instant two would reach; an interrupt in between
+                # settles the pending stage below.
+                merged_boundary = boundary
+                yield env.timeout_at(boundary + costs.result_return_ms)
+                merged_boundary = None
+                ledger.reached(InvocationStage.EXECUTED, at=boundary)
+                ledger.charge_at(STAGE_RESULT, boundary, costs.result_return_ms)
             ledger.reached(InvocationStage.RESULT_RETURNED)
         except OutOfMemoryError as exc:
             if uc is not None:
@@ -394,6 +409,13 @@ def invoke_on_node(
         # policy's eviction, or the stage-boundary gate): the core went
         # back in the ``finally`` above; release the rest now and report
         # the core time burned as wasted work.
+        if merged_boundary is not None and env.now > merged_boundary:
+            # Cut short inside result_return: the books two timeouts
+            # would keep.  At the boundary instant itself the interrupt
+            # wins, as an URGENT interrupt beats a NORMAL timeout due
+            # then, and only execute is billed.
+            ledger.reached(InvocationStage.EXECUTED, at=merged_boundary)
+            ledger.charge_at(STAGE_RESULT, merged_boundary, costs.result_return_ms)
         if captured is not None:
             captured.mark_orphan()  # reaped by the UC teardown below
         if uc is not None:

@@ -306,8 +306,8 @@ class SeussNode:
         ):
             self.crash_for(injector.plan.node_restart_ms)
         if self.crashed:
-            return self.env.process(self._crashed_invocation(fn))
-        return self.env.process(
+            return self.env.start(self._crashed_invocation(fn))
+        return self.env.start(
             invoke_on_node(
                 self, fn, deadline_ms=deadline_ms, cancel_expired=cancel_expired
             )

@@ -27,6 +27,17 @@ cancelled timer handles).
 ``Event.succeed``) build their queue entry inline: one ``heappush`` per
 scheduled event, and no call per processed event beyond ``heappop`` and
 the event's callbacks.
+
+Three primitives spare the request path events that simulate nothing.
+:meth:`Environment.start` runs a process's first step inside the
+caller's step instead of queueing an ``Initialize`` event for it
+(:meth:`Environment.process` still queues it).
+:meth:`Environment.timeout_at` fires at an absolute time, so a process
+can end two back-to-back stages with one timeout at exactly the instant
+two would have reached.  :meth:`Environment.race` waits on an event
+with a watchdog timeout that wakes the process itself, with no
+``AnyOf`` event between them; the loser is detached and the watchdog
+withdrawn.
 """
 
 from __future__ import annotations
@@ -57,6 +68,13 @@ def _bad_delay(delay: float) -> str:
     if delay < 0:
         return f"negative delay {delay}"
     return f"non-finite delay {delay}"
+
+
+def _bad_time(when: float, now: float) -> str:
+    """Why ``when`` failed the ``now <= when < inf`` check."""
+    if when < now:
+        return f"time {when} is in the past (now={now})"
+    return f"non-finite time {when}"
 
 
 class SimulationError(Exception):
@@ -236,6 +254,11 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "_resume")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
+        self._setup(env, generator)
+        Initialize(env, self)
+
+    def _setup(self, env: "Environment", generator: Generator) -> None:
+        """Set the process up, not yet started."""
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
@@ -251,7 +274,6 @@ class Process(Event):
         #: is cleared when the generator exits: a finished process is
         #: freed by reference counting, not left to the cyclic GC.
         self._resume: Optional[Callable[[Event], None]] = self._wake
-        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -349,6 +371,18 @@ class Process(Event):
         immediate._defused = not ok
         immediate.callbacks.append(self._resume)
         self.env._schedule(immediate, priority=URGENT)
+
+
+#: What :meth:`Environment.start` wakes a new process with: an event
+#: already processed with value ``None`` (``_wake`` reads only its
+#: outcome), in place of a queued ``Initialize``.
+_STARTED = Event.__new__(Event)
+_STARTED.env = None
+_STARTED.callbacks = []
+_STARTED._value = None
+_STARTED._ok = True
+_STARTED._state = PROCESSED
+_STARTED._defused = False
 
 
 class Condition(Event):
@@ -496,8 +530,87 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timeout that fires at exactly ``when`` (absolute ms).
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which
+        need not equal ``when`` in floating point; this queues ``when``
+        itself.  ``when`` must be finite and not before ``now``: a bad
+        time raises ``ValueError`` before anything is queued.
+        """
+        now = self.now
+        if not now <= when < INF:
+            raise ValueError(_bad_time(when, now))
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._state = TRIGGERED
+        timeout._defused = False
+        timeout.delay = when - now
+        eid = self._eid = self._eid + 1
+        heappush(self._pending, (when, NORMAL, eid, timeout))
+        return timeout
+
     def process(self, generator: Generator) -> Process:
+        """A process whose first step is queued (an ``Initialize``
+        event at the current instant, ahead of normal events)."""
         return Process(self, generator)
+
+    def start(self, generator: Generator) -> Process:
+        """A process whose first step runs now, before this returns.
+
+        The step runs inside the caller's step instead of behind a
+        queued ``Initialize``, so starting costs no engine event.
+        ``active_process`` is the new process during that step and the
+        caller's again afterwards.  An exception the step raises fails
+        the process, not the caller, as in a queued first step; a
+        generator that returns without yielding triggers the process
+        (its completion is queued as usual).
+        """
+        process = Process.__new__(Process)
+        process._setup(self, generator)
+        caller = self._active_process
+        try:
+            process._wake(_STARTED)
+        finally:
+            self._active_process = caller
+        return process
+
+    def race(self, event: Event, delay: float) -> Generator:
+        """Wait on ``event`` with a ``delay`` ms watchdog.
+
+        Used as ``yield from env.race(event, delay)`` inside a process:
+        the process yields ``event``, and a watchdog timeout armed with
+        the process's own resume callback wakes it instead if it is
+        processed first.  Returns ``event``'s value, or ``None`` when
+        the watchdog won; ``event.processed`` tells the two apart.
+        The loser is let go: a late ``event`` no longer resumes the
+        process and is defused (a later failure of it is not raised),
+        and a watchdog that has not fired is detached and withdrawn,
+        also when the process is interrupted while it waits or its
+        generator is closed.  Of two due at one instant the one
+        processed first wins, the one ``AnyOf([event, watchdog])`` would
+        report, but no ``AnyOf`` event is scheduled.
+        """
+        process = self._active_process
+        if process is None:
+            raise SimulationError("race() must run inside a process")
+        resume = process._resume
+        watchdog = Timeout(self, delay)
+        watchdog.callbacks.append(resume)
+        try:
+            return (yield event)
+        finally:
+            if watchdog._state is TRIGGERED:
+                # Still queued: the event won, or the wait was cut short.
+                watchdog.callbacks.remove(resume)
+                watchdog.cancel()
+            elif event._state != PROCESSED:
+                # The watchdog won: nobody is left to handle a later
+                # failure of the event (``AnyOf`` defuses its losers too).
+                event._defused = True
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

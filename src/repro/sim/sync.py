@@ -105,6 +105,7 @@ class Store:
 
     ``put`` returns an event that triggers when the item is accepted;
     ``get`` returns an event that triggers with the next item.
+    ``put_nowait`` and ``get_nowait`` hand an item over with no event.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -152,10 +153,28 @@ class Store:
         event = Event(self.env)
         if self.items:
             event.succeed(self.items.popleft())
-            while self._putters and len(self.items) < self.capacity:
-                putter, item = self._putters.popleft()
-                self.items.append(item)
-                putter.succeed()
+            if self._putters:
+                self._admit_putters()
         else:
             self._getters.append(event)
         return event
+
+    def get_nowait(self) -> Any:
+        """Take the next item without an event; ``IndexError`` if the
+        store is empty.
+
+        ``get`` pops a held item at once too, but hands it over through
+        an event that wakes the getter at the same instant; a caller
+        that takes the item here carries on in its own step instead.
+        """
+        item = self.items.popleft()
+        if self._putters:
+            self._admit_putters()
+        return item
+
+    def _admit_putters(self) -> None:
+        """Accept blocked puts into the room a get just made."""
+        while self._putters and len(self.items) < self.capacity:
+            putter, item = self._putters.popleft()
+            self.items.append(item)
+            putter.succeed()

@@ -7,9 +7,10 @@ rest of the node; :func:`retained_bytes` measures the memory a cold
 invocation leaves behind; :func:`queue_census` counts what a closed
 loop keeps in the engine's queue; :func:`call_census` counts the calls
 a hot invocation makes, by layer, :func:`deploy_call_census` those of a
-cold and of a warm one, and :func:`null_tracer_census` the calls an
-untraced one makes into the disabled tracer.  Plain Python only, so it
-also runs on interpreters without pytest::
+cold and of a warm one, :func:`event_census` the engine events of a
+cold, a warm and a hot one, by kind, and :func:`null_tracer_census`
+the calls an untraced one makes into the disabled tracer.  Plain
+Python only, so it also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
@@ -207,6 +208,37 @@ def deploy_call_census(invocations: int = 200) -> dict:
     return census
 
 
+def _events_by_kind(env, process) -> Counter:
+    """Engine events processed until ``process`` is, by event class."""
+    kinds: Counter = Counter()
+    while not process.processed:
+        env.peek()  # drops withdrawn entries at the head of the queue
+        kinds[type(env._pending[0][3]).__name__] += 1
+        env.step()
+    return kinds
+
+
+def event_census() -> dict:
+    """Engine events of one cold, one warm and one hot NOP invocation
+    on a default SEUSS cluster, by event class (``Timeout``,
+    ``Request``, ``Process`` completion, ...)."""
+    from repro.faas.cluster import FaasCluster
+    from repro.sim import Environment
+    from repro.workload.functions import nop_function
+
+    env = Environment()
+    cluster = FaasCluster.with_seuss_node(env)
+    fn = nop_function()
+    census = {}
+    for path in ("cold", "warm", "hot"):
+        if path == "warm":
+            cluster.nodes[0].uc_cache.drop_function(fn.key)
+        process = cluster.invoke(fn)
+        census[path] = dict(sorted(_events_by_kind(env, process).items()))
+        assert process.value.path.value == path, process.value
+    return census
+
+
 @contextmanager
 def null_tracer_calls():
     """Count the calls into :class:`NullTracer` and its shared null span
@@ -261,8 +293,9 @@ def main() -> None:
     result of a second (hot) invocation through a cluster, then the
     bytes a cold invocation retains and the entries of the canonical
     and transition tables after it, the engine-queue census of a closed
-    loop, the calls per hot, cold and warm invocation and the
-    null-tracer calls of an untraced hot invocation."""
+    loop, the calls per hot, cold and warm invocation, the engine
+    events per cold, warm and hot invocation and the null-tracer calls
+    of an untraced hot invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -287,6 +320,7 @@ def main() -> None:
     print("engine queue:", queue_census())
     print("calls per hot invocation:", call_census())
     print("calls per deploy:", deploy_call_census())
+    print("engine events per invocation:", event_census())
     print(
         "null-tracer calls per hot invocation:",
         {

@@ -52,6 +52,40 @@ class TestFreshSpace:
             AddressSpace(alloc).write(0, -1)
 
 
+class TestNegativeStart:
+    """A write at a negative page is refused before it allocates, so
+    the allocator and both page sets stay as they were, whichever way
+    the private set is stored."""
+
+    @staticmethod
+    def _space(alloc, storage):
+        space = AddressSpace(alloc)
+        if storage == "list-backed":
+            space.write(0, 2)
+            space.write(10, 1)
+            assert not space._private.frozen
+        elif storage == "memo hit":
+            AddressSpace(alloc).write(0, 2)
+            space.write(0, 2)  # the same transition: a table lookup
+            assert space._private.frozen and space._dirty.frozen
+        else:
+            assert space._private.frozen
+        return space
+
+    @pytest.mark.parametrize("storage", ["list-backed", "frozen", "memo hit"])
+    def test_rejected_write_leaves_the_allocator_unchanged(self, storage):
+        alloc = FrameAllocator(100)
+        space = self._space(alloc, storage)
+        before = alloc.stats()
+        private, dirty = space._private.copy(), space._dirty.copy()
+        faults = space.fault_count
+        with pytest.raises(ValueError, match="negative page number -5"):
+            space.write(-5, 3)
+        assert alloc.stats() == before
+        assert space._private == private and space._dirty == dirty
+        assert space.fault_count == faults
+
+
 class TestDeployFromSnapshot:
     def test_deploy_is_shallow(self, alloc):
         _, base = build_base(alloc)

@@ -16,6 +16,7 @@ from repro.faas import (
     InvocationPath,
     MessageBus,
 )
+from repro.faults import FaultPlan
 from repro.metrics.collector import TrialMetrics
 from repro.seuss.config import SeussConfig
 from repro.sim import AnyOf, Environment, SimulationError
@@ -125,6 +126,31 @@ class TestMessageBus:
         assert bus.stats["t"].max_depth == 2
         assert bus.depth("t") == 2
 
+    def test_take_nowait(self, env):
+        bus = MessageBus(env)
+        bus.publish_nowait("t", "msg")
+        assert bus.take_nowait("t") == "msg"
+        assert bus.stats["t"].consumed == 1
+        assert env.peek() == float("inf")
+        with pytest.raises(IndexError):
+            bus.take_nowait("t")
+
+    def test_a_publish_held_past_dispatch_is_waited_for(self):
+        """The controller takes its ``invoke`` message with no event when
+        the topic holds it; a publish a fault holds back past the
+        dispatch tick is waited for through ``consume`` instead."""
+        fn = nop_function()
+        baseline = FaasCluster.with_seuss_node(Environment()).invoke_sync(fn)
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env, faults=FaultPlan(bus_drop_p=1.0, bus_redeliver_ms=500.0)
+        )
+        result = cluster.invoke_sync(fn)
+        assert result.success and result.path is InvocationPath.COLD
+        held_ms = 500.0 - cluster.controller.pre_node_ms
+        assert result.latency_ms == pytest.approx(baseline.latency_ms + held_ms)
+        assert cluster.controller.bus.stats["invoke"].consumed == 1
+
     def test_negative_latency_rejected(self, env):
         with pytest.raises(ValueError):
             MessageBus(env, hop_latency_ms=-1)
@@ -171,6 +197,32 @@ class TestControllerAndCluster:
         before = env.events_processed
         result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.HOT
+        assert env.events_processed - before == 10
+
+    def test_warm_invocation_event_budget(self):
+        """A warm ``invoke`` (function snapshot cached, no idle UC)
+        costs 3 events more than a hot one: the UC's creation, its
+        connection and its copy-on-write faults."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env, config=SeussConfig(cache_idle_ucs=False)
+        )
+        fn = nop_function()
+        cluster.invoke_sync(fn)
+        before = env.events_processed
+        result = cluster.invoke_sync(fn)
+        assert result.path is InvocationPath.WARM
+        assert env.events_processed - before == 13
+
+    def test_cold_invocation_event_budget(self):
+        """The first ``invoke`` of a function on a fresh cluster costs
+        2 events more than a warm one: the code import and the snapshot
+        capture."""
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(env)
+        before = env.events_processed
+        result = cluster.invoke_sync(nop_function())
+        assert result.path is InvocationPath.COLD
         assert env.events_processed - before == 15
 
     def test_finished_invocations_are_freed_before_their_watchdogs(self):

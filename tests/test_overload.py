@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import trace
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.experiments.overload import (
     DEADLINE_MS,
@@ -32,12 +33,13 @@ from repro.faas.overload import (
     RetryBudget,
     ShedPolicy,
 )
-from repro.faas.records import InvocationPath, InvocationRequest
+from repro.faas.records import InvocationPath, InvocationRequest, InvocationStage
 from repro.linuxnode.config import LinuxNodeConfig
 from repro.linuxnode.node import LinuxNode
 from repro.metrics.resilience import ResilienceReport, goodput_per_sec
 from repro.seuss.node import SeussNode
 from repro.sim import Environment
+from repro.trace import Tracer
 from repro.workload.functions import (
     cpu_bound_function,
     io_bound_function,
@@ -375,6 +377,116 @@ class TestLinuxEndings:
         assert result.wasted_ms == pytest.approx(self.BODY_MS)
         assert node.wasted_ms == before + result.wasted_ms
         assert node.useful_ms == pytest.approx(self.BODY_MS)  # the warm-up
+
+
+class TestSeussEndings:
+    """Cancelling a SEUSS invocation around its last two stages.
+
+    With nothing another process can see between them, ``execute`` and
+    ``result_return`` end with one timeout at the boundary plus the
+    result's cost.  A cancellation (a shed, here: no deadline is set)
+    settles the books two timeouts would keep: before the boundary only
+    ``execute`` is billed, after it ``EXECUTED`` is stamped at the
+    boundary and ``result_return`` billed too.  At the boundary instant
+    itself the interrupt wins, as an URGENT interrupt beats a NORMAL
+    timeout due at the same instant."""
+
+    BODY_MS = 200.0
+
+    @pytest.fixture
+    def warmed(self):
+        """A SEUSS node holding one idle UC of the victim."""
+        node = SeussNode(Environment())
+        node.initialize_sync()
+        fn = cpu_bound_function("victim", owner="t", exec_ms=self.BODY_MS)
+        node.env.run(until=node.invoke(fn))
+        return node, fn
+
+    def _cancel(self, node, fn, offset_ms):
+        """Run a hot invocation, cancel it ``offset_ms`` after its
+        execute/result_return boundary, and return the result, its
+        start and the boundary."""
+        env = node.env
+        start = env.now
+        boundary = (start + node.costs.seuss.arg_import_ms) + fn.exec_ms
+        before = node.wasted_ms
+        process = node.invoke(fn, cancel_expired=True)
+        env.run(until=boundary + offset_ms)
+        assert process.cancel(DeadlineExceededError("shed"))
+        result = env.run(until=process)
+        assert result.path is InvocationPath.HOT
+        assert result.cancelled and not result.success
+        assert result.wasted_ms == env.now - start  # the core, all along
+        assert node.wasted_ms == before + result.wasted_ms
+        assert node.cancelled_count == 1 and node.useful_ms > 0.0
+        # The core, the UC's frames and its channel went back.
+        assert node.cores.count == 0
+        assert node.allocator.category_pages("uc_private") == 0
+        assert node.allocator.category_pages("uc_page_table") == 0
+        assert node.network.active_channels == 0
+        assert len(node.uc_cache) == 0
+        return result, start, boundary
+
+    @staticmethod
+    def _stages(node, fn, returned=False):
+        """The breakdown billed so far: through ``execute``, and
+        ``result_return`` too when ``returned``."""
+        costs = node.costs.seuss
+        stages = {"arg_import": costs.arg_import_ms, "execute": fn.exec_ms}
+        if returned:
+            stages["result_return"] = costs.result_return_ms
+        return stages
+
+    def test_cancel_inside_execute_bills_only_execute(self, warmed):
+        node, fn = warmed
+        result, start, boundary = self._cancel(node, fn, -self.BODY_MS / 2)
+        assert result.breakdown == self._stages(node, fn)
+        assert InvocationStage.EXECUTED not in result.stage_times
+        assert result.stage_times[InvocationStage.ARGUMENTS_LOADED] == (
+            start + node.costs.seuss.arg_import_ms
+        )
+        assert result.wasted_ms == pytest.approx(boundary - self.BODY_MS / 2 - start)
+
+    def test_cancel_inside_result_return_settles_both_stages(self, warmed):
+        node, fn = warmed
+        half = node.costs.seuss.result_return_ms / 2
+        result, start, boundary = self._cancel(node, fn, half)
+        assert result.breakdown == self._stages(node, fn, returned=True)
+        assert result.stage_times[InvocationStage.EXECUTED] == boundary
+        assert InvocationStage.RESULT_RETURNED not in result.stage_times
+        assert result.wasted_ms == pytest.approx(boundary + half - start)
+
+    def test_cancel_at_the_boundary_bills_only_execute(self, warmed):
+        node, fn = warmed
+        result, start, boundary = self._cancel(node, fn, 0.0)
+        assert result.breakdown == self._stages(node, fn)
+        assert InvocationStage.EXECUTED not in result.stage_times
+        assert result.wasted_ms == boundary - start
+
+    def test_traced_cancellation_tiles_the_settled_stages(self, warmed):
+        """The settled ``result_return`` span runs from the boundary
+        for the stage's full cost, as a second timeout would record it;
+        the root ends at the cancellation."""
+        node, fn = warmed
+        tracer = trace.enable(Tracer())
+        try:
+            half = node.costs.seuss.result_return_ms / 2
+            _, _, boundary = self._cancel(node, fn, half)
+        finally:
+            trace.disable()
+        (root,) = [
+            span
+            for span in tracer.roots("invocation")
+            if span.attrs.get("cancelled")
+        ]
+        stages = {child.name: child for child in tracer.children(root)}
+        assert stages["execute"].end_ms == boundary
+        assert stages["result_return"].start_ms == boundary
+        assert (
+            stages["result_return"].end_ms
+            == boundary + node.costs.seuss.result_return_ms
+        )
+        assert root.end_ms == boundary + half
 
 
 class TestCoreTimeLaw:

@@ -566,3 +566,272 @@ class TestRunUntilEvent:
         env.run()
         assert done == [True]
         assert env.now == 10.0
+
+
+class TestStart:
+    """``Environment.start``: the first step runs inside the caller's."""
+
+    def test_first_step_runs_before_start_returns(self, env):
+        steps = []
+
+        def proc():
+            steps.append(("first", env.now, env.active_process))
+            yield env.timeout(3)
+            steps.append(("second", env.now))
+
+        process = env.start(proc())
+        assert steps == [("first", 0.0, process)]
+        assert env.active_process is None
+        env.run()
+        assert steps[-1] == ("second", 3.0)
+
+    def test_process_keeps_its_queued_first_step(self, env):
+        steps = []
+
+        def proc():
+            steps.append(env.now)
+            yield env.timeout(3)
+
+        env.process(proc())
+        assert steps == []
+        env.step()  # the Initialize event
+        assert steps == [0.0]
+
+    def test_starting_costs_no_event(self, env):
+        def proc():
+            yield env.timeout(3)
+
+        env.run(until=env.process(proc()))
+        queued = env.events_processed
+        env.run(until=env.start(proc()))
+        # Initialize, timeout and completion; timeout and completion.
+        assert (queued, env.events_processed - queued) == (3, 2)
+
+    def test_caller_is_the_active_process_again_afterwards(self, env):
+        seen = []
+
+        def inner():
+            seen.append(("inner", env.active_process))
+            yield env.timeout(1)
+
+        def outer():
+            child = env.start(inner())
+            seen.append(("outer", env.active_process, child))
+            yield child
+
+        parent = env.process(outer())
+        env.run()
+        (_, in_child), (_, in_parent, child) = seen
+        assert in_child is child
+        assert in_parent is parent
+
+    def test_exception_in_first_step_fails_the_process(self, env):
+        def broken():
+            raise KeyError("first step")
+            yield  # pragma: no cover - makes this a generator
+
+        caught = []
+
+        def caller():
+            process = env.start(broken())  # does not raise here
+            assert process.triggered and not process.ok
+            try:
+                yield process
+            except KeyError as error:
+                caught.append(error.args[0])
+
+        env.run(until=env.process(caller()))
+        assert caught == ["first step"]
+
+    def test_unwaited_failure_still_surfaces(self, env):
+        def broken():
+            raise KeyError("first step")
+            yield  # pragma: no cover - makes this a generator
+
+        env.start(broken())
+        with pytest.raises(KeyError):
+            env.run()
+
+    def test_generator_returning_at_once_triggers(self, env):
+        def immediate():
+            return 7
+            yield  # pragma: no cover - makes this a generator
+
+        process = env.start(immediate())
+        assert process.triggered and not process.processed
+        assert env.run(until=process) == 7
+        assert env.events_processed == 1
+
+    def test_non_generator_rejected(self, env):
+        with pytest.raises(TypeError):
+            env.start(lambda: None)
+
+
+class TestTimeoutAt:
+    """``Environment.timeout_at``: a timeout at an absolute time."""
+
+    def test_fires_at_exactly_the_given_time(self):
+        env = Environment(0.1)
+        # Two stages of 0.2 and 0.3 ms end here; one relative timeout
+        # of their sum would end at 0.1 + 0.5 == 0.6, a different float.
+        when = (0.1 + 0.2) + 0.3
+        assert env.now + (0.2 + 0.3) != when
+        fired = []
+        env.timeout_at(when).callbacks.append(lambda event: fired.append(env.now))
+        env.run()
+        assert fired == [when]
+
+    def test_fires_where_a_relative_delay_cannot(self):
+        env = Environment(1.0)
+        when = 2.0**53 + 2
+        assert env.now + (when - env.now) != when
+        timeout = env.timeout_at(when, value="v")
+        assert env.run(until=timeout) == "v"
+        assert env.now == when
+
+    def test_now_is_allowed(self, env):
+        env.run(until=4.0)
+        timeout = env.timeout_at(4.0)
+        env.run()
+        assert timeout.processed and env.now == 4.0
+
+    def test_past_time_rejected_before_queueing(self, env):
+        env.run(until=5.0)
+        with pytest.raises(ValueError, match="in the past"):
+            env.timeout_at(4.0)
+        assert env.peek() == float("inf")
+
+    @pytest.mark.parametrize("when", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected_before_queueing(self, env, when):
+        with pytest.raises(ValueError, match="non-finite time"):
+            env.timeout_at(when)
+        assert env.peek() == float("inf")
+
+
+class TestRace:
+    """``Environment.race``: an awaited event against a watchdog that
+    wakes the process itself, with no ``AnyOf`` event between them."""
+
+    def test_event_first_withdraws_the_watchdog(self, env):
+        def proc():
+            event = env.timeout(3, value="answer")
+            value = yield from env.race(event, 10)
+            return value, env.now, event.processed
+
+        assert env.run(until=env.process(proc())) == ("answer", 3.0, True)
+        assert env.peek() == float("inf")
+        # Initialize, the awaited timeout, the completion: no AnyOf.
+        assert env.events_processed == 3
+
+    def test_watchdog_first_lets_the_event_go(self, env):
+        log = []
+
+        def proc():
+            event = env.timeout(10, value="answer")
+            value = yield from env.race(event, 3)
+            log.append((value, env.now, event.processed))
+            yield env.timeout(20)  # past the event: it must not wake us
+            log.append(("done", env.now))
+
+        env.process(proc())
+        env.run()
+        assert log == [(None, 3.0, False), ("done", 23.0)]
+
+    @pytest.mark.parametrize("awaited", ["timeout", "process"])
+    def test_a_tie_goes_to_the_one_any_of_picks(self, awaited):
+        """Both due at t=5: the race's winner is the component ``AnyOf``
+        reports.  A timeout made before the watchdog is processed first;
+        a process completes only once its last timeout is processed, so
+        its completion is queued behind the watchdog."""
+
+        def winner(use_race):
+            env = Environment()
+
+            def child():
+                yield env.timeout(5)
+                return "answer"
+
+            def waiter():
+                if awaited == "timeout":
+                    event = env.timeout(5, value="answer")
+                else:
+                    event = env.start(child())
+                if use_race:
+                    value = yield from env.race(event, 5)
+                    return "event" if value == "answer" else "watchdog"
+                watchdog = env.timeout(5, value="watchdog")
+                fired = yield AnyOf(env, [event, watchdog])
+                return "event" if event in fired else "watchdog"
+
+            return env.run(until=env.process(waiter()))
+
+        assert winner(use_race=True) == winner(use_race=False)
+        assert winner(use_race=True) == (
+            "event" if awaited == "timeout" else "watchdog"
+        )
+
+    def test_interrupt_while_racing_withdraws_the_watchdog(self, env):
+        log = []
+
+        def victim():
+            try:
+                yield from env.race(env.timeout(50), 10)
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, env.now))
+            yield env.timeout(20)  # past the watchdog's due time
+            log.append(("done", env.now))
+
+        target = env.process(victim())
+
+        def attacker():
+            yield env.timeout(5)
+            target.interrupt("stop")
+
+        env.process(attacker())
+        env.run()
+        assert log == [("stop", 5.0), ("done", 25.0)]
+        assert env.now == 50.0  # the awaited timeout fired unwaited
+        assert env._withdrawn == 0  # the watchdog entry was dropped
+
+    def test_closing_the_generator_withdraws_the_watchdog(self, env):
+        def waiter():
+            yield from env.race(env.event(), 10)
+
+        process = env.start(waiter())
+        assert env.peek() == 10.0
+        process._generator.close()
+        assert env.peek() == float("inf")
+
+    def test_failed_event_raises_in_the_racer(self, env):
+        def failing():
+            yield env.timeout(2)
+            raise KeyError("node")
+
+        def proc():
+            try:
+                yield from env.race(env.start(failing()), 10)
+            except KeyError:
+                return env.now
+
+        assert env.run(until=env.process(proc())) == 2.0
+        assert env.peek() == float("inf")
+
+    def test_a_loser_failing_later_is_defused(self, env):
+        """As ``AnyOf`` defuses its losers: an awaited process that
+        fails after the watchdog won raises nowhere."""
+
+        def failing():
+            yield env.timeout(10)
+            raise KeyError("late")
+
+        def proc():
+            yield from env.race(env.start(failing()), 3)
+            return env.now
+
+        assert env.run(until=env.process(proc())) == 3.0
+        env.run()  # the late failure is not raised
+        assert env.now == 10.0
+
+    def test_outside_a_process_is_refused(self, env):
+        with pytest.raises(SimulationError, match="inside a process"):
+            next(env.race(env.event(), 10))

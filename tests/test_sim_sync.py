@@ -203,3 +203,26 @@ class TestStorePutNowait:
         with pytest.raises(SimulationError, match="unbounded"):
             store.put_nowait(1)
         assert len(store) == 0
+
+
+class TestStoreGetNowait:
+    def test_takes_in_order_without_an_event(self, env):
+        store = Store(env)
+        store.put_nowait("a")
+        store.put_nowait("b")
+        assert store.get_nowait() == "a"
+        assert store.get_nowait() == "b"
+        assert env.peek() == float("inf")
+        assert env.events_processed == 0
+
+    def test_empty_store_raises_index_error(self, env):
+        with pytest.raises(IndexError):
+            Store(env).get_nowait()
+
+    def test_admits_a_blocked_put(self, env):
+        store = Store(env, capacity=1)
+        store.put("first")
+        blocked = store.put("second")
+        assert store.get_nowait() == "first"
+        assert blocked.triggered
+        assert list(store.items) == ["second"]
