@@ -1,6 +1,6 @@
 # Development entry points.
 
-.PHONY: install test bench perfgate chaos overload scale density keepalive repro repro-quick trace examples clean
+.PHONY: install test bench perfgate census chaos overload scale density keepalive repro repro-quick trace examples clean
 
 install:
 	pip install -e .
@@ -29,6 +29,12 @@ bench:
 #   python -m benchmarks.perf_gate --update-baseline
 perfgate:
 	python -m benchmarks.perf_gate --check --out perf-gate.json
+
+# What one retained object, one hot invocation and one invocation per
+# path cost: tracked objects, retained bytes, engine-queue entries,
+# calls by layer and engine events by kind on both backends (CI runs it).
+census:
+	python -c "from tests.census import main; main()"
 
 # Fault-injection acceptance suite + degradation sweep (fixed seeds).
 chaos:

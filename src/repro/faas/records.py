@@ -284,11 +284,13 @@ class InvocationLedger:
             )
 
     def request_core(self):
-        """Queue for a core: yield the request, then call
-        :meth:`core_granted`."""
-        self._core = self.node.cores.request()
+        """Claim a core (:meth:`~repro.sim.Resource.claim`): yield the
+        claim only while it is queued, then call :meth:`core_granted`.
+        A free core is held at once, and the claim comes back processed
+        with no event queued."""
+        self._core = claim = self.node.cores.claim()
         self._queue_started = self.env.now
-        return self._core
+        return claim
 
     def core_granted(self) -> None:
         self._core_acquired_at = now = self.env.now

@@ -350,13 +350,17 @@ class LinuxNode:
             ledger.reached(InvocationStage.ARGUMENTS_LOADED)
             ledger.check_deadline()
             try:
-                yield ledger.request_core()
+                core = ledger.request_core()
+                if not core.processed:
+                    yield core
                 ledger.core_granted()
                 yield env.timeout(ledger.charge(STAGE_EXEC, fn.exec_ms))
                 if fn.io_wait_ms > 0:
                     ledger.release_core()
                     yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
-                    yield ledger.request_core()
+                    core = ledger.request_core()
+                    if not core.processed:
+                        yield core
                     ledger.core_granted()
             finally:
                 ledger.release_core()

@@ -144,7 +144,9 @@ def invoke_on_node(
         ledger.path = path
 
         try:
-            yield ledger.request_core()
+            core = ledger.request_core()
+            if not core.processed:
+                yield core
             ledger.core_granted()
             ledger.check_deadline()
             if path is not InvocationPath.HOT:
@@ -347,7 +349,9 @@ def invoke_on_node(
                     # its core while waiting.
                     ledger.release_core()
                     yield env.timeout(ledger.charge(STAGE_IO_WAIT, fn.io_wait_ms))
-                    yield ledger.request_core()
+                    core = ledger.request_core()
+                    if not core.processed:
+                        yield core
                     ledger.core_granted()
                 ledger.check_deadline()
                 ledger.reached(InvocationStage.EXECUTED)

@@ -333,9 +333,10 @@ class SeussNode:
         yet)".  Returns the deployed :class:`UnikernelContext`.
         """
         record = self.runtime_record(runtime_name)
-        core = self.cores.request()
-        yield core
+        core = self.cores.claim()
         try:
+            if not core.processed:
+                yield core
             uc = UnikernelContext(
                 self.allocator,
                 record.runtime,

@@ -1,9 +1,10 @@
 """Synchronization primitives built on the event loop.
 
-:class:`Resource` models a pool of identical slots (CPU cores, the shim's
-single TCP connection, Docker-daemon worker threads).  :class:`Store`
-models a FIFO hand-off queue (the platform work queue, message-bus
-topics).
+:class:`Resource` models a pool of identical slots (CPU cores, the
+interconnect's NICs); its :meth:`~Resource.claim` takes a free slot
+with no grant event.
+:class:`Store` models a FIFO hand-off queue (the platform work queue,
+message-bus topics).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Any, Deque, List
 from repro.sim.core import (
     NORMAL,
     PENDING,
+    PROCESSED,
     TRIGGERED,
     Environment,
     Event,
@@ -36,6 +38,9 @@ class Request(Event):
             ...  # hold the slot
         finally:
             resource.release(req)
+
+    :meth:`Resource.claim` makes one that is already processed when a
+    slot is free, so the process waits on it only while it is queued.
     """
 
     __slots__ = ("resource",)
@@ -79,8 +84,40 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        """Claim a slot: granted now if one is free, else queued FIFO."""
+        """Claim a slot: granted now if one is free, else queued FIFO.
+
+        The grant is an event even when a slot is free: a process that
+        yields the request wakes through it at the current instant.
+        """
         return Request(self)
+
+    def claim(self) -> Request:
+        """Claim a slot, with no grant event when one is free.
+
+        A free slot is held at once and the claim comes back already
+        processed: nothing is queued, and the claimant carries on in its
+        own step.  With every slot held it queues FIFO behind earlier
+        requests and claims, and :meth:`release` grants it through an
+        event, as it grants a request.  So the claimant yields it only
+        while it is queued::
+
+            claim = resource.claim()
+            if not claim.processed:
+                yield claim
+        """
+        users = self.users
+        if len(users) >= self.capacity:
+            return Request(self)
+        claim = Request.__new__(Request)
+        claim.env = self.env
+        claim.callbacks = []
+        claim._value = None
+        claim._ok = True
+        claim._state = PROCESSED
+        claim._defused = False
+        claim.resource = self
+        users.append(claim)
+        return claim
 
     def release(self, request: Request) -> None:
         """Return a held (or no-longer-wanted) slot."""

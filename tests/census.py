@@ -7,10 +7,10 @@ rest of the node; :func:`retained_bytes` measures the memory a cold
 invocation leaves behind; :func:`queue_census` counts what a closed
 loop keeps in the engine's queue; :func:`call_census` counts the calls
 a hot invocation makes, by layer, :func:`deploy_call_census` those of a
-cold and of a warm one, :func:`event_census` the engine events of a
-cold, a warm and a hot one, by kind, and :func:`null_tracer_census`
-the calls an untraced one makes into the disabled tracer.  Plain
-Python only, so it also runs on interpreters without pytest::
+cold and of a warm one, :func:`event_census` the engine events of each
+path on each backend, by kind, and :func:`null_tracer_census` the calls
+an untraced one makes into the disabled tracer.  Plain Python only, so
+it also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
 """
@@ -219,23 +219,29 @@ def _events_by_kind(env, process) -> Counter:
 
 
 def event_census() -> dict:
-    """Engine events of one cold, one warm and one hot NOP invocation
-    on a default SEUSS cluster, by event class (``Timeout``,
-    ``Request``, ``Process`` completion, ...)."""
+    """Engine events of one NOP invocation per path on a default cluster
+    of each backend, by event class (``Timeout``, ``Request``,
+    ``Process`` completion, ...): cold, warm and hot on SEUSS, cold and
+    hot on Linux (a Linux warm start needs a stemcell)."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
 
-    env = Environment()
-    cluster = FaasCluster.with_seuss_node(env)
-    fn = nop_function()
     census = {}
-    for path in ("cold", "warm", "hot"):
-        if path == "warm":
-            cluster.nodes[0].uc_cache.drop_function(fn.key)
-        process = cluster.invoke(fn)
-        census[path] = dict(sorted(_events_by_kind(env, process).items()))
-        assert process.value.path.value == path, process.value
+    for backend, paths in (
+        ("seuss", ("cold", "warm", "hot")),
+        ("linux", ("cold", "hot")),
+    ):
+        env = Environment()
+        cluster = getattr(FaasCluster, f"with_{backend}_node")(env)
+        fn = nop_function()
+        by_path = census[backend] = {}
+        for path in paths:
+            if path == "warm":
+                cluster.nodes[0].uc_cache.drop_function(fn.key)
+            process = cluster.invoke(fn)
+            by_path[path] = dict(sorted(_events_by_kind(env, process).items()))
+            assert process.value.path.value == path, process.value
     return census
 
 
@@ -294,8 +300,8 @@ def main() -> None:
     bytes a cold invocation retains and the entries of the canonical
     and transition tables after it, the engine-queue census of a closed
     loop, the calls per hot, cold and warm invocation, the engine
-    events per cold, warm and hot invocation and the null-tracer calls
-    of an untraced hot invocation."""
+    events per invocation on each path of each backend and the
+    null-tracer calls of an untraced hot invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function

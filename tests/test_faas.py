@@ -19,7 +19,7 @@ from repro.faas import (
 from repro.faults import FaultPlan
 from repro.metrics.collector import TrialMetrics
 from repro.seuss.config import SeussConfig
-from repro.sim import AnyOf, Environment, SimulationError
+from repro.sim import Environment, Process, SimulationError
 from repro.workload.functions import io_bound_function, nop_function, unique_nop_set
 from repro.workload.generator import LoadGenerator, TrialConfig
 
@@ -188,7 +188,11 @@ class TestControllerAndCluster:
     def test_hot_invocation_event_budget(self):
         """Engine events one hot ``invoke`` costs on a warmed default
         cluster.  Pinned exactly: an event added to the hot path fails
-        here (the bus publish nothing waits on schedules none)."""
+        here (the bus publish nothing waits on schedules none, nor do
+        the shim's line and the claim of a free core).  The seven: the
+        pre-node timeout, the shim departure, ``arg_import``, the
+        merged ``execute``/``result_return`` timeout, the node
+        process's end, the post-node timeout and the controller's end."""
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         fn = nop_function()
@@ -197,7 +201,7 @@ class TestControllerAndCluster:
         before = env.events_processed
         result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.HOT
-        assert env.events_processed - before == 10
+        assert env.events_processed - before == 7
 
     def test_warm_invocation_event_budget(self):
         """A warm ``invoke`` (function snapshot cached, no idle UC)
@@ -212,7 +216,7 @@ class TestControllerAndCluster:
         before = env.events_processed
         result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.WARM
-        assert env.events_processed - before == 13
+        assert env.events_processed - before == 10
 
     def test_cold_invocation_event_budget(self):
         """The first ``invoke`` of a function on a fresh cluster costs
@@ -223,29 +227,56 @@ class TestControllerAndCluster:
         before = env.events_processed
         result = cluster.invoke_sync(nop_function())
         assert result.path is InvocationPath.COLD
-        assert env.events_processed - before == 15
+        assert env.events_processed - before == 12
+
+    def test_linux_hot_invocation_event_budget(self):
+        """A hot ``invoke`` on a default Linux cluster: the pre-node
+        timeout, the hot container stage, ``execute`` (on a claimed
+        free core), the node process's end, the post-node timeout and
+        the controller's end.  No shim, so one fewer than SEUSS."""
+        env = Environment()
+        cluster = FaasCluster.with_linux_node(env)
+        fn = nop_function()
+        cluster.invoke_sync(fn)
+        before = env.events_processed
+        result = cluster.invoke_sync(fn)
+        assert result.path is InvocationPath.HOT
+        assert env.events_processed - before == 6
+
+    def test_linux_cold_invocation_event_budget(self):
+        """The first ``invoke`` on a fresh Linux cluster costs one event
+        more than a hot one: the container's creation and code import
+        take two stages where the hot container took one."""
+        env = Environment()
+        cluster = FaasCluster.with_linux_node(env)
+        before = env.events_processed
+        result = cluster.invoke_sync(nop_function())
+        assert result.path is InvocationPath.COLD
+        assert env.events_processed - before == 7
 
     def test_finished_invocations_are_freed_before_their_watchdogs(self):
-        """Each node attempt races a ``request_timeout_ms`` watchdog
-        with ``AnyOf``.  When the node wins, the watchdog is withdrawn,
-        so nothing is left queued: the finished invocation's ``AnyOf``
-        (and the node process behind it) is freed at once, and a drain
-        processes nothing and leaves the clock where the last request
-        finished."""
+        """Each node attempt races its node process against a
+        ``request_timeout_ms`` watchdog with ``env.race``, which arms
+        the watchdog with the controller process's own resume callback.
+        When the node wins, the watchdog is detached and withdrawn, so
+        it holds neither process: after a collection no controller or
+        node process of a finished invocation is left, nothing is
+        queued, and a drain processes nothing and leaves the clock
+        where the last request finished."""
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         fn = nop_function()
         for _ in range(52):  # two warm-ups, then 50 hot invocations
             result = cluster.invoke_sync(fn)
         assert result.path is InvocationPath.HOT
-        assert env.peek() == float("inf")
         gc.collect()
         live = [
-            obj
+            obj._generator.__name__
             for obj in gc.get_objects()
-            if isinstance(obj, AnyOf) and obj.env is env
+            if isinstance(obj, Process) and obj.env is env
         ]
         assert live == []
+        assert env.peek() == float("inf")
         before = env.events_processed
         env.run()
         assert env.events_processed == before

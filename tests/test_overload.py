@@ -489,6 +489,46 @@ class TestSeussEndings:
         assert root.end_ms == boundary + half
 
 
+class TestCancelAtTheClaim:
+    """A cancel delivered at the instant a SEUSS invocation claims a free
+    core.  The claim holds the core at once, with no grant event to
+    wait on, so the invocation has already entered its first stage when
+    the interrupt lands: that stage is billed (a stage is billed when
+    its timeout is yielded), no core time has passed, so nothing is
+    wasted, and the core, the UC's frames and its channel go back."""
+
+    @pytest.mark.parametrize(
+        "path, first_stage", [("hot", "arg_import"), ("cold", "uc_create")]
+    )
+    def test_the_cancel_meets_the_first_stage(self, path, first_stage):
+        node = SeussNode(Environment())
+        node.initialize_sync()
+        fn = cpu_bound_function("victim", owner="t", exec_ms=200.0)
+        if path == "hot":
+            node.env.run(until=node.invoke(fn))
+        env = node.env
+        start = env.now
+        process = node.invoke(fn, cancel_expired=True)
+        assert node.cores.count == 1  # claimed in the process's first step
+        assert process.cancel(DeadlineExceededError("shed"))
+        result = env.run(until=process)
+        assert result.path.value == path
+        assert result.cancelled and not result.success
+        assert env.now == start
+        costs = node.costs.seuss
+        assert result.breakdown == {first_stage: getattr(costs, f"{first_stage}_ms")}
+        assert InvocationStage.ARGUMENTS_LOADED not in result.stage_times
+        assert result.wasted_ms == 0.0 and node.wasted_ms == 0.0
+        assert result.pages_copied == 0
+        assert node.cancelled_count == 1
+        # The core, the UC's frames and its channel went back.
+        assert node.cores.count == 0 and not node.cores.queue
+        assert node.allocator.category_pages("uc_private") == 0
+        assert node.allocator.category_pages("uc_page_table") == 0
+        assert node.network.active_channels == 0
+        assert len(node.uc_cache) == 0
+
+
 class TestCoreTimeLaw:
     """``useful_ms`` is the core time completed invocations held, on
     both node types: the stages billed while holding a core."""

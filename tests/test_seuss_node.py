@@ -9,7 +9,7 @@ from repro.faas.records import InvocationPath
 from repro.seuss.config import AOLevel, SeussConfig
 from repro.seuss.node import SeussNode
 from repro.seuss.security import attack_surface_reduction_factor, interface_comparison
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.workload.functions import nop_function
 from tests.conftest import make_seuss_node
 
@@ -160,6 +160,29 @@ class TestMemoryPressure:
         cached = seuss_node.snapshot_cache.get(fn.key)
         seuss_node.uc_cache.drop_function(fn.key)
         assert cached.refcount == 1  # only the cache's reference
+
+
+class TestIdleDeploy:
+    def test_an_interrupt_while_queued_for_a_core_drops_the_claim(self, seuss_node):
+        """A deploy interrupted while it waits for a core takes its claim
+        off the queue: once every other deploy is done, no core is held."""
+        env = seuss_node.env
+        cores = seuss_node.cores
+
+        def deploy():
+            try:
+                return (yield from seuss_node.deploy_idle_instance())
+            except Interrupt:
+                return None
+
+        deploys = [env.process(deploy()) for _ in range(cores.capacity + 1)]
+        env.run(until=env.now)  # every deploy has claimed or queued
+        assert cores.count == cores.capacity and len(cores.queue) == 1
+        deploys[-1].interrupt()
+        env.run()
+        assert deploys[-1].value is None
+        assert all(deploy.value is not None for deploy in deploys[:-1])
+        assert cores.count == 0 and not cores.queue
 
 
 class TestSecurityModel:

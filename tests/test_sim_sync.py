@@ -85,6 +85,88 @@ class TestResource:
         assert finish_times == [10.0, 10.0, 10.0]
 
 
+class TestResourceClaim:
+    def test_free_slot_is_held_at_once_without_an_event(self, env):
+        resource = Resource(env, capacity=2)
+        claim = resource.claim()
+        assert claim.processed and claim.ok and claim.value is None
+        assert resource.users == [claim] and resource.count == 1
+        assert env._pending == []
+        env.run()
+        assert env.events_processed == 0
+
+    def test_a_process_carries_on_in_its_own_step(self, env):
+        resource = Resource(env, capacity=1)
+        held_at = []
+
+        def worker():
+            claim = resource.claim()
+            if not claim.processed:
+                yield claim
+            held_at.append(env.now)
+            yield env.timeout(5)
+            resource.release(claim)
+
+        env.run(until=3.0)
+        env.start(worker())
+        assert held_at == [3.0] and resource.count == 1
+        env.run()
+        # The timeout and the process's end; no grant.
+        assert env.events_processed == 2
+        assert resource.count == 0
+
+    def test_full_resource_queues_fifo_and_release_grants_through_one_event(
+        self, env
+    ):
+        resource = Resource(env, capacity=1)
+        held = resource.claim()
+        first, second = resource.claim(), resource.claim()
+        assert not first.triggered and not second.triggered
+        assert list(resource.queue) == [first, second]
+        assert env._pending == []
+        env.run(until=5.0)
+        resource.release(held)
+        assert resource.users == [first] and list(resource.queue) == [second]
+        # One grant event, at the release instant.
+        assert [(when, event) for when, _, _, event in env._pending] == [
+            (5.0, first)
+        ]
+        env.run()
+        assert first.processed and not second.triggered
+        assert env.events_processed == 1
+
+    def test_releasing_a_queued_claim_drops_it(self, env):
+        resource = Resource(env, capacity=1)
+        held = resource.claim()
+        queued = resource.claim()
+        resource.release(queued)
+        assert resource.users == [held] and not resource.queue
+        resource.release(held)
+        assert resource.count == 0
+        assert env._pending == []  # nobody left to grant
+        assert not queued.triggered
+
+    def test_mixed_with_requests_keeps_fifo_order(self, env):
+        resource = Resource(env, capacity=1)
+        finished = []
+
+        def worker(name, kind):
+            slot = getattr(resource, kind)()
+            if not slot.processed:
+                yield slot
+            try:
+                yield env.timeout(10)
+            finally:
+                resource.release(slot)
+            finished.append((name, env.now))
+
+        kinds = ["request", "claim", "claim", "request", "claim", "request"]
+        for index, kind in enumerate(kinds):
+            env.process(worker(index, kind))
+        env.run()
+        assert finished == [(index, 10.0 * (index + 1)) for index in range(6)]
+
+
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
