@@ -110,9 +110,12 @@ class MessageBus:
         Hands off through :meth:`Store.put_nowait`, so a publish nothing
         waits on costs no engine event.
         """
-        if self._disrupted(topic, message):
+        if self.injector is not None and self._disrupted(topic, message):
             return
-        store = self._topic(topic)
+        # ``Store`` defines ``__len__``: an empty topic is falsy.
+        store = self._topics.get(topic)
+        if store is None:
+            store = self._topic(topic)
         store.put_nowait(message)
         stats = self.stats[topic]
         stats.published += 1
@@ -130,6 +133,9 @@ class MessageBus:
         Raises ``IndexError`` when the topic holds none (a publish that
         a fault delayed); :meth:`consume` then waits for one.
         """
-        message = self._topic(topic).get_nowait()
+        store = self._topics.get(topic)
+        if store is None:
+            store = self._topic(topic)
+        message = store.get_nowait()
         self.stats[topic].consumed += 1
         return message

@@ -115,6 +115,7 @@ class AddressSpace:
         "name",
         "_allocator",
         "_base",
+        "_stack",
         "_dedup",
         "_private",
         "_dirty",
@@ -148,8 +149,12 @@ class AddressSpace:
                     f"cannot deploy from deleted snapshot {base.name!r}"
                 )
             base.retain()
-            mapped = base.stack_page_count()
+            # The base is held, so it cannot be deleted and its stack
+            # union cannot change: reads look it up here, once.
+            self._stack = base.stack_pages_view()
+            mapped = self._stack.page_count
         else:
+            self._stack = None
             mapped = 0
         # The shallow page-table copy is the only memory cost of deploying
         # from a snapshot.
@@ -210,9 +215,9 @@ class AddressSpace:
 
     def mapped_pages(self) -> IntervalSet:
         """All pages readable in this space (stack + private)."""
-        if self._base is None:
+        if self._stack is None:
             return self._private.copy()
-        return self._base.stack_pages_view().union(self._private)
+        return self._stack.union(self._private)
 
     def dirty_set(self) -> IntervalSet:
         return self._dirty.copy()
@@ -222,6 +227,8 @@ class AddressSpace:
 
     # -- memory operations -------------------------------------------------
     def _check_live(self) -> None:
+        """Raise unless the space is live.  The request path tests
+        ``_destroyed`` itself and calls this only to raise."""
         if self._destroyed:
             raise SnapshotError(f"address space {self.name!r} is destroyed")
 
@@ -233,7 +240,8 @@ class AddressSpace:
         zero-filled if unmapped).  Already-private pages are written in
         place.  Every written page becomes dirty.
         """
-        self._check_live()
+        if self._destroyed:
+            self._check_live()
         if npages < 0:
             raise ValueError(f"negative page count {npages}")
         if start < 0:
@@ -332,10 +340,8 @@ class AddressSpace:
                 resolved=need,
             )
         from_stack = 0
-        if self._base is not None:
-            from_stack = need.intersection(
-                self._base.stack_pages_view()
-            ).page_count
+        if self._stack is not None:
+            from_stack = need.intersection(self._stack).page_count
         self._allocator.allocate(pages, PRIVATE_CATEGORY)
         private = self._private
         if private.frozen:
@@ -358,11 +364,11 @@ class AddressSpace:
         Reads of snapshot pages resolve through the stack with read-only
         mappings (the fault semantics of §6 "Capturing Snapshots").
         """
-        self._check_live()
+        if self._destroyed:
+            self._check_live()
         if npages < 0:
             raise ValueError(f"negative page count {npages}")
-        private = self._private
-        stack = None if self._base is None else self._base.stack_pages_view()
+        private, stack = self._private, self._stack
         if not private.frozen:
             return _resolve_read(private, stack, start, npages)
         # Both sets are frozen: the answer is a memoised transition,
@@ -383,9 +389,7 @@ class AddressSpace:
         self._check_live()
         if page in self._private:
             return FaultResolution.ALREADY_PRIVATE
-        in_stack = (
-            self._base is not None and page in self._base.stack_pages_view()
-        )
+        in_stack = self._stack is not None and page in self._stack
         if write:
             return (
                 FaultResolution.CLONE_FROM_STACK
@@ -420,7 +424,8 @@ class AddressSpace:
         snapshot mechanism" — and the format used when shipping a
         snapshot to another node (§9).
         """
-        self._check_live()
+        if self._destroyed:
+            self._check_live()
         if flatten:
             snapshot = Snapshot(
                 name=name,
@@ -445,6 +450,7 @@ class AddressSpace:
             self._base.release()
         self._base = snapshot
         self._base.retain()
+        self._stack = snapshot.stack_pages_view()
         self._dirty = EMPTY
         return snapshot
 
@@ -476,6 +482,7 @@ class AddressSpace:
         if self._base is not None:
             self._base.release()
             self._base = None
+            self._stack = None
         self._private = EMPTY
         self._dirty = EMPTY
         self._destroyed = True

@@ -61,12 +61,15 @@ _TABLE_LIMIT = 4096
 class IntervalSet:
     """A set of non-negative integers stored as disjoint intervals."""
 
-    __slots__ = ("_starts", "_stops", "_count")
+    __slots__ = ("_starts", "_stops", "_count", "frozen")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         self._starts: List[int] = []
         self._stops: List[int] = []
         self._count = 0
+        #: Whether the set is tuple-backed and rejects mutation: set
+        #: once, as a set never changes its storage kind.
+        self.frozen = False
         for start, stop in intervals:
             self.add(start, stop)
 
@@ -89,6 +92,7 @@ class IntervalSet:
         out._starts = starts
         out._stops = stops
         out._count = count
+        out.frozen = starts.__class__ is tuple
         return out
 
     def copy(self) -> "IntervalSet":
@@ -96,11 +100,6 @@ class IntervalSet:
         return IntervalSet._from_lists(
             list(self._starts), list(self._stops), self._count
         )
-
-    @property
-    def frozen(self) -> bool:
-        """Whether the set is tuple-backed and rejects mutation."""
-        return self._starts.__class__ is tuple
 
     # -- sharing -----------------------------------------------------------
     def interned(self) -> "IntervalSet":

@@ -333,7 +333,11 @@ def invoke_on_node(
                 # the manifest missed) fall back to the lazy per-MB
                 # rate, so imperfect recordings cannot under-bill.
                 tail_faults = recorder.faults_taken - deploy_fault_mark
-            if tail_faults or fn.io_wait_ms > 0 or ledger.deadline_due(boundary):
+            if (
+                tail_faults
+                or fn.io_wait_ms > 0
+                or (ledger.cancel_expired and ledger.deadline_due(boundary))
+            ):
                 yield env.timeout(exec_ms)
                 if tail_faults:
                     per_mb = (

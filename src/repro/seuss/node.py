@@ -330,10 +330,13 @@ class SeussNode:
 
         This is the Table 3 workload: a Node.js environment "blocked on
         a port awaiting a new connection (no code has been imported
-        yet)".  Returns the deployed :class:`UnikernelContext`.
+        yet)".  Returns the deployed :class:`UnikernelContext`; a deploy
+        that ends any other way (interrupted, out of memory) destroys
+        the UC it created, which nothing else holds.
         """
         record = self.runtime_record(runtime_name)
         core = self.cores.claim()
+        uc = None
         try:
             if not core.processed:
                 yield core
@@ -345,6 +348,10 @@ class SeussNode:
             )
             yield self.env.timeout(self.costs.seuss.uc_create_ms)
             uc.start_listening()
+        except BaseException:
+            if uc is not None:
+                uc.destroy()
+            raise
         finally:
             self.cores.release(core)
         return uc

@@ -65,11 +65,14 @@ class IdleUCCache:
         """Cache a UC for hot reuse; returns False if over the limit."""
         if uc.state is not UCState.IDLE:
             raise ValueError(f"cannot cache UC in state {uc.state}")
+        # The limit is tested before a bucket is made: a rejected put
+        # leaves no empty bucket behind for reclaim to find.
         bucket = self._idle.get(key)
         if bucket is None:
-            bucket = []
-            self._idle[key] = bucket
-        if len(bucket) >= self._per_function_limit:
+            if self._per_function_limit < 1:
+                return False
+            bucket = self._idle[key] = []
+        elif len(bucket) >= self._per_function_limit:
             return False
         bucket.append(uc)
         self._count += 1

@@ -37,7 +37,7 @@ from repro.mem.snapshot import CpuState, Snapshot
 from repro.unikernel import interpreters as regions
 from repro.unikernel.interpreters import RuntimeSpec
 from repro.unikernel.layout import MemoryLayout
-from repro.unikernel.solo5 import check_hypercall
+from repro.unikernel.solo5 import SOLO5_HYPERCALLS, check_hypercall
 
 _uc_ids = itertools.count(1)
 
@@ -120,6 +120,9 @@ class UnikernelContext:
 
     # -- helpers ---------------------------------------------------------
     def _require(self, *allowed: UCState) -> None:
+        """Raise unless the UC is in one of the ``allowed`` states.  The
+        lifecycle methods test their state by identity and call this
+        only to raise."""
         if self.state not in allowed:
             raise UCLifecycleError(
                 f"{self.name}: operation requires state in "
@@ -129,13 +132,14 @@ class UnikernelContext:
     def hypercall(self, name: str) -> None:
         """Cross the Solo5 boundary; names outside it raise
         :class:`~repro.errors.IsolationError`."""
-        check_hypercall(name)
+        if name not in SOLO5_HYPERCALLS:
+            check_hypercall(name)
         self.hypercalls[name] = self.hypercalls.get(name, 0) + 1
 
     def _write_region(
         self, region_name: str, npages: Optional[int] = None
     ) -> WriteResult:
-        region = self.layout.region(region_name)
+        region = self.layout.regions[region_name]
         count = region.npages if npages is None else min(npages, region.npages)
         return self.space.write(region.start, count)
 
@@ -146,7 +150,7 @@ class UnikernelContext:
         pass pre-wrote it) the path is already warm and nothing is
         written: the mechanism behind Table 2's latency collapse.
         """
-        region = self.layout.region(region_name)
+        region = self.layout.regions[region_name]
         probe = self.space.read(region.start, region.npages)
         if probe.pages_unmapped == 0:
             return _NOTHING
@@ -169,7 +173,8 @@ class UnikernelContext:
         Only legal for a UC with no base snapshot; deployed UCs resume
         inside an already-booted image.
         """
-        self._require(UCState.CREATED)
+        if self.state is not UCState.CREATED:
+            self._require(UCState.CREATED)
         if self.space.base is not None:
             raise UCLifecycleError(
                 f"{self.name}: booted UCs must not have a base snapshot"
@@ -185,7 +190,9 @@ class UnikernelContext:
     # -- deployment path (Figure 2) ------------------------------------------
     def start_listening(self) -> WriteResult:
         """(Re)start the driver's HTTP endpoint; runs on every deploy."""
-        self._require(UCState.CREATED, UCState.BOOTED)
+        state = self.state
+        if state is not UCState.CREATED and state is not UCState.BOOTED:
+            self._require(UCState.CREATED, UCState.BOOTED)
         self.hypercall("netinfo")
         self.hypercall("poll")
         result = self._write_region(regions.LISTEN)
@@ -194,17 +201,21 @@ class UnikernelContext:
 
     def accept_connection(self) -> WriteResult:
         """Accept the control connection from SEUSS OS."""
-        self._require(UCState.LISTENING)
+        if self.state is not UCState.LISTENING:
+            self._require(UCState.LISTENING)
         self.hypercall("netread")
         first_use = self._ensure_first_use(regions.AO_NETWORK)
-        result = _merge(first_use, self._write_region(regions.CONN))
+        result = self._write_region(regions.CONN)
+        if first_use is not _NOTHING:
+            result = _merge(first_use, result)
         self.state = UCState.CONNECTED
         return result
 
     def import_function(self, function_name: str, code_kb: float) -> WriteResult:
         """Import and compile function source received over the wire
         (cold path only)."""
-        self._require(UCState.CONNECTED)
+        if self.state is not UCState.CONNECTED:
+            self._require(UCState.CONNECTED)
         if self.bound_function is not None:
             raise UCLifecycleError(
                 f"{self.name}: already bound to {self.bound_function!r}"
@@ -212,7 +223,9 @@ class UnikernelContext:
         pages = self.runtime.import_pages_for(code_kb)
         self.hypercall("netread")
         first_use = self._ensure_first_use(regions.AO_INTERPRETER)
-        result = _merge(first_use, self._write_region(regions.IMPORT, pages))
+        result = self._write_region(regions.IMPORT, pages)
+        if first_use is not _NOTHING:
+            result = _merge(first_use, result)
         self.bound_function = function_name
         self.state = UCState.IDLE
         return result
@@ -224,26 +237,29 @@ class UnikernelContext:
         driver resumes directly into its ready state: the warm path
         "skips the code import and compilation stages" (§4).
         """
-        self._require(UCState.CONNECTED)
+        if self.state is not UCState.CONNECTED:
+            self._require(UCState.CONNECTED)
         self.bound_function = function_name
         self.state = UCState.IDLE
 
     def import_args(self) -> WriteResult:
         """Receive the run arguments for an invocation."""
-        self._require(UCState.IDLE)
+        if self.state is not UCState.IDLE:
+            self._require(UCState.IDLE)
         self.hypercall("netread")
         return self._write_region(regions.ARGS)
 
     def execute(self, exec_write_pages: int) -> WriteResult:
         """Run the bound function once; writes its run-time heap."""
-        self._require(UCState.IDLE)
+        if self.state is not UCState.IDLE:
+            self._require(UCState.IDLE)
         if self.bound_function is None:
             raise UCLifecycleError(f"{self.name}: no function bound")
         self.state = UCState.RUNNING
         first_use = self._ensure_first_use(regions.AO_INTERPRETER)
-        result = _merge(
-            first_use, self._write_region(regions.EXEC, exec_write_pages)
-        )
+        result = self._write_region(regions.EXEC, exec_write_pages)
+        if first_use is not _NOTHING:
+            result = _merge(first_use, result)
         self.hypercall("netwrite")  # send the result back
         self.state = UCState.IDLE
         self.completed_invocations += 1
@@ -253,7 +269,9 @@ class UnikernelContext:
     def warm_network(self) -> WriteResult:
         """Network AO pass: send an HTTP request through the stack
         before snapshotting."""
-        self._require(UCState.BOOTED, UCState.LISTENING)
+        state = self.state
+        if state is not UCState.BOOTED and state is not UCState.LISTENING:
+            self._require(UCState.BOOTED, UCState.LISTENING)
         self.hypercall("netread")
         self.hypercall("netwrite")
         return self._ensure_first_use(regions.AO_NETWORK)
@@ -265,7 +283,9 @@ class UnikernelContext:
         script's own state, which bloats the base snapshot by ~2.1 MB
         while removing ~0.9 MB from every descendant (§7).
         """
-        self._require(UCState.BOOTED, UCState.LISTENING)
+        state = self.state
+        if state is not UCState.BOOTED and state is not UCState.LISTENING:
+            self._require(UCState.BOOTED, UCState.LISTENING)
         warm = self._ensure_first_use(regions.AO_INTERPRETER)
         return _merge(warm, self._write_region(regions.AO_DUMMY))
 
@@ -285,7 +305,7 @@ class UnikernelContext:
         capture's duplicate-content region for the node's dedup domain
         (ignored when the UC has none).
         """
-        if self.destroyed:
+        if self.state is UCState.DESTROYED:
             raise SnapshotError(f"{self.name}: destroyed")
         # A digest, not ``hash``: str hashes are salted per process, and
         # the checksum covers the instruction pointer.
@@ -300,7 +320,7 @@ class UnikernelContext:
     # -- teardown -----------------------------------------------------------
     def destroy(self) -> int:
         """Tear down the UC and close its channel; returns pages reclaimed."""
-        if self.destroyed:
+        if self.state is UCState.DESTROYED:
             return 0
         freed = self.space.destroy()
         self.state = UCState.DESTROYED

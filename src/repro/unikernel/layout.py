@@ -45,18 +45,21 @@ class MemoryLayout:
     """Sequentially allocated, aligned, named regions."""
 
     def __init__(self) -> None:
-        self._regions: Dict[str, Region] = {}
+        #: The regions by name, in layout order.  Read-only once the
+        #: layout is built; index it where the name is known to exist
+        #: (:meth:`region` raises ``ConfigError`` for an unknown one).
+        self.regions: Dict[str, Region] = {}
         self._cursor = 0
 
     def add(self, name: str, npages: int) -> Region:
         """Append a region of ``npages`` pages at the next aligned slot."""
-        if name in self._regions:
+        if name in self.regions:
             raise ConfigError(f"duplicate region {name!r}")
         if npages <= 0:
             raise ConfigError(f"region {name!r} must have positive size")
         start = self._cursor
         region = Region(name=name, start=start, npages=npages)
-        self._regions[name] = region
+        self.regions[name] = region
         end = start + npages
         # Round the cursor up to the next alignment boundary.
         self._cursor = -(-end // REGION_ALIGN_PAGES) * REGION_ALIGN_PAGES
@@ -64,20 +67,20 @@ class MemoryLayout:
 
     def region(self, name: str) -> Region:
         try:
-            return self._regions[name]
+            return self.regions[name]
         except KeyError:
             raise ConfigError(f"unknown region {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._regions
+        return name in self.regions
 
     def __iter__(self) -> Iterator[Region]:
-        return iter(self._regions.values())
+        return iter(self.regions.values())
 
     @property
     def total_pages(self) -> int:
         """Pages covered by regions (excluding alignment gaps)."""
-        return sum(region.npages for region in self._regions.values())
+        return sum(region.npages for region in self.regions.values())
 
     @property
     def span_pages(self) -> int:
@@ -85,5 +88,5 @@ class MemoryLayout:
         return self._cursor
 
     def __repr__(self) -> str:
-        names = ", ".join(self._regions)
+        names = ", ".join(self.regions)
         return f"MemoryLayout({names})"

@@ -6,10 +6,11 @@ counts the GC-tracked objects it reaches that are not shared with the
 rest of the node; :func:`retained_bytes` measures the memory a cold
 invocation leaves behind; :func:`queue_census` counts what a closed
 loop keeps in the engine's queue; :func:`call_census` counts the calls
-a hot invocation makes, by layer, :func:`deploy_call_census` those of a
-cold and of a warm one, :func:`event_census` the engine events of each
-path on each backend, by kind, and :func:`null_tracer_census` the calls
-an untraced one makes into the disabled tracer.  Plain Python only, so
+a hot invocation makes, by layer and for its most-called functions,
+:func:`deploy_call_census` those of a cold and of a warm one,
+:func:`event_census` the engine events of each path on each backend,
+by kind, and :func:`null_tracer_census` the calls an untraced one
+makes into the disabled tracer.  Plain Python only, so
 it also runs on interpreters without pytest::
 
     PYTHONPATH=src:. python -c "from tests.census import main; main()"
@@ -21,6 +22,7 @@ import cProfile
 import gc
 import os
 import pstats
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -151,38 +153,65 @@ def _layer(filename: str) -> str:
     return layer[:-3] if layer.endswith(".py") else layer
 
 
+def _function(filename: str, line: int, name: str) -> str:
+    """A profiled function's name: ``layer/module.py:line(name)`` inside
+    ``repro``, ``module.py:line(name)`` elsewhere, and a builtin's own
+    name, less any object address in it."""
+    if filename == "~":
+        return re.sub(r" at 0x[0-9a-fA-F]+>$", ">", name)
+    parts = filename.replace(os.sep, "/").split("/")
+    if "repro" in parts[:-1]:
+        parts = parts[parts.index("repro") + 1 :]
+    else:
+        parts = parts[-1:]
+    return f"{'/'.join(parts)}:{line}({name})"
+
+
+#: How many of the most-called functions a call census lists.
+TOP_FUNCTIONS = 15
+
+
 def _calls_per_invocation(run, invocations: int) -> dict:
     """Calls :mod:`cProfile` sees while ``run()`` serves ``invocations``
-    invocations (Python functions and builtins alike), per invocation,
-    in total and by layer."""
+    invocations (Python functions and builtins alike), per invocation:
+    in total, by layer, and the :data:`TOP_FUNCTIONS` most-called
+    functions (``top``, most-called first, as ``(function, calls)``)."""
     profile = cProfile.Profile()
     profile.enable()
     run()
     profile.disable()
     by_layer: Counter = Counter()
-    for (filename, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items():
+    by_function: Counter = Counter()
+    for (filename, line, name), (_, calls, *_) in pstats.Stats(
+        profile
+    ).stats.items():
         by_layer[_layer(filename)] += calls
+        by_function[_function(filename, line, name)] += calls
     return {
         "total": round(sum(by_layer.values()) / invocations, 1),
         "by_layer": {
             layer: round(calls / invocations, 1)
             for layer, calls in by_layer.most_common()
         },
+        "top": [
+            (function, round(calls / invocations, 1))
+            for function, calls in by_function.most_common(TOP_FUNCTIONS)
+        ],
     }
 
 
 def call_census(invocations: int = 4_000) -> dict:
     """Calls per invocation of a :func:`hot_loop` of ``invocations``
-    requests, in total and by layer."""
+    requests, in total, by layer and for the most-called functions."""
     env, _, process = hot_loop(invocations)
     return _calls_per_invocation(lambda: env.run(until=process), invocations)
 
 
 def deploy_call_census(invocations: int = 200) -> dict:
-    """Calls per cold and per warm NOP invocation on one node, in total
-    and by layer: ``invocations`` cold NOPs of distinct functions, then
-    a warm one of each (its idle UC dropped), profiled after as many of
-    each have run unprofiled."""
+    """Calls per cold and per warm NOP invocation on one node, in total,
+    by layer and for the most-called functions: ``invocations`` cold
+    NOPs of distinct functions, then a warm one of each (its idle UC
+    dropped), profiled after as many of each have run unprofiled."""
     from repro.sim import Environment
     from repro.workload.functions import unique_nop_set
 
@@ -293,15 +322,27 @@ def null_tracer_census(backend: str) -> Counter:
     return calls
 
 
+def _print_calls(what: str, census: dict) -> None:
+    """Print a call census: its totals, then its most-called functions."""
+    print(
+        f"calls per {what}:",
+        {key: value for key, value in census.items() if key != "top"},
+    )
+    print(f"  most-called functions per {what}:")
+    for function, calls in census["top"]:
+        print(f"    {calls:7.1f}  {function}")
+
+
 def main() -> None:
     """Print the census of an idle UC and of a cached function snapshot
     after one NOP invocation on a fresh node, then that of the client
     result of a second (hot) invocation through a cluster, then the
     bytes a cold invocation retains and the entries of the canonical
     and transition tables after it, the engine-queue census of a closed
-    loop, the calls per hot, cold and warm invocation, the engine
-    events per invocation on each path of each backend and the
-    null-tracer calls of an untraced hot invocation."""
+    loop, the calls per hot, cold and warm invocation (with the
+    most-called functions of each), the engine events per invocation
+    on each path of each backend and the null-tracer calls of an
+    untraced hot invocation."""
     from repro.faas.cluster import FaasCluster
     from repro.sim import Environment
     from repro.workload.functions import nop_function
@@ -324,8 +365,9 @@ def main() -> None:
     print("retained bytes per cold NOP invocation:", round(retained_bytes()))
     print("page-set tables:", table_sizes())
     print("engine queue:", queue_census())
-    print("calls per hot invocation:", call_census())
-    print("calls per deploy:", deploy_call_census())
+    _print_calls("hot invocation", call_census())
+    for path, census in deploy_call_census().items():
+        _print_calls(f"{path} deploy", census)
     print("engine events per invocation:", event_census())
     print(
         "null-tracer calls per hot invocation:",

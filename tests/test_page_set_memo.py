@@ -14,9 +14,11 @@ import pytest
 from repro.errors import OutOfMemoryError
 from repro.faas.records import InvocationPath
 from repro.mem import address_space, intervals
+from repro.mem import snapshot as snapshots
 from repro.mem.address_space import AddressSpace, ReadResult, WriteResult
 from repro.mem.frames import FrameAllocator
 from repro.mem.intervals import EMPTY, IntervalSet, clear_interned
+from repro.mem.snapshot import CpuState, content_checksum
 from repro.workload.functions import nop_function
 
 #: The interval algebra a deploy ran before its transitions were memoised.
@@ -116,6 +118,42 @@ def runs(pages) -> int:
     return sum(1 for i, page in enumerate(pages) if i == 0 or pages[i - 1] != page - 1)
 
 
+#: The CPU state the checksum oracle checksums every page set with.
+CPU = CpuState(instruction_pointer=7, stack_pointer=3, trigger_label="model")
+
+
+def tabled_sets():
+    """Every page set the canonical and memo tables hold."""
+    yield from intervals._CANONICAL.values()
+    for operand, (written, _, _) in intervals._WRITES.values():
+        yield operand
+        yield written
+    for entry in intervals._UNIONS.values():
+        yield from entry
+    for private, stack, _ in address_space._READS.values():
+        yield private
+        if stack is not None:
+            yield stack
+    for pages, _ in snapshots._EXTENT_BYTES.values():
+        yield pages
+
+
+def check_storage_flag(page_set: IntervalSet) -> None:
+    """``frozen`` is the set's storage kind: tuples, or lists."""
+    assert page_set.frozen is (page_set._starts.__class__ is tuple)
+    assert page_set.frozen is (page_set._stops.__class__ is tuple)
+
+
+def check_checksum(page_set: IntervalSet) -> None:
+    """The checksum of a set, memoised when it is frozen, equals the one
+    computed over a list-backed copy, which is never memoised."""
+    copy = page_set.copy()
+    assert not copy.frozen
+    assert content_checksum("model", page_set, CPU) == content_checksum(
+        "model", copy, CPU
+    )
+
+
 MODEL_SEEDS = [0, 1, 7, 42]
 MODEL_STEPS = 1500
 OPERATIONS = ("write", "read", "capture", "destroy", "intern", "clear")
@@ -128,7 +166,10 @@ def test_memoised_spaces_match_a_memo_free_model(seed):
     destroyed and redeployed, intern their sets and see the tables
     cleared, in random order.  Every result and every set equals a
     recomputation on plain Python sets, and no canonical set ever
-    changes."""
+    changes.  After every step, every set in play or in a table has
+    ``frozen`` equal to its storage kind, and every memoised checksum
+    (each canonical set's, from when it is handed out) equals the
+    checksum of a list-backed copy."""
     rng = random.Random(seed)
     allocator = FrameAllocator(10_000_000)
     # Most accesses follow one script from where the space was
@@ -138,6 +179,7 @@ def test_memoised_spaces_match_a_memo_free_model(seed):
     bases = [(None, frozenset())]
     handed_out: dict = {}
     memo_hits = 0
+    memoised_checksums = 0
 
     def deploy():
         base, stack = rng.choice(bases)
@@ -150,8 +192,9 @@ def test_memoised_spaces_match_a_memo_free_model(seed):
         return script[(holder[5] - 1) % len(script)]
 
     def hand_out(page_set):
-        if page_set.canonical:
-            handed_out.setdefault(id(page_set), (page_set, page_set.intervals()))
+        if page_set.canonical and id(page_set) not in handed_out:
+            handed_out[id(page_set)] = (page_set, page_set.intervals())
+            check_checksum(page_set)
 
     spaces = [deploy() for _ in range(6)]
     for step in range(MODEL_STEPS):
@@ -203,10 +246,23 @@ def test_memoised_spaces_match_a_memo_free_model(seed):
             assert set(space._dirty.pages()) == dirty
             assert space.private_pages == len(private)
             assert space.fault_count == faults
+            check_storage_flag(space._private)
+            check_storage_flag(space._dirty)
             hand_out(space._private)
             hand_out(space._dirty)
         canonical, extents = rng.choice(list(handed_out.values()))
         assert canonical.frozen and canonical.intervals() == extents
+        for page_set in tabled_sets():
+            check_storage_flag(page_set)
+        for page_set, _ in list(snapshots._EXTENT_BYTES.values()):
+            check_checksum(page_set)
+            memoised_checksums += 1
+        if op == "capture":
+            assert snapshot.checksum == content_checksum(
+                snapshot.name, snapshot._pages.copy(), snapshot.cpu
+            )
     for canonical, extents in handed_out.values():
         assert canonical.frozen and canonical.intervals() == extents
-    assert memo_hits > 50
+        check_storage_flag(canonical)
+        check_checksum(canonical)
+    assert memo_hits > 50 and memoised_checksums > 1000

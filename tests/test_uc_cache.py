@@ -56,6 +56,18 @@ class TestHotPath:
         assert not cache.put("fn", idle_uc(alloc, base))
         assert len(cache) == 2
 
+    def test_a_zero_limit_caches_nothing_and_reclaim_finds_nothing(
+        self, alloc, base
+    ):
+        """A put rejected by the limit leaves no empty bucket behind, so
+        reclaim, which indexes its buckets by the policy's victim, has
+        nothing to walk."""
+        cache = IdleUCCache(per_function_limit=0)
+        assert not cache.put("fn", idle_uc(alloc, base))
+        assert len(cache) == 0 and cache.function_count("fn") == 0
+        assert cache._idle == {}
+        assert cache.reclaim_pages(1) == 0
+
     def test_lifo_within_function(self, alloc, base):
         # Hot hits take the most recently idled UC; the opposite end
         # (oldest) is left for the OOM daemon to reclaim.
