@@ -317,18 +317,17 @@ def bench_routing_decision() -> Tuple[int, float]:
 
 
 def bench_cache_churn() -> Tuple[int, float]:
-    """Snapshot- and idle-UC-cache churn: every eviction goes through
+    """Snapshot-cache and idle-pool churn: every eviction goes through
     the caches' default (LRU) policy.
 
     A snapshot cache whose budget holds eight stub snapshots serves a
     get-or-put tape over 32 functions.  One stub stays retained, like a
     snapshot a live invocation still maps, so evicting it is refused and
-    requeued.  An idle-UC cache takes puts, hot pops and OOM reclaims
-    over stub UCs of 64 functions.  Ops are cache operations.
+    requeued.  A SEUSS-shaped idle pool takes puts, hot pops and OOM
+    reclaims over stub UCs of 64 functions.  Ops are cache operations.
     """
+    from repro.seuss.idle_pool import IdlePool
     from repro.seuss.snapshots import SnapshotCache
-    from repro.seuss.uc_cache import IdleUCCache
-    from repro.unikernel.context import UCState
     from repro.units import pages_to_mb
 
     class StubSnapshot:
@@ -351,9 +350,7 @@ def bench_cache_churn() -> Tuple[int, float]:
             return self.footprint_pages
 
     class StubUC:
-        """A stand-in idle UC exposing only what the cache calls."""
-
-        state = UCState.IDLE
+        """A stand-in idle UC exposing only what the pool calls."""
 
         def destroy(self):
             return 64
@@ -377,7 +374,7 @@ def bench_cache_churn() -> Tuple[int, float]:
                 snapshots.put(key, StubSnapshot())
                 ops += 1
         refused += snapshots.stats.eviction_failures
-        ucs = IdleUCCache(per_function_limit=4)
+        ucs = IdlePool(per_function_limit=4)
         for roll, key in uc_tape:
             if roll < 0.5:
                 ucs.put(key, StubUC())

@@ -10,15 +10,15 @@ The public entry point is :class:`repro.seuss.node.SeussNode`.
 
 from repro.seuss.ao import AOLevel, AOReport, apply_anticipatory_optimizations
 from repro.seuss.config import SeussConfig
+from repro.seuss.idle_pool import IdlePool
 from repro.seuss.node import SeussNode
 from repro.seuss.shim import ShimProcess
 from repro.seuss.snapshots import SnapshotCache
-from repro.seuss.uc_cache import IdleUCCache
 
 __all__ = [
     "AOLevel",
     "AOReport",
-    "IdleUCCache",
+    "IdlePool",
     "SeussConfig",
     "SeussNode",
     "ShimProcess",

@@ -6,10 +6,10 @@ Production schedulers treat that discipline as a *policy* input — the
 Azure "Serverless in the Wild" scheduler derives per-function keep-alive
 and pre-warm windows from idle-time histograms, and FaasCache recasts
 keep-alive as greedy-dual cache replacement.  This module factors the
-decision out of :class:`~repro.seuss.snapshots.SnapshotCache`,
-:class:`~repro.seuss.uc_cache.IdleUCCache` and the Linux node's idle
-container cache behind one small protocol, so the ``keepalive``
-experiment can race policies under a production-shaped fleet trace.
+decision out of :class:`~repro.seuss.snapshots.SnapshotCache` and
+:class:`~repro.seuss.idle_pool.IdlePool` (idle UCs or containers) behind
+one small protocol, so the ``keepalive`` experiment can race policies
+under a production-shaped fleet trace.
 
 A policy only *orders* eviction decisions and accounts keep-alive
 quality; the caches keep full ownership of entries, refcounts and

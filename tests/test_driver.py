@@ -180,7 +180,7 @@ class TestCensus:
     def test_idle_uc_is_one_object_with_its_memory_and_channel(self, seuss_node):
         fn = nop_function()
         seuss_node.invoke_sync(fn)
-        (uc,) = seuss_node.uc_cache._idle[fn.key]
+        (uc,) = dict(seuss_node.uc_cache.items())[fn.key]
         # Both page sets are canonical, shared with every idle UC of the
         # same shape, so the walk does not count them.
         assert uc.space._private.canonical and uc.space._dirty.canonical

@@ -16,7 +16,7 @@ from tests.test_snapshot import MUTATIONS
 
 
 def idle_uc(node, fn):
-    (uc,) = node.uc_cache._idle[fn.key]
+    (uc,) = dict(node.uc_cache.items())[fn.key]
     return uc
 
 

@@ -39,7 +39,7 @@ class TestPolicyStatsStayQuiet:
         _, cluster = run("seuss", config=SeussConfig(cache_policy="lru"))
         node = cluster.nodes[0]
         snapshots = node.snapshot_cache._entries
-        idle = node.uc_cache._idle
+        idle = dict(node.uc_cache.items())
         assert len(snapshots) > 0 and len(idle) > 0
         for policy, keys in ((node.cache_policy, snapshots), (node.uc_policy, idle)):
             assert len(policy) == len(keys)
