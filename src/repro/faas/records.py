@@ -164,8 +164,8 @@ class InvocationLedger:
     ``useful_ms``, ``wasted_ms``, ``zombie_count`` or
     ``cancelled_count``.
 
-    The tracer is resolved once, at construction: with tracing off
-    ``root`` is ``None`` and the ledger records no span.
+    The tracer is resolved once, at construction, as ``tracer``: with
+    tracing off ``root`` is ``None`` and the ledger records no span.
     """
 
     __slots__ = (
@@ -177,6 +177,7 @@ class InvocationLedger:
         "started",
         "breakdown",
         "stage_times",
+        "tracer",
         "root",
         "path",
         "pages_copied",
@@ -205,7 +206,7 @@ class InvocationLedger:
         self.started = self._queue_started = now
         self.breakdown: Dict[str, float] = {}
         self.stage_times = {InvocationStage.REQUEST_RECEIVED: now}
-        tracer = tracer_for(env)
+        self.tracer = tracer = tracer_for(env)
         self.root = (
             tracer.span(
                 "invocation",

@@ -104,7 +104,7 @@ def invoke_on_node(
     try:
         # -- path selection -------------------------------------------
         injector = node.fault_injector
-        uc = node.uc_cache.pop(fn.key)
+        uc = node.uc_cache.pop(fn.key, ledger.tracer)
         if uc is not None:
             path = InvocationPath.HOT
             fn_snapshot = None
@@ -399,7 +399,9 @@ def invoke_on_node(
                     tracer.gauge("prefetch.coverage", manifest.coverage)
 
         # -- cache the idle UC for hot reuse --------------------------------
-        cached = node.config.cache_idle_ucs and node.uc_cache.put(fn.key, uc)
+        cached = node.config.cache_idle_ucs and node.uc_cache.put(
+            fn.key, uc, ledger.tracer
+        )
         if cached:
             # Idle UCs of one shape share one copy of each page set.
             uc.space.intern_page_sets()
